@@ -19,7 +19,9 @@ from .errors import (
 from .model import forward, init_parameters, load_checkpoint, save_checkpoint
 from .scene import load_scenes, save_scenes
 from .synthetic import SyntheticSpec, generate_synthetic
-from .train import evaluate_samples, format_log_row, prepare_samples, train
+from .train import (
+    check_finite, evaluate_samples, format_log_row, prepare_samples, train,
+)
 
 ABLATION_FLAGS = ("no_map", "no_social", "no_relational", "no_residual", "no_temporal")
 
@@ -177,6 +179,7 @@ def cmd_predict(args):
         raise LookupError_(f"scene {args.scene_id!r} not found in {args.data}")
     sample = prepare_samples(matches, cfg)[0]
     pred = forward(sample.cache, params, cfg.model)
+    check_finite(pred, sample.scene_id)
     traj = pred.trajectories.data
     scores = pred.scores.data
 

@@ -60,9 +60,13 @@ def save_config(cfg, path):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: invalid JSON ({exc.msg})") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path}: invalid JSON ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text") from exc
     return run_config_from_dict(payload)

@@ -6,14 +6,20 @@ edges between tracks, dilated lane connectivity, left/right lane neighbors,
 and velocity-gated agent<->map fusion edges. Every edge carries the
 relative offset target minus source as its feature.
 
-Edges within a relation are sorted by stable node keys (agent_id/timestep,
-lane_id/segment index), not by node index. Aggregation order therefore
-survives any permutation of the input track list, which makes model
-outputs exactly equivariant under track reordering.
+Edges within a relation are sorted by (target key, source key), where a
+node's key is its stable identity (agent_id/timestep, lane_id/segment
+index), not its index. Each node type's keys are turned once into integer
+ranks, and every relation is ordered and deduplicated by one sort of
+rank-pair codes. Aggregation order therefore survives any permutation of
+the input track list, which makes model outputs exactly equivariant under
+track reordering.
+
+Edge construction is array code throughout: lane links come from a sorted
+sweep over chord start points, dilated lane links from joins of sorted pair
+arrays, and social, temporal and fusion edges from dense node tables.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,122 +96,179 @@ class HeteroGraph:
         return feats[index, 0], feats[index, 1]
 
 
-def _finalize_relation(graph, name, pairs, src_keys, dst_keys):
-    """Sort edges by stable keys and attach relative-offset features."""
+def _stable_rank(primary, secondary):
+    """Rank of every node in the lexicographic order of (primary, secondary)
+    codes, and the inverse permutation (rank -> node)."""
+    order = np.lexsort((secondary, primary))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return rank, order
+
+
+def _code_of(labels):
+    """Integer code per label, ordered as the labels compare."""
+    code = {label: i for i, label in enumerate(sorted(set(labels)))}
+    return np.asarray([code[label] for label in labels], dtype=np.int64)
+
+
+def _sorted_unique(codes):
+    """np.unique for a 1-D integer array, by sort and neighbour compare:
+    with numpy 2.4, 10-20x faster than np.unique at a few thousand codes."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.shape[0], dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _as_pairs(pairs):
+    return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+
+def _expand_ranges(lo, hi):
+    """(row, position) for every position in [lo[row], hi[row]), row-major."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.shape[0]), counts)
+    pos = np.arange(int(counts.sum())) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return rows, pos
+
+
+@dataclass
+class _NodeIndex:
+    rank: np.ndarray    # [N] position of each node in stable-key order
+    order: np.ndarray   # [N] node at each rank
+    pos: np.ndarray     # [N, 2] node position
+
+
+def _finalize_relation(graph, name, pairs, nodes):
+    """Deduplicate edges, order them by (dst_key, src_key) and attach
+    target-minus-source offsets.
+
+    The stable keys (agent_id/timestep, lane_id/segment index) enter only
+    through integer ranks: each edge is coded rank[dst] * n_src + rank[src],
+    so one sort of integer codes orders and deduplicates the relation.
+    """
     src_type, dst_type = relation_endpoints(name)
-    pairs = sorted(set(pairs), key=lambda e: (dst_keys[e[1]], src_keys[e[0]]))
-    arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    feats = np.zeros((len(pairs), 2), dtype=np.float64)
-    for row, (s, d) in enumerate(pairs):
-        sx, sy = graph.node_position(src_type, s)
-        dx_, dy_ = graph.node_position(dst_type, d)
-        feats[row, 0] = dx_ - sx
-        feats[row, 1] = dy_ - sy
-    graph.edges[name] = arr
-    graph.edge_feats[name] = feats
+    src, dst = nodes[src_type], nodes[dst_type]
+    n_src = src.rank.shape[0]
+    codes = _sorted_unique(dst.rank[pairs[:, 1]] * n_src + src.rank[pairs[:, 0]])
+    s = src.order[codes % n_src]
+    d = dst.order[codes // n_src]
+    graph.edges[name] = np.stack([s, d], axis=1)
+    graph.edge_feats[name] = dst.pos[d] - src.pos[s]
 
 
 def _agent_nodes(scene):
-    feats, meta, keys = [], [], []
-    node_of = {}
-    readout = []
-    for track_idx, track in enumerate(scene.tracks):
-        for t, state in track.past:
-            node_of[(track_idx, t)] = len(feats)
-            feats.append([state.x, state.y, state.vx, state.vy, state.heading])
-            meta.append((track_idx, t))
-            keys.append((track.agent_id, t))
-        readout.append(len(feats) - 1)
+    """Agent-state nodes, track by track in timestep order.
+
+    Returns features, meta, the node index over the (agent_id, timestep)
+    keys, each node's track, the readout node per track and a dense
+    [n_tracks, steps] node table holding -1 where a track is unobserved.
+    """
+    tracks = scene.tracks
+    feats = [[s.x, s.y, s.vx, s.vy, s.heading] for tr in tracks for _, s in tr.past]
+    meta = [(i, t) for i, tr in enumerate(tracks) for t, _ in tr.past]
     arr = np.asarray(feats, dtype=np.float64).reshape(len(feats), 5)
-    return arr, meta, keys, node_of, np.asarray(readout, dtype=np.int64)
+    track_of = np.asarray([i for i, _ in meta], dtype=np.int64)
+    step = np.asarray([t for _, t in meta], dtype=np.int64)
+    readout = np.cumsum([len(tr.past) for tr in tracks], dtype=np.int64) - 1
+    rank, order = _stable_rank(_code_of([tr.agent_id for tr in tracks])[track_of], step)
+    width = int(step.max()) + 1 if step.size else 0
+    table = np.full((len(tracks), width), -1, dtype=np.int64)
+    table[track_of, step] = np.arange(step.shape[0])
+    return arr, meta, _NodeIndex(rank, order, arr[:, :2]), track_of, readout, table
 
 
 def _map_nodes(scene):
-    feats, meta, keys = [], [], []
-    for seg in scene.segments:
-        feats.append([seg.x, seg.y, seg.dx, seg.dy])
-        meta.append((seg.lane_id, seg.index_in_lane))
-        keys.append((seg.lane_id, seg.index_in_lane))
+    segs = scene.segments
+    feats = [[seg.x, seg.y, seg.dx, seg.dy] for seg in segs]
+    meta = [(seg.lane_id, seg.index_in_lane) for seg in segs]
     arr = np.asarray(feats, dtype=np.float64).reshape(len(feats), 4)
-    return arr, meta, keys
+    index = np.asarray([i for _, i in meta], dtype=np.int64)
+    rank, order = _stable_rank(_code_of([lane for lane, _ in meta]), index)
+    return arr, meta, _NodeIndex(rank, order, arr[:, :2])
 
 
-def build_agent_edges(scene, node_of):
+def build_agent_edges(track_of, readout):
     """pre: earlier observed step -> next observed step within a track;
-    suc: the reverses; merge: every strictly earlier node -> readout node."""
-    pre, suc, merge = [], [], []
-    for track_idx, track in enumerate(scene.tracks):
-        steps = [t for t, _ in track.past]
-        nodes = [node_of[(track_idx, t)] for t in steps]
-        for a, b in zip(nodes, nodes[1:]):
-            pre.append((a, b))
-            suc.append((b, a))
-        for n in nodes[:-1]:
-            merge.append((n, nodes[-1]))
-    return pre, suc, merge
+    suc: the reverses; merge: every strictly earlier node -> readout node.
+
+    Nodes are laid out track by track, so consecutive nodes of one track
+    are consecutive indices."""
+    first = np.flatnonzero(track_of[1:] == track_of[:-1])
+    pre = np.stack([first, first + 1], axis=1)
+    nodes = np.arange(track_of.shape[0])
+    last = readout[track_of]
+    earlier = nodes != last
+    merge = np.stack([nodes[earlier], last[earlier]], axis=1)
+    return pre, pre[:, ::-1], merge
 
 
-def build_social_edges(scene, node_of):
+def build_social_edges(node_table):
     """Directed edges into each agent node from every other track's nodes at
-    the previous, same and next timestep, when observed."""
-    edges = []
-    for dst_idx, dst_track in enumerate(scene.tracks):
-        for t, _ in dst_track.past:
-            for src_idx in range(len(scene.tracks)):
-                if src_idx == dst_idx:
-                    continue
-                for dt in (-1, 0, 1):
-                    src = node_of.get((src_idx, t + dt))
-                    if src is not None:
-                        edges.append((src, node_of[(dst_idx, t)]))
-    return edges
+    the previous, same and next timestep, when observed.
+
+    node_table: [n_tracks, steps] node index per (track, timestep), -1 where
+    unobserved."""
+    n_tracks = node_table.shape[0]
+    padded = np.pad(node_table, ((0, 0), (1, 1)), constant_values=-1)
+    # near[j, t, k]: track j's node at timestep t + k - 1
+    near = np.stack([padded[:, :-2], padded[:, 1:-1], padded[:, 2:]], axis=2)
+    dst = node_table[:, None, :, None]
+    ok = ((dst >= 0) & (near[None] >= 0)
+          & ~np.eye(n_tracks, dtype=bool)[:, :, None, None])
+    dst_idx, src_track, t, k = np.nonzero(ok)
+    return np.stack([near[src_track, t, k], node_table[dst_idx, t]], axis=1)
 
 
-def _lane_links(scene):
+def _lane_links(map_feats):
     """pre-1 adjacency: segment pairs whose chords join end-to-start.
 
     Consecutive chords of one lane share endpoints by construction; lanes
-    whose polylines meet end-to-start link across the lane boundary.
+    whose polylines meet end-to-start link across the lane boundary. Start
+    points are sorted by x, and each end point is tested only against the
+    starts within 2 * LINK_TOLERANCE of it in x, a superset of the starts
+    within LINK_TOLERANCE in distance.
     """
-    segs = scene.segments
-    links = []
-    for i, a in enumerate(segs):
-        ax, ay = a.end()
-        for j, b in enumerate(segs):
-            if i == j:
-                continue
-            bx, by = b.start()
-            if math.hypot(ax - bx, ay - by) <= LINK_TOLERANCE:
-                links.append((i, j))
-    return links
+    half = 0.5 * map_feats[:, 2:4]
+    start = map_feats[:, :2] - half
+    end = map_feats[:, :2] + half
+    order = np.argsort(start[:, 0], kind="stable")
+    start_x = start[order, 0]
+    lo = np.searchsorted(start_x, end[:, 0] - 2 * LINK_TOLERANCE, side="left")
+    hi = np.searchsorted(start_x, end[:, 0] + 2 * LINK_TOLERANCE, side="right")
+    i, pos = _expand_ranges(lo, hi)
+    j = order[pos]
+    gap = end[i] - start[j]
+    keep = (i != j) & (np.hypot(gap[:, 0], gap[:, 1]) <= LINK_TOLERANCE)
+    return np.stack([i[keep], j[keep]], axis=1)
 
 
-def build_map_edges(scene, dilation):
-    """Dilated pre-i/suc-i chains plus index-aligned left/right neighbors."""
+def build_map_edges(scene, map_feats, dilation):
+    """Dilated pre-i/suc-i chains plus index-aligned left/right neighbors.
+
+    pre-i holds the pairs joined by a walk of exactly i pre-1 links, self
+    pairs excluded; each order joins the previous order's pairs (self pairs
+    included) with the pre-1 links on their middle node.
+    """
     segs = scene.segments
     known_lanes = {l.lane_id for l in scene.lanes} | {s.lane_id for s in segs}
     seg_index = {(s.lane_id, s.index_in_lane): i for i, s in enumerate(segs)}
+    n = map_feats.shape[0]
 
-    base = _lane_links(scene)
-    successors = {}
-    for s, d in base:
-        successors.setdefault(s, []).append(d)
-
+    base = _lane_links(map_feats)
+    by_src = base[np.argsort(base[:, 0], kind="stable")]
     relations = {}
-    reachable = {s: set(ds) for s, ds in successors.items()}
+    reach = base
     for i in range(1, dilation + 1):
         if i > 1:
-            nxt = {}
-            for s, frontier in reachable.items():
-                out = set()
-                for mid in frontier:
-                    out.update(successors.get(mid, ()))
-                if out:
-                    nxt[s] = out
-            reachable = nxt
-        pairs = [(s, d) for s, ds in reachable.items() for d in ds if s != d]
+            lo = np.searchsorted(by_src[:, 0], reach[:, 1], side="left")
+            hi = np.searchsorted(by_src[:, 0], reach[:, 1], side="right")
+            row, pos = _expand_ranges(lo, hi)
+            codes = _sorted_unique(reach[row, 0] * n + by_src[pos, 1])
+            reach = np.stack([codes // n, codes % n], axis=1)
+        pairs = reach[reach[:, 0] != reach[:, 1]]
         relations[map_pre_relation(i)] = pairs
-        relations[map_suc_relation(i)] = [(d, s) for s, d in pairs]
+        relations[map_suc_relation(i)] = pairs[:, ::-1]
 
     left, right = [], []
     for i, seg in enumerate(segs):
@@ -219,53 +282,41 @@ def build_map_edges(scene, dilation):
             neighbor = seg_index.get((token, seg.index_in_lane))
             if neighbor is not None:
                 bucket.append((neighbor, i))
-    relations[REL_MAP_LEFT] = left
-    relations[REL_MAP_RIGHT] = right
+    relations[REL_MAP_LEFT] = _as_pairs(left)
+    relations[REL_MAP_RIGHT] = _as_pairs(right)
     return relations
 
 
-def build_fusion_edges(scene, agent_feats, map_feats, t_th, d_min):
+def build_fusion_edges(agent_feats, map_feats, t_th, d_min):
     """Velocity-gated agent<->map edges: a map node within
-    d_th = max(speed * t_th, d_min) of an agent node is linked both ways."""
-    drives_on, traffic_info = [], []
-    if agent_feats.shape[0] == 0 or map_feats.shape[0] == 0:
-        return drives_on, traffic_info
+    d_th = max(speed * t_th, d_min) of an agent node is linked both ways.
+    Returns (drives_on, traffic_info), the second the column swap of the first."""
     speed = np.hypot(agent_feats[:, 2], agent_feats[:, 3])
     d_th = np.maximum(speed * t_th, d_min)
     diff = agent_feats[:, None, :2] - map_feats[None, :, :2]
     dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    for a, m in zip(*np.nonzero(dist <= d_th[:, None])):
-        drives_on.append((int(a), int(m)))
-        traffic_info.append((int(m), int(a)))
-    return drives_on, traffic_info
+    drives_on = np.stack(np.nonzero(dist <= d_th[:, None]), axis=1)
+    return drives_on, drives_on[:, ::-1]
 
 
 def build_graph(scene, cfg):
     """Assemble the full heterogeneous graph for one normalized scene."""
-    agent_feats, agent_meta, agent_keys, node_of, readout = _agent_nodes(scene)
-    map_feats, map_meta, map_keys = _map_nodes(scene)
+    agent_feats, agent_meta, agent_nodes, track_of, readout, table = _agent_nodes(scene)
+    map_feats, map_meta, map_nodes = _map_nodes(scene)
     graph = HeteroGraph(
         agent_feats=agent_feats, agent_meta=agent_meta,
         map_feats=map_feats, map_meta=map_meta, dt=scene.dt,
         readout_index=readout, track_ids=[t.agent_id for t in scene.tracks])
 
-    keys = {"agent": agent_keys, "map": map_keys}
-
-    def attach(name, pairs):
-        src_type, dst_type = relation_endpoints(name)
-        _finalize_relation(graph, name, pairs, keys[src_type], keys[dst_type])
-
-    pre, suc, merge = build_agent_edges(scene, node_of)
-    attach(REL_AGENT_PRE, pre)
-    attach(REL_AGENT_SUC, suc)
-    attach(REL_SOCIAL, build_social_edges(scene, node_of))
-    attach(REL_MERGE, merge)
-    for name, pairs in build_map_edges(scene, cfg.dilation).items():
-        attach(name, pairs)
-    drives_on, traffic_info = build_fusion_edges(
-        scene, agent_feats, map_feats, cfg.t_th, cfg.d_min)
-    attach(REL_DRIVES_ON, drives_on)
-    attach(REL_TRAFFIC_INFO, traffic_info)
+    nodes = {"agent": agent_nodes, "map": map_nodes}
+    pre, suc, merge = build_agent_edges(track_of, readout)
+    relations = {REL_AGENT_PRE: pre, REL_AGENT_SUC: suc,
+                 REL_SOCIAL: build_social_edges(table), REL_MERGE: merge}
+    relations.update(build_map_edges(scene, map_feats, cfg.dilation))
+    relations[REL_DRIVES_ON], relations[REL_TRAFFIC_INFO] = build_fusion_edges(
+        agent_feats, map_feats, cfg.t_th, cfg.d_min)
+    for name, pairs in relations.items():
+        _finalize_relation(graph, name, pairs, nodes)
     return graph
 
 

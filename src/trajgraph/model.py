@@ -14,6 +14,8 @@ self edge per destination. Per-relation updates of one layer are merged by
 sum -> ReLU -> residual -> LayerNorm.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -527,31 +529,57 @@ def save_checkpoint(params, path):
             fh.write(t.data.astype("<f8").tobytes())
 
 
+def _read_exact(fh, n, size, what):
+    """n bytes from fh, or CheckpointError when the file ends first. The
+    length is checked against the file size before reading, so a corrupt
+    extent never asks for a huge buffer."""
+    if fh.tell() + n > size:
+        raise CheckpointError(f"truncated checkpoint: file ends inside {what}")
+    return fh.read(n)
+
+
+def _listed(paths, limit=5):
+    """'<count> (first, ..., fifth, ...)' for a one-line error message."""
+    shown = ", ".join(paths[:limit]) + (", ..." if len(paths) > limit else "")
+    return f"{len(paths)} ({shown})" if paths else "0"
+
+
 def load_checkpoint(path, cfg):
     """Read a checkpoint and verify it matches the configuration exactly."""
     expected = expected_parameter_specs(cfg)
     tensors = {}
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint header {magic!r}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-            count = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, size, "a name length"))
+            raw = _read_exact(fh, name_len, size, "a parameter name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"parameter name {raw[:32]!r} is not UTF-8") from exc
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, size, f"the rank of {name}"))
+            shape = struct.unpack(
+                f"<{rank}Q", _read_exact(fh, 8 * rank, size, f"the shape of {name}"))
+            raw = _read_exact(fh, 8 * math.prod(shape), size, f"the values of {name}")
+            try:
+                data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except ValueError as exc:  # an extent beyond what numpy can address
+                raise CheckpointError(f"parameter {name}: impossible shape {shape}") from exc
             tensors[name] = tg.Tensor(data.copy(), requires_grad=True)
 
     missing = sorted(set(expected) - set(tensors))
     extra = sorted(set(tensors) - set(expected))
     if missing or extra:
         raise CheckpointError(
-            f"checkpoint does not match configuration; missing={missing} extra={extra}")
+            f"checkpoint does not match configuration; missing {_listed(missing)}, "
+            f"extra {_listed(extra)}")
     for name, shape in expected.items():
         if tensors[name].data.shape != shape:
             raise CheckpointError(

@@ -253,7 +253,9 @@ def _record_to_scene(rec, line_no, segment_len):
             scene_id=str(rec["scene_id"]), t_obs=int(rec["t_obs"]), t_f=int(rec["t_f"]),
             dt=float(rec["dt"]), origin_rule=str(rec["origin_rule"]),
             tracks=tracks, lanes=lanes)
-    except (KeyError, TypeError, IndexError) as exc:
+    except ParseError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"line {line_no}: malformed scene record ({exc})") from exc
     validate_scene(scene)
     scene.segments = build_segments(scene, segment_len)
@@ -263,17 +265,23 @@ def _record_to_scene(rec, line_no, segment_len):
 
 def load_scenes(path, segment_len=DEFAULT_SEGMENT_LEN):
     """Read a scenario file; raises ParseError/ValidationError on bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read scenario file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file {path} is not UTF-8 text") from exc
     scenes = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            scenes.append(_record_to_scene(rec, line_no, segment_len))
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        scenes.append(_record_to_scene(rec, line_no, segment_len))
     return scenes
 
 

@@ -45,11 +45,19 @@ def prepare_samples(scenes, run_cfg):
     return samples
 
 
+def check_finite(pred, scene_id):
+    """Raise NumericError when a prediction holds NaN or inf."""
+    if not (np.isfinite(pred.trajectories.data).all() and np.isfinite(pred.scores.data).all()):
+        raise NumericError(f"non-finite prediction on scene {scene_id!r}")
+
+
 def evaluate_samples(samples, params, model_cfg):
-    """Per-scene metric reports plus their aggregate (means over scenes)."""
+    """Per-scene metric reports plus their aggregate (means over scenes).
+    Raises NumericError on a non-finite prediction."""
     reports = []
     for s in samples:
         pred = forward(s.cache, params, model_cfg)
+        check_finite(pred, s.scene_id)
         rep = None
         if s.mask.any():
             rep = compute_metrics(pred.trajectories.data, s.gt, s.mask)

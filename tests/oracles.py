@@ -5,6 +5,8 @@ enumeration, dense matrix powers) and shares no code with the package
 internals it verifies.
 """
 
+import math
+
 import numpy as np
 
 
@@ -118,6 +120,21 @@ def dilated_edges_by_matrix_power(base_pairs, n_nodes, order):
     for _ in range(order - 1):
         power = power.astype(np.int64) @ adj.astype(np.int64) > 0
     return {(s, d) for s, d in zip(*np.nonzero(power)) if s != d}
+
+
+def lane_links_by_scan(segments):
+    """Base lane links by scanning every ordered segment pair: (i, j) when
+    segment i's chord ends within 1e-6 m of where segment j's starts."""
+    pairs = set()
+    for i, a in enumerate(segments):
+        ax, ay = a.x + a.dx / 2, a.y + a.dy / 2
+        for j, b in enumerate(segments):
+            if i == j:
+                continue
+            bx, by = b.x - b.dx / 2, b.y - b.dy / 2
+            if math.hypot(ax - bx, ay - by) <= 1e-6:
+                pairs.add((i, j))
+    return pairs
 
 
 def fusion_edges_by_scan(agent_xy, agent_speed, map_xy, t_th, d_min):

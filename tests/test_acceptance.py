@@ -5,7 +5,6 @@ The overfit and context-ordering runs train real models and take a few
 minutes total; everything else completes in seconds.
 """
 
-import math
 import time
 
 import numpy as np
@@ -31,7 +30,7 @@ from trajgraph.train import evaluate_samples, prepare_samples, train
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     brute_force_metrics, dilated_edges_by_matrix_power, fusion_edges_by_scan,
-    grad_rel_error, numeric_gradient, social_edges_by_enumeration,
+    grad_rel_error, lane_links_by_scan, numeric_gradient, social_edges_by_enumeration,
 )
 
 OP_TOL = 1e-5
@@ -236,19 +235,6 @@ def _oracle_agent_relations(scene):
     return node_of, pre, suc, merge
 
 
-def _oracle_lane_base(segments):
-    pairs = set()
-    for i, a in enumerate(segments):
-        ax, ay = a.x + a.dx / 2, a.y + a.dy / 2
-        for j, b in enumerate(segments):
-            if i == j:
-                continue
-            bx, by = b.x - b.dx / 2, b.y - b.dy / 2
-            if math.hypot(ax - bx, ay - by) <= 1e-6:
-                pairs.add((i, j))
-    return pairs
-
-
 def test_criterion_graph_oracle():
     rng = np.random.default_rng(11)
     cfg = GraphConfig()
@@ -274,7 +260,7 @@ def test_criterion_graph_oracle():
         social_idx = {(node_of[s], node_of[d]) for s, d in social}
         assert got("agent.social.agent") == social_idx
 
-        base = _oracle_lane_base(scene.segments)
+        base = lane_links_by_scan(scene.segments)
         n_map = graph.n_map_nodes
         for order in range(1, cfg.dilation + 1):
             expected = dilated_edges_by_matrix_power(base, n_map, order) if n_map else set()

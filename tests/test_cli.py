@@ -1,9 +1,13 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trajgraph
 from trajgraph.cli import main
 from trajgraph.config import (
     RunConfig, load_config, run_config_from_dict, save_config,
@@ -11,7 +15,9 @@ from trajgraph.config import (
 from trajgraph.errors import ConfigError
 from trajgraph.graph import GraphConfig
 from trajgraph.losses import LossConfig
-from trajgraph.model import CHECKPOINT_MAGIC, ModelConfig
+from trajgraph.model import (
+    CHECKPOINT_MAGIC, ModelConfig, load_checkpoint, save_checkpoint,
+)
 from trajgraph.optim import OptimConfig
 
 
@@ -153,12 +159,18 @@ def test_eval_reproduces_final_logged_metrics(tmp_path, capsys):
     assert len(lines) == 3  # two scenes + aggregate
 
 
-def test_eval_flag_mismatch_refused(tmp_path):
+def test_eval_flag_mismatch_refused(tmp_path, capsys):
     data = gen_data(tmp_path)
     out = train_run(tmp_path, data, out="run_full")
+    capsys.readouterr()
     rc = main(["eval", "--checkpoint", str(out / "checkpoint_final.bin"),
                "--data", str(data), "--report", str(tmp_path / "r.jsonl"), "--no-map"])
     assert rc == 2
+    err = capsys.readouterr().err.strip()
+    # counts plus the first five paths of each kind, not every path
+    assert re.search(r"missing 0, extra \d{3} \(", err)
+    assert err.count("map_layer") + err.count("fusion_layer") <= 5
+    assert len(err) < 400
 
 
 def test_eval_vacuous_flag_identical(tmp_path, capsys):
@@ -241,3 +253,100 @@ def test_missing_config_beside_checkpoint(tmp_path):
     rc = main(["eval", "--checkpoint", str(ckpt), "--data", "x",
                "--report", str(tmp_path / "r.jsonl")])
     assert rc == 2
+
+
+# --- exit codes of the command-line process ----------------------------------
+
+def run_cli(*argv):
+    """Run the CLI in its own process; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trajgraph.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "trajgraph.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny trained run: (directory, data file)."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    data = gen_data(tmp_path)
+    return train_run(tmp_path, data), data
+
+
+def test_non_integer_t_obs_exits_2(tmp_path):
+    data = gen_data(tmp_path)
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["t_obs"] = "x"
+    data.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    rc, err = run_cli("train", "--data", data, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert "line 1" in err
+
+
+def test_truncated_checkpoint_exits_2(trained, tmp_path):
+    out, data = trained
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "config.json").write_bytes((out / "config.json").read_bytes())
+    (cut / "model.bin").write_bytes((out / "checkpoint_final.bin").read_bytes()[:500])
+    rc, err = run_cli("eval", "--checkpoint", cut / "model.bin", "--data", data,
+                      "--report", tmp_path / "r.jsonl")
+    assert rc == 2 and "Traceback" not in err
+    assert "truncated checkpoint" in err
+
+
+def test_missing_data_file_exits_2(trained, tmp_path):
+    out, _ = trained
+    missing = tmp_path / "missing.jsonl"
+    rc, err = run_cli("eval", "--checkpoint", out / "checkpoint_final.bin",
+                      "--data", missing, "--report", tmp_path / "r.jsonl")
+    assert rc == 2 and "Traceback" not in err
+    assert str(missing) in err
+
+
+def test_missing_checkpoint_beside_config_exits_2(trained, tmp_path):
+    out, data = trained
+    missing = out / "nope.bin"
+    rc, err = run_cli("eval", "--checkpoint", missing, "--data", data,
+                      "--report", tmp_path / "r.jsonl")
+    assert rc == 2 and "Traceback" not in err
+    assert str(missing) in err
+
+
+def test_missing_config_file_exits_2(trained, tmp_path):
+    _, data = trained
+    missing = tmp_path / "missing.json"
+    rc, err = run_cli("train", "--config", missing, "--data", data, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert str(missing) in err
+
+
+def test_nan_weight_refused_by_eval_and_predict(trained, tmp_path):
+    out, data = trained
+    bad = tmp_path / "nan"
+    bad.mkdir()
+    (bad / "config.json").write_bytes((out / "config.json").read_bytes())
+    cfg = load_config(bad / "config.json")
+    params = load_checkpoint(out / "checkpoint_final.bin", cfg.model)
+    params["head.reg.k0.l2.bias"].data[0, 0] = np.nan
+    save_checkpoint(params, bad / "model.bin")
+    rc, err = run_cli("eval", "--checkpoint", bad / "model.bin", "--data", data,
+                      "--report", tmp_path / "r.jsonl")
+    assert rc == 3 and "Traceback" not in err
+    assert "non-finite prediction" in err
+    rc, err = run_cli("predict", "--checkpoint", bad / "model.bin", "--data", data,
+                      "--scene-id", "synth-0000", "--plot", tmp_path / "p.jsonl")
+    assert rc == 3 and "Traceback" not in err
+    assert "non-finite prediction" in err
+
+
+def test_non_utf8_data_and_config_exit_2(tmp_path):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00junk\n")
+    rc, err = run_cli("train", "--data", binary, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert "not UTF-8" in err
+    rc, err = run_cli("train", "--config", binary, "--data", binary, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert "config" in err and "not UTF-8" in err

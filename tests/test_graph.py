@@ -7,12 +7,12 @@ from trajgraph.graph import (
     REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
     dump_graph, map_pre_relation, map_suc_relation, relation_names,
 )
-from trajgraph.scene import AgentState, AgentTrack, Scene, normalize_scene
+from trajgraph.scene import AgentState, AgentTrack, Lane, Scene, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
-    dilated_edges_by_matrix_power, fusion_edges_by_scan,
+    dilated_edges_by_matrix_power, fusion_edges_by_scan, lane_links_by_scan,
     social_edges_by_enumeration,
 )
 
@@ -148,6 +148,35 @@ def test_dilation_matches_matrix_power_oracle():
         assert len(expected) == 10 - 1 - (i - 1)
         assert edge_set(graph, map_suc_relation(i)) == {(d, s) for s, d in expected}
 
+    # the predict-map size: 8 agents, 16 lanes (split pairs), ~640 segments
+    spec = SyntheticSpec(scenes=1, agents=8, lanes=16, t_obs=10, t_f=2, dt=0.1,
+                         noise=0.05, curved=True)
+    scene = normalize_scene(generate_synthetic(spec, seed=41)[0])
+    graph = build_graph(scene, GraphConfig(dilation=4))
+    assert graph.n_map_nodes > 500
+    base = lane_links_by_scan(scene.segments)
+    lane = [lane_id for lane_id, _ in graph.map_meta]
+    assert any(lane[s] != lane[d] for s, d in base)  # cross-lane links are exercised
+    for i in range(1, 5):
+        expected = dilated_edges_by_matrix_power(base, graph.n_map_nodes, i)
+        assert edge_set(graph, map_pre_relation(i)) == expected
+        assert edge_set(graph, map_suc_relation(i)) == {(d, s) for s, d in expected}
+
+
+def test_dilation_walks_through_cycles():
+    # three one-chord lanes closing a triangle: a walk of 3 hops returns to
+    # its start (no pre-3 edge), so pre-4 repeats pre-1
+    corners = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
+    lanes = [Lane(f"r{k}", [corners[k], corners[(k + 1) % 3]]) for k in range(3)]
+    scene = make_scene([], lanes, t_obs=1, t_f=0, segment_len=10.0)
+    graph = build_graph(scene, GraphConfig(dilation=4))
+    base = lane_links_by_scan(scene.segments)
+    assert base == {(0, 1), (1, 2), (2, 0)}
+    for i in range(1, 5):
+        assert edge_set(graph, map_pre_relation(i)) == dilated_edges_by_matrix_power(base, 3, i)
+    assert edge_set(graph, map_pre_relation(3)) == set()
+    assert edge_set(graph, map_pre_relation(4)) == base
+
 
 def test_cross_lane_links():
     # two lanes joined end-to-start behave like one 30 m lane
@@ -157,6 +186,64 @@ def test_cross_lane_links():
     assert graph.n_map_nodes == 10
     assert len(graph.edges[map_pre_relation(1)]) == 9
     assert len(graph.edges[map_pre_relation(2)]) == 8
+
+
+def _junction(ends, starts, gap):
+    """One-chord lanes around the junction point (3, 0): incoming lanes end
+    at ``ends`` and outgoing lanes start at ``starts``, offsets in units of
+    ``gap`` metres. Returns the scene and the (incoming, outgoing) segment
+    pairs that meet at the junction."""
+    lanes = []
+    for k, (ex, ey) in enumerate(ends):
+        end = (3.0 + ex * gap, ey * gap)
+        lanes.append(Lane(f"in{k}", [(end[0] - 3.0, end[1] + 2.0 * k - 1.0), end]))
+    for k, (sx, sy) in enumerate(starts):
+        start = (3.0 + sx * gap, sy * gap)
+        lanes.append(Lane(f"out{k}", [start, (start[0] + 3.0, start[1] + 2.0 * k - 1.0)]))
+    scene = make_scene([], lanes, t_obs=1, t_f=0, segment_len=10.0)
+    assert len(scene.segments) == len(lanes)
+    n_in = len(ends)
+    return scene, {(i, n_in + j) for i in range(n_in) for j in range(len(starts))}
+
+
+@pytest.mark.parametrize("ends, starts", [
+    ([(0, 0)], [(1, 0), (0, 1)]),       # fork: one end, two starts
+    ([(0, 1), (-1, 0)], [(0, 0)]),      # merge: two ends, one start
+])
+@pytest.mark.parametrize("gap, linked", [(0.5e-6, True), (2e-6, False)])
+def test_lane_link_tolerance_boundary(ends, starts, gap, linked):
+    scene, meeting = _junction(ends, starts, gap)
+    graph = build_graph(scene, GraphConfig(dilation=1))
+    assert edge_set(graph, map_pre_relation(1)) == (meeting if linked else set())
+    assert edge_set(graph, map_pre_relation(1)) == lane_links_by_scan(scene.segments)
+
+
+def test_edges_strictly_increasing_in_stable_keys():
+    # (dst_key, src_key) strictly increasing means sorted by stable keys and
+    # free of duplicates; partial histories and shuffled tracks make node
+    # index order differ from key order, and lane ids l10.. sort before l2..
+    rng = np.random.default_rng(19)
+    cfg = GraphConfig(dilation=3)
+    for i in range(12):
+        spec = SyntheticSpec(scenes=1, agents=int(rng.integers(1, 7)),
+                             lanes=int(rng.integers(0, 17)), t_obs=int(rng.integers(1, 9)),
+                             t_f=2, dt=0.1, noise=0.1, curved=bool(rng.integers(0, 2)),
+                             split_pairs=bool(rng.integers(0, 2)))
+        scene = normalize_scene(generate_synthetic(spec, seed=500 + i)[0])
+        for track in scene.tracks:
+            keep = rng.random(len(track.past)) < 0.6
+            keep[-1] = True
+            track.past = [p for p, k in zip(track.past, keep) if k]
+        scene.tracks = [scene.tracks[j] for j in rng.permutation(len(scene.tracks))]
+        graph = build_graph(scene, cfg)
+        keys = {
+            "agent": [(graph.track_ids[tr], t) for tr, t in graph.agent_meta],
+            "map": list(graph.map_meta),
+        }
+        for name in relation_names(cfg.dilation):
+            src_type, dst_type = name.split(".")[0], name.split(".")[2]
+            seq = [(keys[dst_type][d], keys[src_type][s]) for s, d in graph.edges[name]]
+            assert all(a < b for a, b in zip(seq, seq[1:])), name
 
 
 def test_dangling_lane_token():

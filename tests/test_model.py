@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,27 @@ def test_checkpoint_previous_magic_rejected(tmp_path):
     path.write_bytes(b"HOLIGRAPH1" + body)
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path, cfg)
+
+
+def test_checkpoint_truncated_anywhere(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_parameters(cfg, seed=38), path)
+    body = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(CHECKPOINT_MAGIC) + 1, len(body), 97):
+        cut.write_bytes(body[:n])
+        with pytest.raises(CheckpointError, match="truncated|missing"):
+            load_checkpoint(cut, cfg)
+
+
+def test_checkpoint_impossible_shape_rejected(tmp_path):
+    # zero values, so no read runs short, but numpy cannot address the extent
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"x"
+                     + struct.pack("<I", 2) + struct.pack("<2Q", 0, 2 ** 62))
+    with pytest.raises(CheckpointError, match="impossible shape"):
+        load_checkpoint(path, tiny_cfg())
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -72,6 +72,17 @@ def test_missing_field_is_parse_error(tmp_path):
         load_scenes(path)
 
 
+def test_bad_past_row_message_passes_through(tmp_path):
+    scene = make_scene([straight_track("a0")])
+    path = tmp_path / "short_row.jsonl"
+    save_scenes([scene], path)
+    rec = json.loads(path.read_text())
+    rec["tracks"][0]["past"][1] = rec["tracks"][0]["past"][1][:5]
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ParseError, match=r"^line 1: bad past row \[1, "):
+        load_scenes(path)
+
+
 def test_non_finite_position_rejected(tmp_path):
     scene = make_scene([straight_track("a0")])
     rec = json.loads(json.dumps({
