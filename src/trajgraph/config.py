@@ -2,7 +2,7 @@
 structure, loss weights, optimizer settings, data paths and the seed."""
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .graph import GraphConfig
@@ -23,34 +23,49 @@ class RunConfig:
     val_data: str = None
     out_dir: str = None
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+
     def to_dict(self):
         return asdict(self)
 
 
-_SECTIONS = {"graph": GraphConfig, "model": ModelConfig, "loss": LossConfig,
-             "optim": OptimConfig}
+def _type_ok(kind, value):
+    """JSON value fits a field type: bool is not a number, str fields
+    (all default None) take null."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return value is None or isinstance(value, str)
 
 
-def _build_section(cls, payload, name):
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
+def _from_object(cls, payload, where):
+    """Build dataclass ``cls`` from a JSON object, checking every key and
+    value type first; dataclass-typed fields are sections, built the same way."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(payload).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(payload) - set(types)
     if unknown:
-        raise ConfigError(f"config section {name!r}: unknown keys {sorted(unknown)}")
-    return cls(**payload)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for key, value in payload.items():
+        kind = types[key]
+        if is_dataclass(kind):
+            value = _from_object(kind, value, f"config section {key!r}")
+        elif not _type_ok(kind, value):
+            raise ConfigError(f"{where}: {key} must be {kind.__name__}, "
+                              f"got {type(value).__name__} {value!r:.40}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def run_config_from_dict(payload):
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    return _from_object(RunConfig, payload, "config")
 
 
 def save_config(cfg, path):

@@ -50,6 +50,8 @@ class ModelConfig:
     use_temporal: bool = True
 
     def __post_init__(self):
+        if self.f < 1 or self.heads < 1:
+            raise ConfigError("f and heads must be positive")
         if self.f % self.heads != 0:
             raise ConfigError(f"hidden width {self.f} not divisible by {self.heads} heads")
         if self.t_obs < 1 or self.t_f < 1 or self.modes < 1:

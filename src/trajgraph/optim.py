@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import is_normalization_param
 
 
@@ -24,6 +24,10 @@ class OptimConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.decay_period < 1:
+            raise ConfigError("batch_size and decay_period must be positive")
 
 
 def learning_rate(cfg, epoch):

@@ -43,9 +43,6 @@ class AgentTrack:
     future: list  # list of (x, y) of length t_f, or None
     is_ego: bool = False
 
-    def last_observed(self):
-        return self.past[-1]
-
     def state_at(self, t):
         for step, state in self.past:
             if step == t:

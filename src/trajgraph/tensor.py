@@ -2,13 +2,14 @@
 
 Covers exactly the operations the prediction model needs: matrix products,
 elementwise arithmetic with single-row (bias) broadcasting, activations,
-layer normalization, segment scatter/gather for message passing, and a few
-reductions. Everything is recorded on an explicit tape; replaying the tape
-in reverse order of recording accumulates gradients into ``.grad``.
+layer normalization, segment softmax, sum and gather for message passing,
+and a total sum. Everything is recorded on an explicit tape; replaying the
+tape in reverse order of recording accumulates gradients into ``.grad``.
 
 Determinism contract: identical inputs and identical edge ordering produce
-bitwise-identical outputs and gradients. Segment aggregation always sums in
-ascending edge-index order.
+bitwise-identical outputs and gradients. Segment aggregation and gather
+gradients go through the numpy kernels in ``kernels`` (there is no other
+backend), which always add in ascending edge-index order.
 """
 
 import numpy as np
@@ -272,26 +273,6 @@ def leaky_relu(a, slope):
     return out
 
 
-def sin(a):
-    out, tape = _make_output(np.sin(a.data), (a,))
-    if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * np.cos(a.data))
-        tape._record(bwd)
-    return out
-
-
-def cos(a):
-    out, tape = _make_output(np.cos(a.data), (a,))
-    if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * (-np.sin(a.data)))
-        tape._record(bwd)
-    return out
-
-
 def absolute(a):
     """|x|; subgradient 0 at the kink."""
     out, tape = _make_output(np.abs(a.data), (a,))
@@ -413,20 +394,6 @@ def gather_rows(a, idx):
     return out
 
 
-def scatter_rows(rows, idx, n):
-    """Place rows at the given indices of an [n,f] zero tensor; duplicates add."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"scatter index out of range [0, {n})")
-    out, tape = _make_output(kernels.segment_sum(rows.data, idx, n), (rows,))
-    if tape:
-        def bwd():
-            if out.grad is not None and rows.requires_grad:
-                _accumulate_owned(rows, out.grad[idx])
-        tape._record(bwd)
-    return out
-
-
 # --- shape manipulation ---------------------------------------------------
 
 def concat(parts):
@@ -487,18 +454,5 @@ def sum_all(a):
         def bwd():
             if out.grad is not None and a.requires_grad:
                 _accumulate_owned(a, np.full_like(a.data, out.grad[0]))
-        tape._record(bwd)
-    return out
-
-
-def mean_all(a):
-    n = a.data.size
-    if n == 0:
-        raise DimensionError("mean of an empty tensor is undefined")
-    out, tape = _make_output(np.array([a.data.mean()]), (a,))
-    if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, np.full_like(a.data, out.grad[0] / n))
         tape._record(bwd)
     return out

