@@ -26,6 +26,9 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.graph.dilation != self.model.dilation:
+            raise ConfigError(f"graph dilation {self.graph.dilation} != "
+                              f"model dilation {self.model.dilation}")
 
     def to_dict(self):
         return asdict(self)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 REL_AGENT_PRE = "agent.pre.agent"
 REL_AGENT_SUC = "agent.suc.agent"
@@ -69,6 +69,10 @@ class GraphConfig:
     dilation: int = 4       # highest adjacency power for map pre/suc edges
     t_th: float = 2.0       # seconds; fusion gate d_th = max(speed*t_th, d_min)
     d_min: float = 5.0      # meters; distance floor so slow agents still see the road
+
+    def __post_init__(self):
+        if self.dilation < 1:
+            raise ConfigError("graph dilation must be positive")
 
 
 @dataclass

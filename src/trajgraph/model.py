@@ -24,12 +24,11 @@ import numpy as np
 from . import tensor as tg
 from .errors import CheckpointError, ConfigError
 from .graph import (
-    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MERGE, REL_SOCIAL,
-    REL_TRAFFIC_INFO, map_pre_relation, map_suc_relation, relation_endpoints,
+    REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, relation_endpoints,
     relation_names,
 )
 
-CHECKPOINT_MAGIC = b"HOLIGRAPH2"
+CHECKPOINT_MAGIC = b"HOLIGRAPH3"
 
 
 @dataclass
@@ -56,6 +55,8 @@ class ModelConfig:
             raise ConfigError(f"hidden width {self.f} not divisible by {self.heads} heads")
         if self.t_obs < 1 or self.t_f < 1 or self.modes < 1:
             raise ConfigError("t_obs, t_f and modes must be positive")
+        if self.dilation < 1 or self.n_map_layers < 0 or self.n_fusion_layers < 0:
+            raise ConfigError("dilation must be positive and layer counts non-negative")
 
     @property
     def n_agent_layers(self):
@@ -67,22 +68,6 @@ class ModelConfig:
         return shorts + ["left", "right"]
 
 
-_SHORT_TO_RELATION = {"pre": REL_AGENT_PRE, "suc": REL_AGENT_SUC}
-
-
-def short_relation(short):
-    if short in _SHORT_TO_RELATION:
-        return _SHORT_TO_RELATION[short]
-    kind, i = short.split("-")
-    return map_pre_relation(int(i)) if kind == "pre" else map_suc_relation(int(i))
-
-
-def _full_relation(short):
-    if short in ("left", "right"):
-        return f"map.{short}.map"
-    return short_relation(short)
-
-
 class ModelParameters:
     """Named parameter tensors; enumeration is always lexicographic."""
 
@@ -91,9 +76,6 @@ class ModelParameters:
 
     def __getitem__(self, path):
         return self._tensors[path]
-
-    def __contains__(self, path):
-        return path in self._tensors
 
     def paths(self):
         return list(self._tensors)
@@ -104,9 +86,6 @@ class ModelParameters:
     def zero_grads(self):
         for t in self._tensors.values():
             t.grad = None
-
-    def count(self):
-        return sum(t.data.size for t in self._tensors.values())
 
 
 def is_normalization_param(path):
@@ -128,11 +107,11 @@ def expected_parameter_specs(cfg):
         specs[f"{prefix}.offset"] = (width,)
 
     def gat(prefix):
-        for h in range(cfg.heads):
-            specs[f"{prefix}.h{h}.w1"] = (f, dh)
-            specs[f"{prefix}.h{h}.w2"] = (f, dh)
-            specs[f"{prefix}.h{h}.w3"] = (3 * f, dh)
-            specs[f"{prefix}.h{h}.attn"] = (dh, 1)
+        # heads on the middle axis: Glorot's fans (axes 0, -1) are per head
+        specs[f"{prefix}.w1"] = (f, cfg.heads, dh)
+        specs[f"{prefix}.w2"] = (f, cfg.heads, dh)
+        specs[f"{prefix}.w3"] = (3 * f, cfg.heads, dh)
+        specs[f"{prefix}.attn"] = (1, cfg.heads, dh)
 
     linear("embed.agent.linear", 5, f)
     norm("embed.agent.norm")
@@ -162,14 +141,15 @@ def expected_parameter_specs(cfg):
         for l in range(cfg.n_fusion_layers):
             linear(f"fusion_layer.{l}.rel.pre", f, f)
             linear(f"fusion_layer.{l}.rel.suc", f, f)
-            for short in cfg.map_rel_shorts():
-                linear(f"fusion_layer.{l}.rel.{short}", f, f)
             if cfg.use_social:
                 gat(f"fusion_layer.{l}.social")
-            gat(f"fusion_layer.{l}.drives_on")
             gat(f"fusion_layer.{l}.traffic_info")
             norm(f"fusion_layer.{l}.agent_norm")
-            norm(f"fusion_layer.{l}.map_norm")
+            if l < cfg.n_fusion_layers - 1:  # the last layer's map update is never read
+                for short in cfg.map_rel_shorts():
+                    linear(f"fusion_layer.{l}.rel.{short}", f, f)
+                gat(f"fusion_layer.{l}.drives_on")
+                norm(f"fusion_layer.{l}.map_norm")
 
     gat("merge")
     norm("merge.norm")
@@ -349,31 +329,32 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, dst_zeros,
                return_attention=False):
     """Multi-head attention conv with an implicit self edge per destination.
 
-    Per head: logits = LeakyReLU([x_dst | x_src | e] W3) attn, softmax over
-    {self} + in-edges, output alpha_self x W1 + sum alpha_j x_j W2; head
-    outputs are concatenated. With return_attention, also returns the
-    per-head weight arrays over [in-edges..., self-per-destination...].
+    Per head h: logits = LeakyReLU([x_dst | x_src | e] W3[:, h]) attn[:, h],
+    softmax over {self} + in-edges, output alpha_self x W1[:, h] +
+    sum alpha_j x_j W2[:, h]; head outputs are concatenated. All heads run
+    in one pass: weights flatten to [n_in, heads * dh] and the attention
+    vectors to a block-diagonal [f, heads] matrix. With return_attention,
+    also returns the [in-edges + destinations, heads] weights.
     """
-    x_i = tg.gather_rows(h_dst, rel.dst)
+    f, heads, dh = cfg.f, cfg.heads, cfg.f // cfg.heads
+    n_rows = len(rel.ext_targets)
+    w1, w2, w3 = (tg.reshape(params[f"{prefix}.{w}"], (-1, f)) for w in ("w1", "w2", "w3"))
+    head_of_column = tg.Tensor(np.repeat(np.eye(heads), dh, axis=0))
+    attn = tg.scale_rows(head_of_column, tg.reshape(params[f"{prefix}.attn"], (f, 1)))
+
     x_j = tg.gather_rows(h_src, rel.src)
-    cat_edges = tg.concat([x_i, x_j, edge_h])
+    cat_edges = tg.concat([tg.gather_rows(h_dst, rel.dst), x_j, edge_h])
     cat_self = tg.concat([h_dst, h_dst, dst_zeros])
-    outputs, attention = [], []
-    for h in range(cfg.heads):
-        w1 = params[f"{prefix}.h{h}.w1"]
-        w2 = params[f"{prefix}.h{h}.w2"]
-        w3 = params[f"{prefix}.h{h}.w3"]
-        attn = params[f"{prefix}.h{h}.attn"]
-        edge_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_edges, w3), cfg.leaky_slope), attn)
-        self_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_self, w3), cfg.leaky_slope), attn)
-        logits = tg.concat_rows([edge_logits, self_logits])
-        alpha = tg.segment_softmax(logits, rel.ext_targets, rel.n_dst)
-        values = tg.concat_rows([tg.matmul(x_j, w2), tg.matmul(h_dst, w1)])
-        outputs.append(tg.segment_sum(tg.scale_rows(values, alpha), rel.ext_targets, rel.n_dst))
-        attention.append(alpha.data.copy())
-    out = tg.concat(outputs)
+    edge_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_edges, w3), cfg.leaky_slope), attn)
+    self_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_self, w3), cfg.leaky_slope), attn)
+    alpha = tg.segment_softmax(tg.concat_rows([edge_logits, self_logits]),
+                               rel.ext_targets, rel.n_dst)
+    values = tg.concat_rows([tg.matmul(x_j, w2), tg.matmul(h_dst, w1)])
+    weighted = tg.scale_rows(tg.reshape(values, (n_rows * heads, dh)),
+                             tg.reshape(alpha, (n_rows * heads, 1)))
+    out = tg.segment_sum(tg.reshape(weighted, (n_rows, f)), rel.ext_targets, rel.n_dst)
     if return_attention:
-        return out, attention
+        return out, alpha.data.copy()
     return out
 
 
@@ -393,7 +374,7 @@ def layer_merge(updates, h_prev, params, prefix, cfg):
 def _map_stage_updates(map_h, cache, edge_h, params, layer_prefix, cfg):
     updates = []
     for short in cfg.map_rel_shorts():
-        name = _full_relation(short)
+        name = f"map.{short}.map"
         rel = cache.relations[name]
         updates.append(gcn_edge_conv(
             map_h, rel, edge_h[name],
@@ -405,7 +386,7 @@ def _map_stage_updates(map_h, cache, edge_h, params, layer_prefix, cfg):
 def _agent_gcn_updates(agent_h, cache, edge_h, params, layer_prefix):
     updates = []
     for short in ("pre", "suc"):
-        name = short_relation(short)
+        name = f"agent.{short}.agent"
         rel = cache.relations[name]
         updates.append(gcn_edge_conv(
             agent_h, rel, edge_h[name],
@@ -570,11 +551,11 @@ def load_checkpoint(path, cfg):
             shape = struct.unpack(
                 f"<{rank}Q", _read_exact(fh, 8 * rank, size, f"the shape of {name}"))
             raw = _read_exact(fh, 8 * math.prod(shape), size, f"the values of {name}")
-            try:
+            try:  # an extent numpy cannot address, or a rank Tensor refuses
                 data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            except ValueError as exc:  # an extent beyond what numpy can address
+                tensors[name] = tg.Tensor(data.copy(), requires_grad=True)
+            except ValueError as exc:
                 raise CheckpointError(f"parameter {name}: impossible shape {shape}") from exc
-            tensors[name] = tg.Tensor(data.copy(), requires_grad=True)
 
     missing = sorted(set(expected) - set(tensors))
     extra = sorted(set(tensors) - set(expected))

@@ -28,6 +28,8 @@ class OptimConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.decay_period < 1:
             raise ConfigError("batch_size and decay_period must be positive")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be positive")
 
 
 def learning_rate(cfg, epoch):

@@ -21,6 +21,7 @@ from .errors import ConfigError, ParseError, ValidationError
 
 CROP_HALF_EXTENT = 80.0  # meters; the region of interest is a 160 m square
 DEFAULT_SEGMENT_LEN = 3.0
+MAX_LANE_SEGMENTS = 10_000  # 30 km at the default length; bounds load time and memory
 
 ORIGIN_EGO_LAST_STEP = "ego-last-step"
 ORIGIN_GEOMETRIC_CENTER = "geometric-center"
@@ -156,6 +157,8 @@ def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, righ
     total = float(cumulative[-1])
     if total <= 0.0:
         raise ValidationError(f"lane {lane_id!r}: degenerate polyline (zero length)")
+    if total > MAX_LANE_SEGMENTS * target_len:
+        raise ValidationError(f"lane {lane_id!r}: {total:.3g} m, over {MAX_LANE_SEGMENTS} segments")
 
     def point_at(s):
         i = int(np.searchsorted(cumulative, s, side="right")) - 1
@@ -238,14 +241,20 @@ def _record_to_scene(rec, line_no, segment_len):
             future = tr.get("future")
             if future is not None:
                 future = [(float(x), float(y)) for x, y in future]
+            if not isinstance(tr["is_ego"], bool):
+                raise ParseError(f"line {line_no}: is_ego must be true or false, "
+                                 f"got {tr['is_ego']!r:.40}")
             tracks.append(AgentTrack(
-                agent_id=str(tr["agent_id"]), past=past, future=future,
-                is_ego=bool(tr["is_ego"])))
+                agent_id=str(tr["agent_id"]), past=past, future=future, is_ego=tr["is_ego"]))
         lanes = [Lane(
             lane_id=str(ln["lane_id"]),
             centerline=[(float(x), float(y)) for x, y in ln["centerline"]],
             left_lane_id=ln.get("left_lane_id"),
             right_lane_id=ln.get("right_lane_id")) for ln in rec["lanes"]]
+        for side in [s for lane in lanes for s in (lane.left_lane_id, lane.right_lane_id)]:
+            if side is not None and not isinstance(side, str):
+                raise ParseError(f"line {line_no}: lane neighbour ids must be strings or null, "
+                                 f"got {side!r:.40}")
         scene = Scene(
             scene_id=str(rec["scene_id"]), t_obs=int(rec["t_obs"]), t_f=int(rec["t_f"]),
             dt=float(rec["dt"]), origin_rule=str(rec["origin_rule"]),

@@ -161,3 +161,28 @@ def polyline_arc_length(points):
     for i in range(len(pts) - 1):
         total += float(np.linalg.norm(pts[i + 1] - pts[i]))
     return total
+
+
+def gatv2_per_head(h_src, h_dst, src, dst, edge_h, w1, w2, w3, attn, slope):
+    """GATv2 head by head, destination by destination, from the slices
+    w[:, h, :] of stacked [n_in, heads, dh] weights (attn is [1, heads, dh]).
+
+    Each destination attends over an implicit self edge (input
+    [x_dst | x_dst | 0], value x_dst W1) and its in-edges (input
+    [x_dst | x_src | e], value x_src W2); head outputs are concatenated.
+    """
+    heads = w1.shape[1]
+    out = np.zeros((h_dst.shape[0], heads * w1.shape[2]))
+    for h in range(heads):
+        cols = slice(h * w1.shape[2], (h + 1) * w1.shape[2])
+        for d in range(h_dst.shape[0]):
+            inputs = [np.concatenate([h_dst[d], h_dst[d], np.zeros(edge_h.shape[1])])]
+            values = [h_dst[d] @ w1[:, h, :]]
+            for e in np.flatnonzero(np.asarray(dst) == d):
+                inputs.append(np.concatenate([h_dst[d], h_src[src[e]], edge_h[e]]))
+                values.append(h_src[src[e]] @ w2[:, h, :])
+            z = np.array(inputs) @ w3[:, h, :]
+            logits = np.where(z > 0, z, slope * z) @ attn[0, h, :]
+            weights = np.exp(logits - logits.max())
+            out[d, cols] = (weights / weights.sum()) @ np.array(values)
+    return out

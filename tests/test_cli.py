@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -14,13 +15,16 @@ from trajgraph.cli import main
 from trajgraph.config import (
     RunConfig, load_config, run_config_from_dict, save_config,
 )
-from trajgraph.errors import ConfigError, ValidationError
+from trajgraph.errors import CheckpointError, ConfigError, ParseError, ValidationError
 from trajgraph.graph import GraphConfig
 from trajgraph.losses import LossConfig
 from trajgraph.model import (
-    CHECKPOINT_MAGIC, ModelConfig, load_checkpoint, save_checkpoint,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, init_parameters, load_checkpoint,
+    save_checkpoint,
 )
 from trajgraph.optim import OptimConfig
+from trajgraph.scene import load_scenes
+from trajgraph.train import prepare_samples
 
 
 def tiny_run_config(**model_kw):
@@ -122,6 +126,100 @@ def test_load_config_fuzz(tmp_path):
         except (ConfigError, ValidationError):
             return
         _assert_field_types(cfg)
+
+    check()
+
+
+# a small valid scenario record: one ego track, one track that starts late,
+# two neighbouring lanes
+_SCENE_RECORD = {
+    "scene_id": "s0", "t_obs": 2, "t_f": 2, "dt": 0.1, "origin_rule": "geometric-center",
+    "tracks": [
+        {"agent_id": "a0", "is_ego": True,
+         "past": [[0, 0.0, 0.0, 1.0, 0.0, 0.0], [1, 0.1, 0.0, 1.0, 0.0, 0.0]],
+         "future": [[0.2, 0.0], [0.3, 0.0]]},
+        {"agent_id": "a1", "is_ego": False, "past": [[1, 2.0, 3.5, -1.0, 0.0, 3.0]],
+         "future": [[1.9, 3.5], [1.8, 3.5]]},
+    ],
+    "lanes": [
+        {"lane_id": "l0", "left_lane_id": "l1", "centerline": [[-6.0, 0.0], [6.0, 0.0]]},
+        {"lane_id": "l1", "right_lane_id": "l0", "centerline": [[-6.0, 3.5], [6.0, 3.5]]},
+    ],
+}
+
+_REMOVE = object()
+
+
+def _json_paths(node, path=()):
+    """The path of every subtree of a JSON tree, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_records(draw):
+    """The record above with one to three subtrees replaced by any JSON
+    value or removed."""
+    doc = copy.deepcopy(_SCENE_RECORD)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        value = draw(_JSON_VALUES | st.just(_REMOVE)) if path else draw(_JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _REMOVE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def test_load_scenes_fuzz(tmp_path):
+    """A mutated scenario record either becomes a training sample or raises
+    an error the CLI maps to exit 2."""
+    path = tmp_path / "scenes.jsonl"
+    run_cfg = tiny_run_config(t_obs=2, t_f=2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_mutated_records())
+    def check(record):
+        path.write_text(json.dumps(record) + "\n")
+        try:
+            prepare_samples(load_scenes(path), run_cfg)
+        except (ParseError, ValidationError, ConfigError):
+            return
+
+    check()
+
+
+def test_load_checkpoint_fuzz(tmp_path):
+    """A truncated or byte-edited checkpoint either loads or raises
+    CheckpointError."""
+    cfg = ModelConfig(f=2, heads=1, modes=1, t_f=1, t_obs=1, dilation=1,
+                      n_map_layers=1, n_fusion_layers=1)
+    valid = tmp_path / "valid.bin"
+    save_checkpoint(init_parameters(cfg, seed=0), valid)
+    body = valid.read_bytes()
+    path = tmp_path / "edited.bin"
+    edits = st.lists(st.tuples(st.integers(0, len(body) - 1), st.binary(min_size=1, max_size=8)),
+                     max_size=4)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edits, st.integers(0, len(body)))
+    def check(byte_edits, keep):
+        edited = bytearray(body)
+        for pos, new in byte_edits:
+            edited[pos:pos + len(new)] = new
+        path.write_bytes(bytes(edited[:keep]))
+        try:
+            assert isinstance(load_checkpoint(path, cfg), ModelParameters)
+        except CheckpointError:
+            return
 
     check()
 
@@ -339,6 +437,25 @@ def test_non_integer_t_obs_exits_2(tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("track_edit, lane_edit, message", [
+    pytest.param({}, {"left_lane_id": ["x"]}, "neighbour ids must be strings or null",
+                 id="left-lane-list"),
+    pytest.param({}, {"right_lane_id": {"id": "x"}}, "neighbour ids must be strings or null",
+                 id="right-lane-object"),
+    pytest.param({"is_ego": "false"}, {}, "is_ego must be true or false", id="is-ego-string"),
+])
+def test_mistyped_scene_field_exits_2(tmp_path, track_edit, lane_edit, message):
+    data = gen_data(tmp_path)
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["tracks"][0].update(track_edit)
+    rec["lanes"][0].update(lane_edit)
+    data.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    rc, err = run_cli("train", "--data", data, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert "line 1" in err and message in err
+
+
 def test_truncated_checkpoint_exits_2(trained, tmp_path):
     out, data = trained
     cut = tmp_path / "cut"
@@ -390,6 +507,19 @@ def test_missing_config_file_exits_2(trained, tmp_path):
                  id="batch-0"),
     pytest.param('{"optim": {"decay_period": 0}}', "batch_size and decay_period must be positive",
                  id="decay-period-0"),
+    pytest.param('{"model": {"dilation": 4}, "graph": {"dilation": 2}}',
+                 "graph dilation 2 != model dilation 4", id="dilation-model-above-graph"),
+    pytest.param('{"model": {"dilation": 2}, "graph": {"dilation": 4}}',
+                 "graph dilation 4 != model dilation 2", id="dilation-graph-above-model"),
+    pytest.param('{"optim": {"epochs": -1}}', "epochs must be positive", id="epochs-negative"),
+    pytest.param('{"model": {"dilation": -1, "n_map_layers": -2}}',
+                 "dilation must be positive and layer counts non-negative",
+                 id="dilation-and-map-layers-negative"),
+    pytest.param('{"model": {"n_fusion_layers": -1}}',
+                 "dilation must be positive and layer counts non-negative",
+                 id="fusion-layers-negative"),
+    pytest.param('{"model": {"dilation": 0}, "graph": {"dilation": 0}}',
+                 "dilation must be positive", id="dilation-0"),
 ])
 def test_mistyped_config_exits_2(tmp_path, text, message):
     data = gen_data(tmp_path)

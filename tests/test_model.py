@@ -5,18 +5,21 @@ import pytest
 
 from trajgraph import tensor as tg
 from trajgraph.errors import CheckpointError, ConfigError
-from trajgraph.graph import REL_AGENT_PRE, REL_SOCIAL, GraphConfig, build_graph
+from trajgraph.graph import (
+    REL_AGENT_PRE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
+)
 from trajgraph.model import (
-    CHECKPOINT_MAGIC, ModelConfig, Prediction, embed, encode, expected_parameter_specs,
-    forward, gatv2_conv, gcn_edge_conv, init_parameters, is_normalization_param,
-    layer_merge, load_checkpoint, make_cache, predict_head, save_checkpoint,
-    temporal_encoding,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, embed, encode,
+    expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, init_parameters,
+    is_normalization_param, layer_merge, load_checkpoint, make_cache, predict_head,
+    save_checkpoint, temporal_encoding,
 )
 from trajgraph.scene import AgentState, AgentTrack, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
-from oracles import grad_rel_error, numeric_gradient
+from oracles import gatv2_per_head, grad_rel_error, numeric_gradient
+from test_acceptance import OP_TOL
 
 GCFG = GraphConfig(dilation=2)
 
@@ -142,8 +145,7 @@ def test_gatv2_isolated_destination_is_self_projection():
     h = tg.Tensor(np.random.default_rng(7).normal(size=(1, cfg.f)))
     e = tg.Tensor(np.zeros((0, cfg.f)))
     out = gatv2_conv(h, h, rel, e, params, "merge", cfg, cache.agent_zeros)
-    expected = np.concatenate(
-        [h.data @ params[f"merge.h{i}.w1"].data for i in range(cfg.heads)], axis=1)
+    expected = h.data @ params["merge.w1"].data.reshape(cfg.f, cfg.f)
     assert np.allclose(out.data, expected, atol=1e-14)
 
 
@@ -163,8 +165,9 @@ def test_gatv2_identical_sources_share_attention():
                               cache.agent_zeros, return_attention=True)
     into_a0 = [i for i, d in enumerate(rel.dst) if d == 0]
     assert len(into_a0) == 2
-    for alpha in attention:
-        assert alpha[into_a0[0], 0] == alpha[into_a0[1], 0]
+    assert attention.shape == (len(rel.ext_targets), cfg.heads)
+    for head in range(cfg.heads):
+        assert attention[into_a0[0], head] == attention[into_a0[1], head]
 
 
 def test_gatv2_attention_sums_to_one():
@@ -179,10 +182,56 @@ def test_gatv2_attention_sums_to_one():
     e = tg.Tensor(np.random.default_rng(12).normal(size=(len(rel.src), cfg.f)))
     _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg,
                               cache.agent_zeros, return_attention=True)
-    for alpha in attention:
-        sums = np.zeros(rel.n_dst)
-        np.add.at(sums, rel.ext_targets, alpha[:, 0])
-        assert np.all(np.abs(sums - 1.0) < 1e-12)
+    assert attention.shape == (len(rel.ext_targets), cfg.heads)
+    sums = np.zeros((rel.n_dst, cfg.heads))
+    np.add.at(sums, rel.ext_targets, attention)
+    assert np.all(np.abs(sums - 1.0) < 1e-12)
+
+
+def _gat_inputs(cfg, relation, seed):
+    """Cache, relation and random (h_src, h_dst, e) for one relation of a
+    three-agent, two-lane synthetic scene."""
+    _, _, cache = build_synthetic_cache(cfg, seed)
+    rel = cache.relations[relation]
+    rng = np.random.default_rng(seed)
+    h_src = tg.Tensor(rng.normal(size=(rel.n_src, cfg.f)), requires_grad=True)
+    h_dst = tg.Tensor(rng.normal(size=(rel.n_dst, cfg.f)), requires_grad=True)
+    e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)), requires_grad=True)
+    return cache, rel, h_src, h_dst, e
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("relation", [REL_SOCIAL, REL_TRAFFIC_INFO])
+def test_gatv2_matches_per_head_oracle(heads, relation):
+    cfg = tiny_cfg(heads=heads)
+    cache, rel, h_src, h_dst, e = _gat_inputs(cfg, relation, seed=41 + heads)
+    assert len(rel.src) > 0
+    params = init_parameters(cfg, seed=42)
+    prefix = "fusion_layer.0.traffic_info"
+    out = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg, cache.agent_zeros)
+    w1, w2, w3, attn = (params[f"{prefix}.{w}"].data for w in ("w1", "w2", "w3", "attn"))
+    expected = gatv2_per_head(h_src.data, h_dst.data, rel.src, rel.dst, e.data,
+                              w1, w2, w3, attn, cfg.leaky_slope)
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_gatv2_gradient_every_weight_entry():
+    cfg = tiny_cfg(f=8, heads=2)
+    cache, rel, h_src, h_dst, e = _gat_inputs(cfg, REL_SOCIAL, seed=43)
+    params = init_parameters(cfg, seed=44)
+    weights = [params[f"merge.{w}"] for w in ("w1", "w2", "w3", "attn")]
+    mix = tg.Tensor(np.random.default_rng(45).normal(size=(rel.n_dst, cfg.f)))
+
+    def build():
+        out = gatv2_conv(h_src, h_dst, rel, e, params, "merge", cfg, cache.agent_zeros)
+        return tg.sum_all(tg.mul(out, mix))
+
+    with tg.Tape() as tape:
+        out = build()
+    tape.backward(out)
+    numeric = numeric_gradient(lambda: build().item(), weights)
+    for w, num in zip(weights, numeric):
+        assert grad_rel_error(w.grad, num) < OP_TOL
 
 
 def test_layer_merge_zero_updates_residual():
@@ -371,6 +420,36 @@ def test_config_validation():
         ModelConfig(f=10, heads=4)
 
 
+class _ReadSpy(ModelParameters):
+    """ModelParameters that records every path a forward pass looks up."""
+
+    def __init__(self, tensors):
+        super().__init__(tensors)
+        self.read = set()
+
+    def __getitem__(self, path):
+        self.read.add(path)
+        return super().__getitem__(path)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"n_fusion_layers": 1}, {"n_fusion_layers": 3}, {"use_map": False},
+    {"use_social": False}, {"use_relational": False}, {"use_residual": False},
+    {"use_temporal": False},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
+def test_forward_reads_every_parameter(overrides):
+    cfg = ModelConfig(**overrides)
+    _, _, cache = build_synthetic_cache(cfg, seed=46)
+    params = _ReadSpy(dict(init_parameters(cfg, seed=47).items()))
+    forward(cache, params, cfg)
+    assert sorted(set(expected_parameter_specs(cfg)) - params.read) == []
+
+
+def test_default_parameter_count():
+    specs = expected_parameter_specs(ModelConfig())
+    assert (len(specs), sum(int(np.prod(s)) for s in specs.values())) == (323, 670062)
+
+
 def test_parameter_enumeration_lexicographic():
     cfg = tiny_cfg()
     params = init_parameters(cfg, seed=33)
@@ -414,15 +493,17 @@ def test_checkpoint_config_mismatch(tmp_path):
 
 
 def test_checkpoint_previous_magic_rejected(tmp_path):
-    # HOLIGRAPH1 heads predicted from the scene origin; the same parameter
-    # paths now add a per-track start, so old files must not load
+    # HOLIGRAPH1 heads predicted from the scene origin; HOLIGRAPH2 kept one
+    # set of attention tensors per head and the unread last fusion map
+    # update; neither may load, even with a body in today's layout
     cfg = tiny_cfg()
     path = tmp_path / "old.ckpt"
     save_checkpoint(init_parameters(cfg, seed=37), path)
     body = path.read_bytes()[len(CHECKPOINT_MAGIC):]
-    path.write_bytes(b"HOLIGRAPH1" + body)
-    with pytest.raises(CheckpointError, match="header"):
-        load_checkpoint(path, cfg)
+    for magic in (b"HOLIGRAPH1", b"HOLIGRAPH2"):
+        path.write_bytes(magic + body)
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path, cfg)
 
 
 def test_checkpoint_truncated_anywhere(tmp_path):
@@ -442,6 +523,11 @@ def test_checkpoint_impossible_shape_rejected(tmp_path):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"x"
                      + struct.pack("<I", 2) + struct.pack("<2Q", 0, 2 ** 62))
+    with pytest.raises(CheckpointError, match="impossible shape"):
+        load_checkpoint(path, tiny_cfg())
+    # rank 5 with one value: readable, but above the tensors' maximum rank
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + b"x"
+                     + struct.pack("<I", 5) + struct.pack("<5Q", 1, 1, 1, 1, 1) + bytes(8))
     with pytest.raises(CheckpointError, match="impossible shape"):
         load_checkpoint(path, tiny_cfg())
 

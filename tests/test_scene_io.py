@@ -228,6 +228,16 @@ def test_degenerate_polyline_rejected():
         segment_centerline([(1.0, 1.0), (1.0, 1.0)], 2.0, "l")
 
 
+def test_overlong_lane_rejected():
+    # finite but far-flung points made the resampling loop run without end
+    assert len(segment_centerline([(0.0, 0.0), (30000.0, 0.0)], 3.0, "l")) == 10000
+    for pts, step in (([(0.0, 0.0), (30003.1, 0.0)], 3.0), ([(0.0, 0.0), (1e300, 0.0)], 3.0),
+                      ([(-1e308, 0.0), (1e308, 0.0)], 3.0), ([(0.0, 0.0), (1.0, 0.0)], 1e-9)):
+        with pytest.raises(ValidationError, match="over 10000 segments"), \
+                np.errstate(over="ignore"):  # the +-1e308 chord overflows to inf
+            segment_centerline(pts, step, "l")
+
+
 # --- synthetic generation ---------------------------------------------------
 
 def test_synthetic_deterministic():
