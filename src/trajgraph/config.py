@@ -2,6 +2,7 @@
 structure, loss weights, optimizer settings, data paths and the seed."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
@@ -35,14 +36,16 @@ class RunConfig:
 
 
 def _type_ok(kind, value):
-    """JSON value fits a field type: bool is not a number, str fields
-    (all default None) take null."""
+    """JSON value fits a field type: bool is not a number, a float field
+    takes no NaN or infinity, str fields (all default None) take null."""
     if kind is bool:
         return isinstance(value, bool)
     if kind is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     return value is None or isinstance(value, str)
 
 
@@ -61,7 +64,8 @@ def _from_object(cls, payload, where):
         if is_dataclass(kind):
             value = _from_object(kind, value, f"config section {key!r}")
         elif not _type_ok(kind, value):
-            raise ConfigError(f"{where}: {key} must be {kind.__name__}, "
+            kind_name = "finite float" if kind is float else kind.__name__
+            raise ConfigError(f"{where}: {key} must be {kind_name}, "
                               f"got {type(value).__name__} {value!r:.40}")
         kwargs[key] = value
     return cls(**kwargs)

@@ -19,7 +19,7 @@ sweep over chord start points, dilated lane links from joins of sorted pair
 arrays, and social, temporal and fusion edges from dense node tables.
 """
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +73,8 @@ class GraphConfig:
     def __post_init__(self):
         if self.dilation < 1:
             raise ConfigError("graph dilation must be positive")
+        if not (0 <= self.t_th < math.inf and 0 <= self.d_min < math.inf):
+            raise ConfigError("graph t_th and d_min must be finite and non-negative")
 
 
 @dataclass
@@ -94,10 +96,6 @@ class HeteroGraph:
     @property
     def n_map_nodes(self):
         return self.map_feats.shape[0]
-
-    def node_position(self, node_type, index):
-        feats = self.agent_feats if node_type == "agent" else self.map_feats
-        return feats[index, 0], feats[index, 1]
 
 
 def _stable_rank(primary, secondary):
@@ -323,12 +321,3 @@ def build_graph(scene, cfg):
         _finalize_relation(graph, name, pairs, nodes)
     return graph
 
-
-def dump_graph(graph):
-    """Text dump of per-relation edge lists, for golden-file comparisons."""
-    payload = {
-        "agent_nodes": graph.n_agent_nodes,
-        "map_nodes": graph.n_map_nodes,
-        "relations": {name: graph.edges[name].tolist() for name in sorted(graph.edges)},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

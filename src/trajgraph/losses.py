@@ -82,12 +82,9 @@ def regression_loss(pred, gt, mask):
     gt_tile = tg.Tensor(np.tile(gt.reshape(n_agents, t_f * 2), (1, n_modes)))
     penalty = _smooth_l1(tg.sub(flat, gt_tile))
 
-    select = np.zeros((n_agents, n_modes * t_f * 2))
-    block = t_f * 2
-    for a in range(n_agents):
-        if mask[a]:
-            select[a, k_min[a] * block:(k_min[a] + 1) * block] = 1.0
-    select /= n_masked * t_f * 2
+    select = np.zeros((n_agents, n_modes, t_f * 2))
+    select[mask, k_min[mask]] = 1.0
+    select = select.reshape(n_agents, n_modes * t_f * 2) / (n_masked * t_f * 2)
     return tg.sum_all(tg.mul(penalty, tg.Tensor(select)))
 
 

@@ -10,8 +10,11 @@ trajectories with unnormalized scores.
 Message passing uses two conv types: a degree-normalized graph conv whose
 messages add the edge feature to the source node feature before the linear
 map, and a multi-head gated attention conv (GATv2 style) with an implicit
-self edge per destination. Per-relation updates of one layer are merged by
-sum -> ReLU -> residual -> LayerNorm.
+self edge per destination. The graph conv runs once per call-site over all
+of its relations (the lane relations of a map layer, or agent pre/suc):
+messages are summed per (target, relation) row in ascending edge order,
+and one matmul with the relations' stacked weights sums over relations.
+The updates of one layer are merged by sum -> ReLU -> residual -> LayerNorm.
 """
 
 import math
@@ -24,8 +27,8 @@ import numpy as np
 from . import tensor as tg
 from .errors import CheckpointError, ConfigError
 from .graph import (
-    REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, relation_endpoints,
-    relation_names,
+    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO,
+    relation_endpoints,
 )
 
 CHECKPOINT_MAGIC = b"HOLIGRAPH3"
@@ -208,41 +211,34 @@ def temporal_encoding(timesteps, f):
 # --- per-graph constants ----------------------------------------------------
 
 class _RelationCache:
-    def __init__(self, graph, name):
-        edges = graph.edges[name]
-        src_type, dst_type = relation_endpoints(name)
+    """One call-site's relations, which share endpoint types, as one edge list.
+
+    Edges and raw edge features are concatenated in the order of `names`;
+    edge i of relation r targets row dst*R + r of the per-(target, relation)
+    aggregate, and its coefficient uses degrees counted per relation.
+    """
+
+    def __init__(self, graph, names):
+        src_type, dst_type = relation_endpoints(names[0])
         self.n_src = graph.n_agent_nodes if src_type == "agent" else graph.n_map_nodes
         self.n_dst = graph.n_agent_nodes if dst_type == "agent" else graph.n_map_nodes
+        self.n_relations = r = len(names)
+        edges = np.concatenate([graph.edges[name] for name in names])
+        kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
         self.src = edges[:, 0].copy()
         self.dst = edges[:, 1].copy()
-        in_deg = np.bincount(self.dst, minlength=self.n_dst)
-        out_deg = np.bincount(self.src, minlength=self.n_src)
+        self.targets = self.dst * r + kind
+        sources = self.src * r + kind
+        in_deg = np.bincount(self.targets, minlength=self.n_dst * r)
+        out_deg = np.bincount(sources, minlength=self.n_src * r)
         # degree floored at one: a lone edge is passed through unscaled and
         # isolated endpoints never divide by zero
         deg_dst = np.maximum(in_deg, 1).astype(np.float64)
         deg_src = np.maximum(out_deg, 1).astype(np.float64)
-        coeff = 1.0 / np.sqrt(deg_dst[self.dst] * deg_src[self.src])
+        coeff = 1.0 / np.sqrt(deg_dst[self.targets] * deg_src[sources])
         self.coeff = tg.Tensor(coeff.reshape(-1, 1))
-        self.raw_edge = tg.Tensor(graph.edge_feats[name])
+        self.raw_edge = tg.Tensor(np.concatenate([graph.edge_feats[name] for name in names]))
         self.ext_targets = np.concatenate([self.dst, np.arange(self.n_dst, dtype=np.int64)])
-        self.dst_type = dst_type
-
-
-_CUMSUM_CACHE = {}
-
-
-def _cumsum_matrix(t_f):
-    """Constant lower-block matrix turning per-step (x, y) increments into
-    accumulated positions: out[:, 2t+c] = sum of increments s <= t, coord c."""
-    if t_f not in _CUMSUM_CACHE:
-        n = 2 * t_f
-        m = np.zeros((n, n))
-        for s in range(t_f):
-            for t in range(s, t_f):
-                m[2 * s, 2 * t] = 1.0
-                m[2 * s + 1, 2 * t + 1] = 1.0
-        _CUMSUM_CACHE[t_f] = m
-    return _CUMSUM_CACHE[t_f]
 
 
 def _start_positions(graph, cfg):
@@ -265,8 +261,16 @@ class EncoderCache:
 
     def __init__(self, graph, cfg):
         self.graph = graph
-        self.relations = {name: _RelationCache(graph, name)
-                          for name in relation_names(cfg.dilation)}
+        # keyed by call-site: the grouped GCNs' "map" and "agent", and each
+        # attention relation on its own; only the groups the encoder reads
+        groups = {"agent": [REL_AGENT_PRE, REL_AGENT_SUC], REL_MERGE: [REL_MERGE]}
+        if cfg.use_social:
+            groups[REL_SOCIAL] = [REL_SOCIAL]
+        if cfg.use_map:
+            groups["map"] = [f"map.{short}.map" for short in cfg.map_rel_shorts()]
+            groups[REL_DRIVES_ON] = [REL_DRIVES_ON]
+            groups[REL_TRAFFIC_INFO] = [REL_TRAFFIC_INFO]
+        self.relations = {key: _RelationCache(graph, names) for key, names in groups.items()}
         self.agent_zeros = tg.Tensor(np.zeros((graph.n_agent_nodes, cfg.f)))
         self.map_zeros = tg.Tensor(np.zeros((graph.n_map_nodes, cfg.f)))
         self.agent_in = tg.Tensor(graph.agent_feats)
@@ -276,7 +280,8 @@ class EncoderCache:
             self.tau = tg.Tensor(temporal_encoding(steps, cfg.f))
         else:
             self.tau = None
-        self.cumsum = tg.Tensor(_cumsum_matrix(cfg.t_f))
+        # out[:, 2t+c] = sum of the (x, y) increments s <= t, coordinate c
+        self.cumsum = tg.Tensor(np.kron(np.triu(np.ones((cfg.t_f, cfg.t_f))), np.eye(2)))
         self.start = tg.Tensor(_start_positions(graph, cfg))
 
 
@@ -295,9 +300,10 @@ def _embed_block(x, params, prefix):
 def embed(cache, params, cfg):
     """Embed node and edge inputs to width f.
 
-    Returns (agent_h, map_h, edge_h per relation); map_h is None when the
+    Returns (agent_h, map_h, edge_h per call-site); map_h is None when the
     map branch is disabled, edge embeddings are zero when relational
-    features are disabled.
+    features are disabled. The shared edge MLP runs once per call-site over
+    its concatenated relations.
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
     if cfg.use_temporal:
@@ -305,24 +311,31 @@ def embed(cache, params, cfg):
     map_h = _embed_block(cache.map_in, params, "embed.map") if cfg.use_map else None
 
     edge_h = {}
-    for name, rel in cache.relations.items():
-        if not cfg.use_map and relation_endpoints(name) != ("agent", "agent"):
-            continue
+    for key, rel in cache.relations.items():
         if cfg.use_relational:
-            edge_h[name] = _embed_block(rel.raw_edge, params, "embed.edge")
+            edge_h[key] = _embed_block(rel.raw_edge, params, "embed.edge")
         else:
-            edge_h[name] = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
+            edge_h[key] = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
     return agent_h, map_h, edge_h
 
 
-def gcn_edge_conv(h_src, rel, edge_h, weight, bias):
-    """Degree-normalized conv: sum over in-edges of
-    coeff * ((x_src + e) W), plus a bias every target receives."""
-    x_j = tg.gather_rows(h_src, rel.src)
-    msg = tg.matmul(tg.add(x_j, edge_h), weight)
-    msg = tg.scale_rows(msg, rel.coeff)
-    agg = tg.segment_sum(msg, rel.dst, rel.n_dst)
-    return tg.add(agg, bias)
+def gcn_edge_conv(h_src, rel, edge_h, weights, biases):
+    """Degree-normalized conv over a call-site's R relations: for each
+    relation r, the sum over its in-edges of coeff * ((x_src + e) W_r), plus
+    b_r every target receives, summed over r.
+
+    Evaluated as sum_e coeff * (x_src + e) per (target, relation) row, each
+    row summed in ascending edge order, then one matmul of the [n_dst, R*f]
+    aggregate with the stacked [R*f, f] weights, so the sum over relations
+    runs inside the matmul. Degrees are counted per relation.
+    """
+    r, f = rel.n_relations, h_src.data.shape[1]
+    msg = tg.scale_rows(tg.add(tg.gather_rows(h_src, rel.src), edge_h), rel.coeff)
+    agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
+    # explicit width: n_dst is 0 in a scene without map segments
+    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat_rows(weights))
+    bias = tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat_rows(biases))
+    return tg.add(out, bias)
 
 
 def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, dst_zeros,
@@ -359,7 +372,7 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, dst_zeros,
 
 
 def layer_merge(updates, h_prev, params, prefix, cfg):
-    """Sum the per-relation updates, ReLU, optional residual, LayerNorm."""
+    """Sum the call-site updates, ReLU, optional residual, LayerNorm."""
     total = updates[0]
     for u in updates[1:]:
         total = tg.add(total, u)
@@ -371,28 +384,21 @@ def layer_merge(updates, h_prev, params, prefix, cfg):
 
 # --- encoder ----------------------------------------------------------------
 
+def _relation_weights(params, layer_prefix, shorts):
+    return ([params[f"{layer_prefix}.rel.{short}.weight"] for short in shorts],
+            [params[f"{layer_prefix}.rel.{short}.bias"] for short in shorts])
+
+
 def _map_stage_updates(map_h, cache, edge_h, params, layer_prefix, cfg):
-    updates = []
-    for short in cfg.map_rel_shorts():
-        name = f"map.{short}.map"
-        rel = cache.relations[name]
-        updates.append(gcn_edge_conv(
-            map_h, rel, edge_h[name],
-            params[f"{layer_prefix}.rel.{short}.weight"],
-            params[f"{layer_prefix}.rel.{short}.bias"]))
-    return updates
+    """The lane relations' summed update, as one grouped conv."""
+    weights, biases = _relation_weights(params, layer_prefix, cfg.map_rel_shorts())
+    return gcn_edge_conv(map_h, cache.relations["map"], edge_h["map"], weights, biases)
 
 
 def _agent_gcn_updates(agent_h, cache, edge_h, params, layer_prefix):
-    updates = []
-    for short in ("pre", "suc"):
-        name = f"agent.{short}.agent"
-        rel = cache.relations[name]
-        updates.append(gcn_edge_conv(
-            agent_h, rel, edge_h[name],
-            params[f"{layer_prefix}.rel.{short}.weight"],
-            params[f"{layer_prefix}.rel.{short}.bias"]))
-    return updates
+    """The temporal pre/suc relations' summed update, as one grouped conv."""
+    weights, biases = _relation_weights(params, layer_prefix, ("pre", "suc"))
+    return gcn_edge_conv(agent_h, cache.relations["agent"], edge_h["agent"], weights, biases)
 
 
 def encode(cache, params, cfg):
@@ -402,12 +408,12 @@ def encode(cache, params, cfg):
     if cfg.use_map:
         for l in range(cfg.n_map_layers):
             prefix = f"map_layer.{l}"
-            updates = _map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)
-            map_h = layer_merge(updates, map_h, params, f"{prefix}.norm", cfg)
+            update = _map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)
+            map_h = layer_merge([update], map_h, params, f"{prefix}.norm", cfg)
 
     for l in range(cfg.n_agent_layers):
         prefix = f"agent_layer.{l}"
-        updates = _agent_gcn_updates(agent_h, cache, edge_h, params, prefix)
+        updates = [_agent_gcn_updates(agent_h, cache, edge_h, params, prefix)]
         if cfg.use_social and l >= cfg.n_agent_layers - 2:
             rel = cache.relations[REL_SOCIAL]
             updates.append(gatv2_conv(agent_h, agent_h, rel, edge_h[REL_SOCIAL],
@@ -417,7 +423,7 @@ def encode(cache, params, cfg):
     if cfg.use_map:
         for l in range(cfg.n_fusion_layers):
             prefix = f"fusion_layer.{l}"
-            agent_updates = _agent_gcn_updates(agent_h, cache, edge_h, params, prefix)
+            agent_updates = [_agent_gcn_updates(agent_h, cache, edge_h, params, prefix)]
             if cfg.use_social:
                 rel = cache.relations[REL_SOCIAL]
                 agent_updates.append(gatv2_conv(
@@ -431,7 +437,7 @@ def encode(cache, params, cfg):
             last_layer = l == cfg.n_fusion_layers - 1
             if not last_layer:
                 # the final fusion layer's map update would never be read again
-                map_updates = _map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)
+                map_updates = [_map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)]
                 rel = cache.relations[REL_DRIVES_ON]
                 map_updates.append(gatv2_conv(
                     agent_h, map_h, rel, edge_h[REL_DRIVES_ON],

@@ -2,9 +2,11 @@
 
 Everything here is deliberately brute force (finite differences, exhaustive
 enumeration, dense matrix powers) and shares no code with the package
-internals it verifies.
+internals it verifies. The graph dump and node-position helpers at the end
+serve the graph tests.
 """
 
+import json
 import math
 
 import numpy as np
@@ -186,3 +188,37 @@ def gatv2_per_head(h_src, h_dst, src, dst, edge_h, w1, w2, w3, attn, slope):
             weights = np.exp(logits - logits.max())
             out[d, cols] = (weights / weights.sum()) @ np.array(values)
     return out
+
+
+def gcn_per_relation(h_src, n_dst, relations, weights, biases):
+    """Degree-normalized graph conv one relation at a time, edge by edge.
+
+    relations: per relation a (src, dst, edge_h) triple. Each relation
+    counts its own degrees (floored at one); message s -> d is
+    (x_s + e) W_r / sqrt(in_deg_r(d) * out_deg_r(s)), and every target
+    receives b_r once per relation.
+    """
+    out = np.zeros((n_dst, weights[0].shape[1]))
+    for (src, dst, edge_h), w, b in zip(relations, weights, biases):
+        in_deg = {d: max(list(dst).count(d), 1) for d in range(n_dst)}
+        out_deg = {s: max(list(src).count(s), 1) for s in range(h_src.shape[0])}
+        for s, d, e in zip(src, dst, edge_h):
+            out[d] += (h_src[s] + e) @ w / math.sqrt(in_deg[d] * out_deg[s])
+        out += b.reshape(-1)
+    return out
+
+
+def node_position(graph, node_type, index):
+    """(x, y) of an agent or map node of a built graph."""
+    feats = graph.agent_feats if node_type == "agent" else graph.map_feats
+    return feats[index, 0], feats[index, 1]
+
+
+def dump_graph(graph):
+    """Text dump of per-relation edge lists, for golden-file comparisons."""
+    payload = {
+        "agent_nodes": graph.n_agent_nodes,
+        "map_nodes": graph.n_map_nodes,
+        "relations": {name: graph.edges[name].tolist() for name in sorted(graph.edges)},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -30,7 +30,8 @@ from trajgraph.train import evaluate_samples, prepare_samples, train
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     brute_force_metrics, dilated_edges_by_matrix_power, fusion_edges_by_scan,
-    grad_rel_error, lane_links_by_scan, numeric_gradient, social_edges_by_enumeration,
+    grad_rel_error, lane_links_by_scan, node_position, numeric_gradient,
+    social_edges_by_enumeration,
 )
 
 OP_TOL = 1e-5
@@ -278,8 +279,8 @@ def test_criterion_graph_oracle():
         for name in relation_names(cfg.dilation):
             src_type, dst_type = name.split(".")[0], name.split(".")[2]
             for (s, d), (fx, fy) in zip(graph.edges[name], graph.edge_feats[name]):
-                sx, sy = graph.node_position(src_type, s)
-                dx, dy = graph.node_position(dst_type, d)
+                sx, sy = node_position(graph, src_type, s)
+                dx, dy = node_position(graph, dst_type, d)
                 assert fx == dx - sx and fy == dy - sy
         checked_scenes += 1
     criterion("graph-construction oracle", checked_scenes == 100,

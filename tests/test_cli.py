@@ -520,6 +520,12 @@ def test_missing_config_file_exits_2(trained, tmp_path):
                  id="fusion-layers-negative"),
     pytest.param('{"model": {"dilation": 0}, "graph": {"dilation": 0}}',
                  "dilation must be positive", id="dilation-0"),
+    pytest.param('{"graph": {"d_min": NaN}}', "d_min must be finite float, got float nan",
+                 id="d-min-nan"),
+    pytest.param('{"graph": {"t_th": -1.0}}', "t_th and d_min must be finite and non-negative",
+                 id="t-th-negative"),
+    pytest.param('{"loss": {"margin": Infinity}}', "margin must be finite float, got float inf",
+                 id="margin-infinity"),
 ])
 def test_mistyped_config_exits_2(tmp_path, text, message):
     data = gen_data(tmp_path)

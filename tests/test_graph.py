@@ -5,15 +5,15 @@ from trajgraph.errors import ValidationError
 from trajgraph.graph import (
     REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MAP_LEFT, REL_MAP_RIGHT,
     REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
-    dump_graph, map_pre_relation, map_suc_relation, relation_names,
+    map_pre_relation, map_suc_relation, relation_names,
 )
 from trajgraph.scene import AgentState, AgentTrack, Lane, Scene, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
-    dilated_edges_by_matrix_power, fusion_edges_by_scan, lane_links_by_scan,
-    social_edges_by_enumeration,
+    dilated_edges_by_matrix_power, dump_graph, fusion_edges_by_scan, lane_links_by_scan,
+    node_position, social_edges_by_enumeration,
 )
 
 CFG = GraphConfig()
@@ -304,8 +304,8 @@ def test_edge_features_equal_target_minus_source():
         for name in relation_names(CFG.dilation):
             src_type, dst_type = name.split(".")[0], name.split(".")[2]
             for (s, d), (fx, fy) in zip(graph.edges[name], graph.edge_feats[name]):
-                sx, sy = graph.node_position(src_type, s)
-                dx, dy = graph.node_position(dst_type, d)
+                sx, sy = node_position(graph, src_type, s)
+                dx, dy = node_position(graph, dst_type, d)
                 assert (fx, fy) == (dx - sx, dy - sy)
 
 

@@ -6,11 +6,11 @@ import pytest
 from trajgraph import tensor as tg
 from trajgraph.errors import CheckpointError, ConfigError
 from trajgraph.graph import (
-    REL_AGENT_PRE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
+    REL_AGENT_PRE, REL_AGENT_SUC, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
 )
 from trajgraph.model import (
-    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, embed, encode,
-    expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, init_parameters,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, _RelationCache, embed,
+    encode, expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, init_parameters,
     is_normalization_param, layer_merge, load_checkpoint, make_cache, predict_head,
     save_checkpoint, temporal_encoding,
 )
@@ -18,7 +18,7 @@ from trajgraph.scene import AgentState, AgentTrack, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
-from oracles import gatv2_per_head, grad_rel_error, numeric_gradient
+from oracles import gatv2_per_head, gcn_per_relation, grad_rel_error, numeric_gradient
 from test_acceptance import OP_TOL
 
 GCFG = GraphConfig(dilation=2)
@@ -87,7 +87,7 @@ def test_gcn_no_edges_outputs_bias():
     e = tg.Tensor(np.zeros((0, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, w, b)
+    out = gcn_edge_conv(h, rel, e, [w], [b])
     assert np.array_equal(out.data, np.tile(b.data, (cache.graph.n_agent_nodes, 1)))
 
 
@@ -96,15 +96,18 @@ def test_gcn_single_edge_unscaled():
     track = straight_track("a0", t_obs=2, t_f=3)
     _, cache = scene_and_cache(cfg, tracks=[track])
     params = init_parameters(cfg, seed=2)
-    rel = cache.relations[REL_AGENT_PRE]  # exactly one edge 0 -> 1
+    rel = _RelationCache(cache.graph, [REL_AGENT_PRE])  # exactly one edge 0 -> 1
     assert rel.src.tolist() == [0] and rel.dst.tolist() == [1]
     rng = np.random.default_rng(3)
     h = tg.Tensor(rng.normal(size=(2, cfg.f)))
     e = tg.Tensor(rng.normal(size=(1, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, w, b)
-    expected = (h.data[0] + e.data[0]) @ w.data + b.data[0]
+    out = gcn_edge_conv(h, rel, e, [w], [b])
+    # the conv multiplies the whole [2, f] aggregate; a BLAS matrix product
+    # may round a row differently from a vector product, so build it alike
+    aggregate = np.stack([np.zeros(cfg.f), h.data[0] + e.data[0]])
+    expected = (aggregate @ w.data)[1] + b.data[0]
     assert np.allclose(out.data[1], expected, atol=0, rtol=0)
 
 
@@ -112,13 +115,13 @@ def test_gcn_line_graph_matches_dense_oracle():
     cfg = tiny_cfg(t_obs=3, use_map=False)
     _, cache = scene_and_cache(cfg)
     params = init_parameters(cfg, seed=4)
-    rel = cache.relations[REL_AGENT_PRE]  # edges 0->1->2
+    rel = _RelationCache(cache.graph, [REL_AGENT_PRE])  # edges 0->1->2
     rng = np.random.default_rng(5)
     h = tg.Tensor(rng.normal(size=(3, cfg.f)))
     e = tg.Tensor(rng.normal(size=(2, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, w, b)
+    out = gcn_edge_conv(h, rel, e, [w], [b])
 
     # dense evaluation with degree-floored normalization
     adj = np.zeros((3, 3))
@@ -135,6 +138,38 @@ def test_gcn_line_graph_matches_dense_oracle():
                 coeff = 1.0 / np.sqrt(in_deg[d] * out_deg[s])
                 dense[d] += coeff * ((h.data[s] + e.data[eidx]) @ w.data)
     assert np.allclose(out.data, dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("dilation, group", [(2, "map"), (4, "map"), (2, "agent")])
+def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
+    cfg = tiny_cfg(dilation=dilation)
+    # three-segment lanes, one with a left neighbour: map pre-3/pre-4 and
+    # right are empty; middle segments and middle agent nodes have in-edges
+    # from several relations
+    lanes = [straight_lane("L0", 9.0, step=3.0, left="L1"),
+             straight_lane("L1", 9.0, y=3.0, step=3.0)]
+    tracks = [straight_track("a0"), straight_track("a1", y0=3.0)]
+    _, cache = scene_and_cache(cfg, tracks=tracks, lanes=lanes)
+    rel = cache.relations[group]
+    names = ([f"map.{short}.map" for short in cfg.map_rel_shorts()] if group == "map"
+             else [REL_AGENT_PRE, REL_AGENT_SUC])
+    counts = [len(cache.graph.edges[name]) for name in names]
+    assert (0 in counts) == (group == "map")
+    kind = np.repeat(np.arange(len(names)), counts)
+    assert any(len(set(kind[rel.dst == d])) > 1 for d in rel.dst)
+
+    rng = np.random.default_rng(50 + dilation)
+    h = tg.Tensor(rng.normal(size=(rel.n_src, cfg.f)))
+    e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)))
+    weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f))) for _ in names]
+    biases = [tg.Tensor(rng.normal(size=(1, cfg.f))) for _ in names]
+    out = gcn_edge_conv(h, rel, e, weights, biases)
+
+    per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
+                    for r in range(len(names))]
+    expected = gcn_per_relation(h.data, rel.n_dst, per_relation,
+                                [w.data for w in weights], [b.data for b in biases])
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_gatv2_isolated_destination_is_self_projection():
