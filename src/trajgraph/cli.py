@@ -16,6 +16,7 @@ from .errors import (
     CheckpointError, ConfigError, LookupError_, NumericError, ParseError,
     ValidationError,
 )
+from .metrics import aggregate_reports, compute_metrics
 from .model import forward, init_parameters, load_checkpoint, save_checkpoint
 from .scene import load_scenes, save_scenes
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -156,14 +157,17 @@ def cmd_eval(args):
     scenes = load_scenes(args.data, cfg.segment_len)
     samples = prepare_samples(scenes, cfg)
     reports, aggregate = evaluate_samples(samples, params, cfg.model)
-
+    # beside each report, the constant-velocity start every mode adds to, as one mode
+    cv = [compute_metrics(s.cache.start.data.reshape(-1, 1, cfg.model.t_f, 2), s.gt, s.mask)
+          for s in samples]
+    rows = [(scene_id, rep, cv_rep) for (scene_id, rep), cv_rep in zip(reports, cv)
+            if rep is not None]
+    if aggregate is not None:
+        rows.append(("__aggregate__", aggregate, aggregate_reports(cv)))
     with open(args.report, "w", encoding="utf-8") as fh:
-        for scene_id, rep in reports:
-            if rep is None:
-                continue
-            fh.write(json.dumps({"scene_id": scene_id, **rep.as_dict()}) + "\n")
-        if aggregate is not None:
-            fh.write(json.dumps({"scene_id": "__aggregate__", **aggregate.as_dict()}) + "\n")
+        for scene_id, rep, cv_rep in rows:
+            line = {"scene_id": scene_id, **rep.as_dict(), "cv": cv_rep.as_dict()}
+            fh.write(json.dumps(line) + "\n")
     if aggregate is None:
         print("no scene had ground-truth futures; nothing to score")
     else:

@@ -47,17 +47,6 @@ def map_suc_relation(i):
     return f"map.suc-{i}.map"
 
 
-def relation_names(dilation):
-    """All relation names for a given dilation order, in fixed order."""
-    names = [REL_AGENT_PRE, REL_AGENT_SUC, REL_SOCIAL, REL_MERGE]
-    for i in range(1, dilation + 1):
-        names.append(map_pre_relation(i))
-    for i in range(1, dilation + 1):
-        names.append(map_suc_relation(i))
-    names += [REL_MAP_LEFT, REL_MAP_RIGHT, REL_DRIVES_ON, REL_TRAFFIC_INFO]
-    return names
-
-
 def relation_endpoints(name):
     """(source node type, target node type) of a relation."""
     src, _, dst = name.split(".")

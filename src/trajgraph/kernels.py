@@ -1,21 +1,26 @@
 """Segment kernels: the three scatter primitives under message passing.
 
-One numpy implementation, no compiled variant. Every kernel visits rows in
-ascending row order, so equal inputs give bitwise-equal outputs:
-``segment_sum`` equals ``np.zeros`` followed by ``np.add.at`` byte for byte.
+One numpy implementation and one scatter-add: ``segment_sum`` and
+``add_rows_at`` both sum rows per group by ``np.bincount`` in ascending row
+order, so equal inputs give bitwise-equal outputs. ``add_rows_at`` adds the
+group sums onto the values in place: g, then r1 and r2, ends at g + (r1 + r2).
 """
 
 import numpy as np
 
 
-def segment_sum(rows, idx, n):
-    """Sum rows into n groups, adding from zero in ascending row order;
-    groups with no rows are zero."""
+def _group_sums(rows, idx, n):
     f = rows.shape[1]
     flat = (idx[:, None] * f + np.arange(f)).ravel()
     out = np.bincount(flat, weights=rows.ravel(), minlength=n * f)
     # bincount of an empty index returns int64, so cast
     return out.astype(np.float64, copy=False).reshape(n, f)
+
+
+def segment_sum(rows, idx, n):
+    """Sum rows into n groups, adding from zero in ascending row order;
+    groups with no rows are zero."""
+    return _group_sums(rows, idx, n)
 
 
 def segment_max(rows, idx, n):
@@ -26,5 +31,6 @@ def segment_max(rows, idx, n):
 
 
 def add_rows_at(out, idx, rows):
-    """In place: out[idx[e]] += rows[e] in ascending e, onto existing values."""
-    np.add.at(out, idx, rows)
+    """In place: out[i] += the sum of rows[e] with idx[e] == i, summed in
+    ascending e before it is added onto the existing value."""
+    out += _group_sums(rows, idx, out.shape[0])

@@ -10,10 +10,12 @@ trajectories with unnormalized scores.
 Message passing uses two conv types: a degree-normalized graph conv whose
 messages add the edge feature to the source node feature before the linear
 map, and a multi-head gated attention conv (GATv2 style) with an implicit
-self edge per destination. The graph conv runs once per call-site over all
-of its relations (the lane relations of a map layer, or agent pre/suc):
-messages are summed per (target, relation) row in ascending edge order,
-and one matmul with the relations' stacked weights sums over relations.
+self edge per destination, in node-level form: an edge's pre-activation is
+(x_dst W3a)[dst] + (x_src W3b)[src] + e W3c, a self edge's x_dst (W3a + W3b).
+The graph conv runs once per call-site over all of its relations (the lane
+relations of a map layer, or agent pre/suc): messages are summed per
+(target, relation) row in ascending edge order, and one matmul with the
+relations' stacked weights sums over relations.
 The updates of one layer are merged by sum -> ReLU -> residual -> LayerNorm.
 """
 
@@ -271,8 +273,6 @@ class EncoderCache:
             groups[REL_DRIVES_ON] = [REL_DRIVES_ON]
             groups[REL_TRAFFIC_INFO] = [REL_TRAFFIC_INFO]
         self.relations = {key: _RelationCache(graph, names) for key, names in groups.items()}
-        self.agent_zeros = tg.Tensor(np.zeros((graph.n_agent_nodes, cfg.f)))
-        self.map_zeros = tg.Tensor(np.zeros((graph.n_map_nodes, cfg.f)))
         self.agent_in = tg.Tensor(graph.agent_feats)
         self.map_in = tg.Tensor(graph.map_feats)
         if cfg.use_temporal:
@@ -338,31 +338,34 @@ def gcn_edge_conv(h_src, rel, edge_h, weights, biases):
     return tg.add(out, bias)
 
 
-def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, dst_zeros,
-               return_attention=False):
+def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, return_attention=False):
     """Multi-head attention conv with an implicit self edge per destination.
 
     Per head h: logits = LeakyReLU([x_dst | x_src | e] W3[:, h]) attn[:, h],
-    softmax over {self} + in-edges, output alpha_self x W1[:, h] +
-    sum alpha_j x_j W2[:, h]; head outputs are concatenated. All heads run
-    in one pass: weights flatten to [n_in, heads * dh] and the attention
-    vectors to a block-diagonal [f, heads] matrix. With return_attention,
-    also returns the [in-edges + destinations, heads] weights.
+    softmax over {self} + in-edges, output alpha_self x_dst W1[:, h] +
+    sum alpha_j x_j W2[:, h]; the self edge's input is [x_dst | x_dst | 0].
+    In node-level form, W3's row blocks W3a, W3b, W3c act on their own
+    inputs: edge pre-activations (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c,
+    self ones x_dst (W3a + W3b), values (x_src W2)[src]. All heads run in
+    one pass: weights flatten to [n_in, heads * dh], attention vectors to a
+    block-diagonal [f, heads] matrix. With return_attention, also returns
+    the [in-edges + destinations, heads] weights.
     """
     f, heads, dh = cfg.f, cfg.heads, cfg.f // cfg.heads
     n_rows = len(rel.ext_targets)
     w1, w2, w3 = (tg.reshape(params[f"{prefix}.{w}"], (-1, f)) for w in ("w1", "w2", "w3"))
+    w3a, w3b, w3c = (tg.gather_rows(w3, np.arange(b * f, (b + 1) * f)) for b in range(3))
     head_of_column = tg.Tensor(np.repeat(np.eye(heads), dh, axis=0))
     attn = tg.scale_rows(head_of_column, tg.reshape(params[f"{prefix}.attn"], (f, 1)))
 
-    x_j = tg.gather_rows(h_src, rel.src)
-    cat_edges = tg.concat([tg.gather_rows(h_dst, rel.dst), x_j, edge_h])
-    cat_self = tg.concat([h_dst, h_dst, dst_zeros])
-    edge_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_edges, w3), cfg.leaky_slope), attn)
-    self_logits = tg.matmul(tg.leaky_relu(tg.matmul(cat_self, w3), cfg.leaky_slope), attn)
-    alpha = tg.segment_softmax(tg.concat_rows([edge_logits, self_logits]),
-                               rel.ext_targets, rel.n_dst)
-    values = tg.concat_rows([tg.matmul(x_j, w2), tg.matmul(h_dst, w1)])
+    edge_pre = tg.add(tg.add(tg.gather_rows(tg.matmul(h_dst, w3a), rel.dst),
+                             tg.gather_rows(tg.matmul(h_src, w3b), rel.src)),
+                      tg.matmul(edge_h, w3c))
+    pre = tg.concat_rows([edge_pre, tg.matmul(h_dst, tg.add(w3a, w3b))])  # in-edges, then self
+    logits = tg.matmul(tg.leaky_relu(pre, cfg.leaky_slope), attn)
+    alpha = tg.segment_softmax(logits, rel.ext_targets, rel.n_dst)
+    values = tg.concat_rows([tg.gather_rows(tg.matmul(h_src, w2), rel.src),
+                             tg.matmul(h_dst, w1)])
     weighted = tg.scale_rows(tg.reshape(values, (n_rows * heads, dh)),
                              tg.reshape(alpha, (n_rows * heads, 1)))
     out = tg.segment_sum(tg.reshape(weighted, (n_rows, f)), rel.ext_targets, rel.n_dst)
@@ -417,7 +420,7 @@ def encode(cache, params, cfg):
         if cfg.use_social and l >= cfg.n_agent_layers - 2:
             rel = cache.relations[REL_SOCIAL]
             updates.append(gatv2_conv(agent_h, agent_h, rel, edge_h[REL_SOCIAL],
-                                      params, f"{prefix}.social", cfg, cache.agent_zeros))
+                                      params, f"{prefix}.social", cfg))
         agent_h = layer_merge(updates, agent_h, params, f"{prefix}.norm", cfg)
 
     if cfg.use_map:
@@ -426,22 +429,19 @@ def encode(cache, params, cfg):
             agent_updates = [_agent_gcn_updates(agent_h, cache, edge_h, params, prefix)]
             if cfg.use_social:
                 rel = cache.relations[REL_SOCIAL]
-                agent_updates.append(gatv2_conv(
-                    agent_h, agent_h, rel, edge_h[REL_SOCIAL],
-                    params, f"{prefix}.social", cfg, cache.agent_zeros))
+                agent_updates.append(gatv2_conv(agent_h, agent_h, rel, edge_h[REL_SOCIAL],
+                                                params, f"{prefix}.social", cfg))
             rel = cache.relations[REL_TRAFFIC_INFO]
-            agent_updates.append(gatv2_conv(
-                map_h, agent_h, rel, edge_h[REL_TRAFFIC_INFO],
-                params, f"{prefix}.traffic_info", cfg, cache.agent_zeros))
+            agent_updates.append(gatv2_conv(map_h, agent_h, rel, edge_h[REL_TRAFFIC_INFO],
+                                            params, f"{prefix}.traffic_info", cfg))
 
             last_layer = l == cfg.n_fusion_layers - 1
             if not last_layer:
                 # the final fusion layer's map update would never be read again
                 map_updates = [_map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)]
                 rel = cache.relations[REL_DRIVES_ON]
-                map_updates.append(gatv2_conv(
-                    agent_h, map_h, rel, edge_h[REL_DRIVES_ON],
-                    params, f"{prefix}.drives_on", cfg, cache.map_zeros))
+                map_updates.append(gatv2_conv(agent_h, map_h, rel, edge_h[REL_DRIVES_ON],
+                                              params, f"{prefix}.drives_on", cfg))
 
             new_agent = layer_merge(agent_updates, agent_h, params, f"{prefix}.agent_norm", cfg)
             if not last_layer:
@@ -449,8 +449,7 @@ def encode(cache, params, cfg):
             agent_h = new_agent
 
     rel = cache.relations[REL_MERGE]
-    update = gatv2_conv(agent_h, agent_h, rel, edge_h[REL_MERGE],
-                        params, "merge", cfg, cache.agent_zeros)
+    update = gatv2_conv(agent_h, agent_h, rel, edge_h[REL_MERGE], params, "merge", cfg)
     agent_h = layer_merge([update], agent_h, params, "merge.norm", cfg)
     return tg.gather_rows(agent_h, cache.graph.readout_index)
 

@@ -9,7 +9,9 @@ tape in reverse order of recording accumulates gradients into ``.grad``.
 Determinism contract: identical inputs and identical edge ordering produce
 bitwise-identical outputs and gradients. Segment aggregation and gather
 gradients go through the numpy kernels in ``kernels`` (there is no other
-backend), which always add in ascending edge-index order.
+backend), which always add in ascending edge-index order. A gather gradient
+sums the upstream rows of each index first and then adds that sum onto the
+gradient already held: g + (r1 + r2), not (g + r1) + r2.
 """
 
 import numpy as np

@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute force (finite differences, exhaustive
 enumeration, dense matrix powers) and shares no code with the package
-internals it verifies. The graph dump and node-position helpers at the end
-serve the graph tests.
+internals it verifies. The relation list, graph dump and node-position
+helpers at the end serve the graph tests.
 """
 
 import json
@@ -206,6 +206,15 @@ def gcn_per_relation(h_src, n_dst, relations, weights, biases):
             out[d] += (h_src[s] + e) @ w / math.sqrt(in_deg[d] * out_deg[s])
         out += b.reshape(-1)
     return out
+
+
+def relation_names(dilation):
+    """Every relation name of a graph built at this dilation, spelled out."""
+    return (["agent.pre.agent", "agent.suc.agent", "agent.social.agent", "agent.merge.agent"]
+            + [f"map.pre-{i}.map" for i in range(1, dilation + 1)]
+            + [f"map.suc-{i}.map" for i in range(1, dilation + 1)]
+            + ["map.left.map", "map.right.map", "agent.drives-on.map",
+               "map.gives-traffic-info.agent"])
 
 
 def node_position(graph, node_type, index):

@@ -12,10 +12,7 @@ import numpy as np
 from trajgraph import tensor as tg
 from trajgraph.cli import main as cli_main
 from trajgraph.config import RunConfig, save_config
-from trajgraph.graph import (
-    GraphConfig, build_graph, map_pre_relation, map_suc_relation,
-    relation_names,
-)
+from trajgraph.graph import GraphConfig, build_graph, map_pre_relation, map_suc_relation
 from trajgraph.losses import LossConfig, regression_loss, supervision_mask, total_loss, winner_modes
 from trajgraph.metrics import compute_metrics
 from trajgraph.model import (
@@ -31,7 +28,7 @@ from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     brute_force_metrics, dilated_edges_by_matrix_power, fusion_edges_by_scan,
     grad_rel_error, lane_links_by_scan, node_position, numeric_gradient,
-    social_edges_by_enumeration,
+    relation_names, social_edges_by_enumeration,
 )
 
 OP_TOL = 1e-5

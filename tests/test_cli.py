@@ -39,11 +39,11 @@ def tiny_run_config(**model_kw):
     )
 
 
-def gen_data(tmp_path, name="data.jsonl", scenes=2, agents=2, seed=5):
+def gen_data(tmp_path, name="data.jsonl", scenes=2, agents=2, seed=5, noise=0.1):
     path = tmp_path / name
     rc = main(["gen-synthetic", "--scenes", str(scenes), "--agents", str(agents),
                "--lanes", "2", "--t-obs", "3", "--t-f", "3", "--dt", "0.1",
-               "--noise", "0.1", "--seed", str(seed), "--out", str(path)])
+               "--noise", str(noise), "--seed", str(seed), "--out", str(path)])
     assert rc == 0
     return path
 
@@ -310,6 +310,21 @@ def test_eval_reproduces_final_logged_metrics(tmp_path, capsys):
     lines = [json.loads(l) for l in report.read_text().strip().splitlines()]
     assert lines[-1]["scene_id"] == "__aggregate__"
     assert len(lines) == 3  # two scenes + aggregate
+
+
+def test_eval_reports_constant_velocity_row(tmp_path):
+    # zero noise on straight lanes: every future is exactly constant velocity
+    data = gen_data(tmp_path, noise=0.0)
+    out = train_run(tmp_path, data)
+    report = tmp_path / "report.jsonl"
+    rc = main(["eval", "--checkpoint", str(out / "checkpoint_final.bin"),
+               "--data", str(data), "--report", str(report)])
+    assert rc == 0
+    lines = [json.loads(l) for l in report.read_text().strip().splitlines()]
+    assert [l["scene_id"] for l in lines] == ["synth-0000", "synth-0001", "__aggregate__"]
+    for line in lines:
+        assert set(line["cv"]) == {"minADE", "minFDE", "minMR", "minJADE", "minJFDE", "minJMR"}
+        assert line["cv"]["minADE"] <= 1e-9 and line["cv"]["minFDE"] <= 1e-9
 
 
 def test_eval_flag_mismatch_refused(tmp_path, capsys):

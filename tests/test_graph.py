@@ -5,7 +5,7 @@ from trajgraph.errors import ValidationError
 from trajgraph.graph import (
     REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MAP_LEFT, REL_MAP_RIGHT,
     REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
-    map_pre_relation, map_suc_relation, relation_names,
+    map_pre_relation, map_suc_relation,
 )
 from trajgraph.scene import AgentState, AgentTrack, Lane, Scene, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
@@ -13,7 +13,7 @@ from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     dilated_edges_by_matrix_power, dump_graph, fusion_edges_by_scan, lane_links_by_scan,
-    node_position, social_edges_by_enumeration,
+    node_position, relation_names, social_edges_by_enumeration,
 )
 
 CFG = GraphConfig()

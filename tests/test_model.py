@@ -6,7 +6,8 @@ import pytest
 from trajgraph import tensor as tg
 from trajgraph.errors import CheckpointError, ConfigError
 from trajgraph.graph import (
-    REL_AGENT_PRE, REL_AGENT_SUC, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
+    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig,
+    build_graph,
 )
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, _RelationCache, embed,
@@ -179,7 +180,7 @@ def test_gatv2_isolated_destination_is_self_projection():
     rel = cache.relations[REL_SOCIAL]  # no edges, one destination
     h = tg.Tensor(np.random.default_rng(7).normal(size=(1, cfg.f)))
     e = tg.Tensor(np.zeros((0, cfg.f)))
-    out = gatv2_conv(h, h, rel, e, params, "merge", cfg, cache.agent_zeros)
+    out = gatv2_conv(h, h, rel, e, params, "merge", cfg)
     expected = h.data @ params["merge.w1"].data.reshape(cfg.f, cfg.f)
     assert np.allclose(out.data, expected, atol=1e-14)
 
@@ -196,8 +197,7 @@ def test_gatv2_identical_sources_share_attention():
                              np.full((1, cfg.f), 2.0),
                              np.full((1, cfg.f), 2.0)]))
     e = tg.Tensor(np.zeros((len(rel.src), cfg.f)))
-    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg,
-                              cache.agent_zeros, return_attention=True)
+    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg, return_attention=True)
     into_a0 = [i for i, d in enumerate(rel.dst) if d == 0]
     assert len(into_a0) == 2
     assert attention.shape == (len(rel.ext_targets), cfg.heads)
@@ -215,8 +215,7 @@ def test_gatv2_attention_sums_to_one():
     rel = cache.relations[REL_SOCIAL]
     h = tg.Tensor(np.random.default_rng(11).normal(size=(graph.n_agent_nodes, cfg.f)))
     e = tg.Tensor(np.random.default_rng(12).normal(size=(len(rel.src), cfg.f)))
-    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg,
-                              cache.agent_zeros, return_attention=True)
+    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg, return_attention=True)
     assert attention.shape == (len(rel.ext_targets), cfg.heads)
     sums = np.zeros((rel.n_dst, cfg.heads))
     np.add.at(sums, rel.ext_targets, attention)
@@ -236,14 +235,14 @@ def _gat_inputs(cfg, relation, seed):
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("relation", [REL_SOCIAL, REL_TRAFFIC_INFO])
+@pytest.mark.parametrize("relation", [REL_SOCIAL, REL_TRAFFIC_INFO, REL_DRIVES_ON])
 def test_gatv2_matches_per_head_oracle(heads, relation):
     cfg = tiny_cfg(heads=heads)
     cache, rel, h_src, h_dst, e = _gat_inputs(cfg, relation, seed=41 + heads)
     assert len(rel.src) > 0
     params = init_parameters(cfg, seed=42)
     prefix = "fusion_layer.0.traffic_info"
-    out = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg, cache.agent_zeros)
+    out = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg)
     w1, w2, w3, attn = (params[f"{prefix}.{w}"].data for w in ("w1", "w2", "w3", "attn"))
     expected = gatv2_per_head(h_src.data, h_dst.data, rel.src, rel.dst, e.data,
                               w1, w2, w3, attn, cfg.leaky_slope)
@@ -252,13 +251,14 @@ def test_gatv2_matches_per_head_oracle(heads, relation):
 
 def test_gatv2_gradient_every_weight_entry():
     cfg = tiny_cfg(f=8, heads=2)
-    cache, rel, h_src, h_dst, e = _gat_inputs(cfg, REL_SOCIAL, seed=43)
+    # traffic-info: map sources, agent destinations, so h_src and h_dst differ
+    _, rel, h_src, h_dst, e = _gat_inputs(cfg, REL_TRAFFIC_INFO, seed=43)
     params = init_parameters(cfg, seed=44)
-    weights = [params[f"merge.{w}"] for w in ("w1", "w2", "w3", "attn")]
+    weights = [params[f"merge.{w}"] for w in ("w1", "w2", "w3", "attn")] + [h_src, h_dst, e]
     mix = tg.Tensor(np.random.default_rng(45).normal(size=(rel.n_dst, cfg.f)))
 
     def build():
-        out = gatv2_conv(h_src, h_dst, rel, e, params, "merge", cfg, cache.agent_zeros)
+        out = gatv2_conv(h_src, h_dst, rel, e, params, "merge", cfg)
         return tg.sum_all(tg.mul(out, mix))
 
     with tg.Tape() as tape:
