@@ -150,6 +150,12 @@ def _apply_ablation_flags(cfg, args):
             setattr(cfg.model, "use_" + flag[3:], False)
 
 
+def _graph_stats(graph):
+    """Node counts and edges per relation of one scene's graph."""
+    return {"agent_nodes": graph.n_agent_nodes, "map_nodes": graph.n_map_nodes,
+            "edges": {name: len(pairs) for name, pairs in graph.edges.items()}}
+
+
 def cmd_eval(args):
     cfg = _config_for_checkpoint(args.checkpoint)
     _apply_ablation_flags(cfg, args)
@@ -160,13 +166,14 @@ def cmd_eval(args):
     # beside each report, the constant-velocity start every mode adds to, as one mode
     cv = [compute_metrics(s.cache.start.data.reshape(-1, 1, cfg.model.t_f, 2), s.gt, s.mask)
           for s in samples]
-    rows = [(scene_id, rep, cv_rep) for (scene_id, rep), cv_rep in zip(reports, cv)
-            if rep is not None]
+    lines = [{"scene_id": scene_id, **rep.as_dict(), "cv": cv_rep.as_dict(),
+              "graph": _graph_stats(s.cache.graph)}
+             for (scene_id, rep), cv_rep, s in zip(reports, cv, samples) if rep is not None]
     if aggregate is not None:
-        rows.append(("__aggregate__", aggregate, aggregate_reports(cv)))
+        lines.append({"scene_id": "__aggregate__", **aggregate.as_dict(),
+                      "cv": aggregate_reports(cv).as_dict()})
     with open(args.report, "w", encoding="utf-8") as fh:
-        for scene_id, rep, cv_rep in rows:
-            line = {"scene_id": scene_id, **rep.as_dict(), "cv": cv_rep.as_dict()}
+        for line in lines:
             fh.write(json.dumps(line) + "\n")
     if aggregate is None:
         print("no scene had ground-truth futures; nothing to score")

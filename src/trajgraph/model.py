@@ -62,6 +62,9 @@ class ModelConfig:
             raise ConfigError("t_obs, t_f and modes must be positive")
         if self.dilation < 1 or self.n_map_layers < 0 or self.n_fusion_layers < 0:
             raise ConfigError("dilation must be positive and layer counts non-negative")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            # leaky_relu's branch-free form is exact only for slopes in [0, 1]
+            raise ConfigError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
 
     @property
     def n_agent_layers(self):

@@ -6,6 +6,20 @@ layer normalization, segment softmax, sum and gather for message passing,
 and a total sum. Everything is recorded on an explicit tape; replaying the
 tape in reverse order of recording accumulates gradients into ``.grad``.
 
+Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
+apart from its data. Each recorded op keeps its inputs' and output's slots
+and only the arrays its own backward reads (a product's factors, a
+softmax's output, an activation's mask or derivative, layer norm's
+normalized rows); an intermediate that no backward reads is freed as soon
+as the forward drops it. Backward consumes the tape: each record is popped
+as it runs, and each op takes and clears its output's gradient, so
+intermediate gradients die as backward goes. Pass-through ops (add, sub,
+add_scalar, reshape, concat, concat_rows) hand that buffer, or views of
+it, to an input instead of copying; add copies only when both inputs take
+a gradient and the second holds none yet. After backward only leaves hold
+``.grad``, which may be a view of a larger buffer (no two leaves' views
+overlap).
+
 Determinism contract: identical inputs and identical edge ordering produce
 bitwise-identical outputs and gradients. Segment aggregation and gather
 gradients go through the numpy kernels in ``kernels`` (there is no other
@@ -24,25 +38,47 @@ _MAX_RANK = 4
 _tape_stack = []
 
 
+class _GradSlot:
+    """A tensor's gradient state, which backward closures hold instead of
+    the tensor so that they do not keep its data alive."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad):
+        self.grad = None
+        self.requires_grad = requires_grad
+
+
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim > _MAX_RANK:
             raise DimensionError(f"rank {arr.ndim} exceeds supported maximum {_MAX_RANK}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._slot = _GradSlot(bool(requires_grad))
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def requires_grad(self):
+        return self._slot.requires_grad
+
+    @property
+    def grad(self):
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._slot.grad = value
+
     def zero_grad(self):
-        self.grad = None
+        self._slot.grad = None
 
     def item(self):
         if self.data.size != 1:
@@ -57,7 +93,8 @@ class Tape:
     """Ordered record of operations for one backward pass.
 
     Use as a context manager around the forward computation, then call
-    ``backward(loss)`` once. A second backward on the same tape raises.
+    ``backward(loss)`` once; it pops each record as it runs it. A second
+    backward on the same tape raises.
     """
 
     def __init__(self):
@@ -84,44 +121,54 @@ class Tape:
             raise DimensionError(f"backward needs a scalar output, got shape {out.data.shape}")
         self._used = True
         out.grad = np.ones_like(out.data)
-        for fn in reversed(self._records):
-            fn()
+        records = self._records
+        while records:
+            records.pop()()
 
 
 def active_tape():
     return _tape_stack[-1] if _tape_stack else None
 
 
-def _accumulate(t, g):
-    """Add g into t.grad; g may alias another array, so copy on first use."""
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+def _slot_of(t):
+    """t's gradient slot if t takes a gradient, else None."""
+    return t._slot if t._slot.requires_grad else None
 
 
-def _accumulate_owned(t, g):
-    """Add g into t.grad, taking ownership of a freshly allocated g."""
-    if t.grad is None:
-        t.grad = g
+def _give(slot, g):
+    """Hand the owned array g to slot: it becomes the gradient, or is added
+    onto the one held."""
+    if slot.grad is None:
+        slot.grad = g
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def _wrap(data, requires_grad):
     # internal fast path: data is a fresh contiguous float64 array
     out = object.__new__(Tensor)
     out.data = data
-    out.requires_grad = requires_grad
-    out.grad = None
+    out._slot = _GradSlot(requires_grad)
     return out
 
 
 def _make_output(data, inputs):
     tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = tape is not None and any(t._slot.requires_grad for t in inputs)
     out = _wrap(data, track)
     return out, (tape if track else None)
+
+
+def _on_backward(tape, out, bwd):
+    """Record bwd(g) on the tape. At backward time it takes the gradient
+    that out holds, clearing out's slot, and is skipped if there is none."""
+    so = out._slot
+    def run():
+        g = so.grad
+        if g is not None:
+            so.grad = None
+            bwd(g)
+    tape._record(run)
 
 
 # --- linear algebra -------------------------------------------------------
@@ -132,14 +179,15 @@ def matmul(a, b):
         raise DimensionError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
     out, tape = _make_output(a.data @ b.data, (a, b))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate_owned(a, out.grad @ b.data.T)
-            if b.requires_grad:
-                _accumulate_owned(b, a.data.T @ out.grad)
-        tape._record(bwd)
+        sa, sb = _slot_of(a), _slot_of(b)
+        a_data = a.data if sb else None
+        b_data = b.data if sa else None
+        def bwd(g):
+            if sa:
+                _give(sa, g @ b_data.T)
+            if sb:
+                _give(sb, a_data.T @ g)
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -162,49 +210,53 @@ def add(a, b):
     broadcast = _broadcast_check(a, b)
     out, tape = _make_output(a.data + b.data, (a, b))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad)
-            if b.requires_grad:
+        sa, sb = _slot_of(a), _slot_of(b)
+        b_shape = b.data.shape
+        def bwd(g):
+            if sa:
+                _give(sa, g)
+            if sb:
                 if broadcast:
-                    _accumulate_owned(b, _reduce_to(b.data.shape, out.grad))
+                    _give(sb, _reduce_to(b_shape, g))
+                elif sa and sb.grad is None:
+                    sb.grad = g.copy()  # g itself went to a
                 else:
-                    _accumulate(b, out.grad)
-        tape._record(bwd)
+                    _give(sb, g)
+        _on_backward(tape, out, bwd)
     return out
 
 
 def sub(a, b):
-    broadcast = _broadcast_check(a, b)
+    _broadcast_check(a, b)
     out, tape = _make_output(a.data - b.data, (a, b))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad)
-            if b.requires_grad:
-                g = -out.grad
-                _accumulate_owned(b, _reduce_to(b.data.shape, g) if broadcast else g)
-        tape._record(bwd)
+        sa, sb = _slot_of(a), _slot_of(b)
+        b_shape = b.data.shape
+        def bwd(g):
+            if sb:
+                neg = _reduce_to(b_shape, -g)
+            if sa:
+                _give(sa, g)
+            if sb:
+                _give(sb, neg)
+        _on_backward(tape, out, bwd)
     return out
 
 
 def mul(a, b):
-    broadcast = _broadcast_check(a, b)
+    _broadcast_check(a, b)
     out, tape = _make_output(a.data * b.data, (a, b))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate_owned(a, out.grad * b.data)
-            if b.requires_grad:
-                g = out.grad * a.data
-                _accumulate_owned(b, _reduce_to(b.data.shape, g) if broadcast else g)
-        tape._record(bwd)
+        sa, sb = _slot_of(a), _slot_of(b)
+        a_data = a.data if sb else None
+        b_data = b.data if sa else None
+        b_shape = b.data.shape
+        def bwd(g):
+            if sa:
+                _give(sa, g * b_data)
+            if sb:
+                _give(sb, _reduce_to(b_shape, g * a_data))
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -213,10 +265,8 @@ def scale(a, c):
     c = float(c)
     out, tape = _make_output(a.data * c, (a,))
     if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * c)
-        tape._record(bwd)
+        sa = a._slot
+        _on_backward(tape, out, lambda g: _give(sa, g * c))
     return out
 
 
@@ -224,10 +274,8 @@ def add_scalar(a, c):
     c = float(c)
     out, tape = _make_output(a.data + c, (a,))
     if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate(a, out.grad)
-        tape._record(bwd)
+        sa = a._slot
+        _on_backward(tape, out, lambda g: _give(sa, g))
     return out
 
 
@@ -237,14 +285,15 @@ def scale_rows(a, s):
         raise DimensionError(f"scale_rows shapes incompatible: {a.data.shape} vs {s.data.shape}")
     out, tape = _make_output(a.data * s.data, (a, s))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate_owned(a, out.grad * s.data)
-            if s.requires_grad:
-                _accumulate_owned(s, (out.grad * a.data).sum(axis=1, keepdims=True))
-        tape._record(bwd)
+        sa, ss = _slot_of(a), _slot_of(s)
+        a_data = a.data if ss else None
+        s_data = s.data if sa else None
+        def bwd(g):
+            if sa:
+                _give(sa, g * s_data)
+            if ss:
+                _give(ss, (g * a_data).sum(axis=1, keepdims=True))
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -254,24 +303,25 @@ def relu(a):
     """max(0, x); subgradient 0 at the kink."""
     out, tape = _make_output(np.maximum(a.data, 0.0), (a,))
     if tape:
+        sa = a._slot
         mask = a.data > 0.0
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * mask)
-        tape._record(bwd)
+        _on_backward(tape, out, lambda g: _give(sa, g * mask))
     return out
 
 
 def leaky_relu(a, slope):
-    """x for x > 0 else slope*x; subgradient slope at the kink."""
+    """x for x > 0 else slope*x; subgradient slope at the kink.
+
+    Computed without branches as x * deriv, deriv = [x > 0] (1 - slope) +
+    slope, which equals the two-branch form bitwise for slope in [0, 1].
+    """
     slope = float(slope)
-    out, tape = _make_output(np.where(a.data > 0.0, a.data, slope * a.data), (a,))
+    deriv = (a.data > 0.0) * (1.0 - slope)
+    deriv += slope
+    out, tape = _make_output(a.data * deriv, (a,))
     if tape:
-        deriv = np.where(a.data > 0.0, 1.0, slope)
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * deriv)
-        tape._record(bwd)
+        sa = a._slot
+        _on_backward(tape, out, lambda g: _give(sa, g * deriv))
     return out
 
 
@@ -279,11 +329,9 @@ def absolute(a):
     """|x|; subgradient 0 at the kink."""
     out, tape = _make_output(np.abs(a.data), (a,))
     if tape:
+        sa = a._slot
         sign = np.sign(a.data)
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, out.grad * sign)
-        tape._record(bwd)
+        _on_backward(tape, out, lambda g: _give(sa, g * sign))
     return out
 
 
@@ -313,19 +361,19 @@ def layer_norm(a, gain, offset):
     xhat = xc * inv
     out, tape = _make_output(xhat * g_row + b_row, (a, gain, offset))
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
-            if gain.requires_grad:
-                _accumulate_owned(gain, (out.grad * xhat).sum(axis=0).reshape(gain.data.shape))
-            if offset.requires_grad:
-                _accumulate_owned(offset, out.grad.sum(axis=0).reshape(offset.data.shape))
-            if a.requires_grad:
-                dxhat = out.grad * g_row
+        sa, s_gain, s_offset = _slot_of(a), _slot_of(gain), _slot_of(offset)
+        gain_shape, offset_shape = gain.data.shape, offset.data.shape
+        def bwd(g):
+            if s_gain:
+                _give(s_gain, (g * xhat).sum(axis=0).reshape(gain_shape))
+            if s_offset:
+                _give(s_offset, g.sum(axis=0).reshape(offset_shape))
+            if sa:
+                dxhat = g * g_row
                 m1 = dxhat.mean(axis=1, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-                _accumulate_owned(a, inv * (dxhat - m1 - xhat * m2))
-        tape._record(bwd)
+                _give(sa, inv * (dxhat - m1 - xhat * m2))
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -348,10 +396,8 @@ def segment_sum(messages, targets, n):
     targets = _check_targets(targets, n, messages.data.shape[0])
     out, tape = _make_output(kernels.segment_sum(messages.data, targets, n), (messages,))
     if tape:
-        def bwd():
-            if out.grad is not None and messages.requires_grad:
-                _accumulate_owned(messages, out.grad[targets])
-        tape._record(bwd)
+        sm = messages._slot
+        _on_backward(tape, out, lambda g: _give(sm, g[targets]))
     return out
 
 
@@ -371,12 +417,11 @@ def segment_softmax(logits, targets, n):
         result = np.zeros_like(logits.data)
     out, tape = _make_output(result, (logits,))
     if tape:
-        def bwd():
-            if out.grad is None or not logits.requires_grad:
-                return
-            weighted = kernels.segment_sum(out.data * out.grad, targets, n)
-            _accumulate_owned(logits, out.data * (out.grad - weighted[targets]))
-        tape._record(bwd)
+        sl = logits._slot
+        def bwd(g):
+            weighted = kernels.segment_sum(result * g, targets, n)
+            _give(sl, result * (g - weighted[targets]))
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -387,12 +432,13 @@ def gather_rows(a, idx):
         raise IndexError(f"gather index out of range [0, {a.data.shape[0]})")
     out, tape = _make_output(a.data[idx], (a,))
     if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                kernels.add_rows_at(a.grad, idx, out.grad)
-        tape._record(bwd)
+        sa = a._slot
+        shape = a.data.shape
+        def bwd(g):
+            if sa.grad is None:
+                sa.grad = np.zeros(shape)
+            kernels.add_rows_at(sa.grad, idx, g)
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -401,36 +447,34 @@ def gather_rows(a, idx):
 def concat(parts):
     """Concatenate [n,f_i] tensors along the feature axis."""
     parts = list(parts)
-    widths = [p.data.shape[1] for p in parts]
     out, tape = _make_output(np.concatenate([p.data for p in parts], axis=1), parts)
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
+        slots = [_slot_of(p) for p in parts]
+        widths = [p.data.shape[1] for p in parts]
+        def bwd(g):
             off = 0
-            for p, w in zip(parts, widths):
-                if p.requires_grad:
-                    _accumulate(p, out.grad[:, off:off + w])
+            for s, w in zip(slots, widths):
+                if s:
+                    _give(s, g[:, off:off + w])
                 off += w
-        tape._record(bwd)
+        _on_backward(tape, out, bwd)
     return out
 
 
 def concat_rows(parts):
     """Stack [n_i,f] tensors vertically."""
     parts = list(parts)
-    heights = [p.data.shape[0] for p in parts]
     out, tape = _make_output(np.concatenate([p.data for p in parts], axis=0), parts)
     if tape:
-        def bwd():
-            if out.grad is None:
-                return
+        slots = [_slot_of(p) for p in parts]
+        heights = [p.data.shape[0] for p in parts]
+        def bwd(g):
             off = 0
-            for p, h in zip(parts, heights):
-                if p.requires_grad:
-                    _accumulate(p, out.grad[off:off + h])
+            for s, h in zip(slots, heights):
+                if s:
+                    _give(s, g[off:off + h])
                 off += h
-        tape._record(bwd)
+        _on_backward(tape, out, bwd)
     return out
 
 
@@ -440,10 +484,9 @@ def reshape(a, shape):
         raise DimensionError(f"rank {len(shape)} exceeds supported maximum {_MAX_RANK}")
     out, tape = _make_output(a.data.reshape(shape), (a,))
     if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate(a, out.grad.reshape(a.data.shape))
-        tape._record(bwd)
+        sa = a._slot
+        in_shape = a.data.shape
+        _on_backward(tape, out, lambda g: _give(sa, g.reshape(in_shape)))
     return out
 
 
@@ -453,8 +496,7 @@ def sum_all(a):
     """Sum all entries into a single-element tensor."""
     out, tape = _make_output(np.array([a.data.sum()]), (a,))
     if tape:
-        def bwd():
-            if out.grad is not None and a.requires_grad:
-                _accumulate_owned(a, np.full_like(a.data, out.grad[0]))
-        tape._record(bwd)
+        sa = a._slot
+        shape = a.data.shape
+        _on_backward(tape, out, lambda g: _give(sa, np.full(shape, g[0], dtype=np.float64)))
     return out

@@ -16,15 +16,17 @@ from trajgraph.config import (
     RunConfig, load_config, run_config_from_dict, save_config,
 )
 from trajgraph.errors import CheckpointError, ConfigError, ParseError, ValidationError
-from trajgraph.graph import GraphConfig
+from trajgraph.graph import GraphConfig, build_graph
 from trajgraph.losses import LossConfig
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, init_parameters, load_checkpoint,
     save_checkpoint,
 )
 from trajgraph.optim import OptimConfig
-from trajgraph.scene import load_scenes
+from trajgraph.scene import load_scenes, normalize_scene
 from trajgraph.train import prepare_samples
+
+from oracles import relation_names
 
 
 def tiny_run_config(**model_kw):
@@ -327,6 +329,26 @@ def test_eval_reports_constant_velocity_row(tmp_path):
         assert line["cv"]["minADE"] <= 1e-9 and line["cv"]["minFDE"] <= 1e-9
 
 
+def test_eval_reports_graph_statistics(trained, tmp_path):
+    out, data = trained
+    report = tmp_path / "report.jsonl"
+    rc = main(["eval", "--checkpoint", str(out / "checkpoint_final.bin"),
+               "--data", str(data), "--report", str(report)])
+    assert rc == 0
+    cfg = load_config(out / "config.json")
+    graphs = {scene.scene_id: build_graph(normalize_scene(scene), cfg.graph)
+              for scene in load_scenes(data, cfg.segment_len)}
+    lines = [json.loads(l) for l in report.read_text().strip().splitlines()]
+    assert [l["scene_id"] for l in lines] == [*graphs, "__aggregate__"]
+    assert "graph" not in lines[-1]
+    for line in lines[:-1]:
+        graph = graphs[line["scene_id"]]
+        assert line["graph"] == {
+            "agent_nodes": graph.n_agent_nodes, "map_nodes": graph.n_map_nodes,
+            "edges": {name: int(pairs.shape[0]) for name, pairs in graph.edges.items()}}
+        assert set(line["graph"]["edges"]) == set(relation_names(cfg.graph.dilation))
+
+
 def test_eval_flag_mismatch_refused(tmp_path, capsys):
     data = gen_data(tmp_path)
     out = train_run(tmp_path, data, out="run_full")
@@ -541,6 +563,10 @@ def test_missing_config_file_exits_2(trained, tmp_path):
                  id="t-th-negative"),
     pytest.param('{"loss": {"margin": Infinity}}', "margin must be finite float, got float inf",
                  id="margin-infinity"),
+    pytest.param('{"model": {"leaky_slope": 1.5}}', "leaky_slope must be in [0, 1], got 1.5",
+                 id="leaky-slope-above-one"),
+    pytest.param('{"model": {"leaky_slope": -3.3}}', "leaky_slope must be in [0, 1], got -3.3",
+                 id="leaky-slope-negative"),
 ])
 def test_mistyped_config_exits_2(tmp_path, text, message):
     data = gen_data(tmp_path)

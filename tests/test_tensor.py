@@ -1,8 +1,16 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from trajgraph import tensor as tg
+from trajgraph.config import RunConfig
 from trajgraph.errors import DimensionError, TapeError
+from trajgraph.losses import total_loss
+from trajgraph.model import forward, init_parameters
+from trajgraph.synthetic import SyntheticSpec, generate_synthetic
+from trajgraph.train import prepare_samples
 
 from oracles import grad_rel_error, numeric_gradient
 
@@ -88,6 +96,21 @@ def test_activation_gradients_away_from_kink():
     check_gradients(lambda: tg.sum_all(tg.mul(tg.leaky_relu(a, 0.2), w)), [a])
     a.zero_grad()
     check_gradients(lambda: tg.sum_all(tg.mul(tg.absolute(a), w)), [a])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+def test_leaky_relu_equals_two_branch_form_bitwise(slope):
+    rng = np.random.default_rng(59)
+    x = rng.normal(size=(64, 8)) * np.exp(rng.uniform(-20.0, 20.0, size=(64, 8)))
+    x[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    a = tg.Tensor(x, requires_grad=True)
+    with tg.Tape() as tape:
+        out = tg.leaky_relu(a, slope)
+        total = tg.sum_all(out)
+    tape.backward(total)
+    assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
+    # a unit upstream gradient leaves the derivative itself on the input
+    assert a.grad.tobytes() == np.where(x > 0.0, 1.0, slope).tobytes()
 
 
 def test_layer_norm_constant_row():
@@ -289,3 +312,137 @@ def test_zero_extent_tensors_flow():
     a = tg.Tensor(np.zeros((0, 3)))
     b = tg.Tensor(np.zeros((3, 2)))
     assert tg.matmul(a, b).shape == (0, 2)
+
+
+# --- gradient hand-off and the tape's memory ---------------------------------
+
+_HAND_OFF_CASES = {
+    # name: (build(x, y) -> tensor, shape of the upstream weights W,
+    #        (x.grad, y.grad) in closed form from W; None for no gradient)
+    "add": (lambda x, y: tg.add(x, y), (3, 2), lambda w: (w, w)),
+    "add-self": (lambda x, y: tg.add(x, x), (3, 2), lambda w: (w + w, None)),
+    "sub-self": (lambda x, y: tg.sub(x, x), (3, 2), lambda w: (w - w, None)),
+    "concat-rows-self": (lambda x, y: tg.concat_rows([x, x]), (6, 2),
+                         lambda w: (w[:3] + w[3:], None)),
+    "concat-self": (lambda x, y: tg.concat([x, x]), (3, 4),
+                    lambda w: (w[:, :2] + w[:, 2:], None)),
+    "concat": (lambda x, y: tg.concat([x, y]), (3, 4), lambda w: (w[:, :2], w[:, 2:])),
+    "reshape": (lambda x, y: tg.reshape(x, (2, 3)), (2, 3), lambda w: (w.reshape(3, 2), None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_OFF_CASES))
+def test_pass_through_gradients_in_closed_form(case):
+    build, w_shape, expected = _HAND_OFF_CASES[case]
+    rng = np.random.default_rng(61)
+    x, y = (tg.Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+    w = rng.normal(size=w_shape)
+    with tg.Tape() as tape:
+        mid = build(x, y)
+        out = tg.sum_all(tg.mul(mid, tg.Tensor(w)))
+    tape.backward(out)
+    for leaf, want in zip((x, y), expected(w)):
+        if want is None:
+            assert leaf.grad is None
+        else:
+            assert leaf.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+    if x.grad is not None and y.grad is not None:
+        assert not np.shares_memory(x.grad, y.grad)
+    # backward consumed the tape; only leaves keep a gradient
+    assert mid.grad is None and out.grad is None and not tape._records
+
+
+def test_dropped_gather_output_is_freed_while_the_tape_lives():
+    x = tg.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    y = tg.Tensor(np.ones((5, 3)), requires_grad=True)
+    with tg.Tape() as tape:
+        gathered = tg.gather_rows(x, [0, 2, 2, 3, 1])
+        data_ref = weakref.ref(gathered.data)
+        total = tg.add(gathered, y)
+        del gathered
+        assert data_ref() is None
+        out = tg.sum_all(total)
+    tape.backward(out)
+    assert x.grad.tolist() == [[1.0] * 3, [1.0] * 3, [2.0] * 3, [1.0] * 3]
+
+
+def _default_model_scenes(n_scenes):
+    """Default configuration, synthetic 4-agent/2-lane scenes, and initial
+    parameters whose head output layers are not zero (so every parameter
+    takes a gradient)."""
+    cfg = RunConfig()
+    spec = SyntheticSpec(scenes=n_scenes, agents=4, lanes=2, t_obs=cfg.model.t_obs,
+                         t_f=cfg.model.t_f, dt=0.1, noise=0.05, curved=True)
+    samples = prepare_samples(generate_synthetic(spec, 3), cfg)
+    params = init_parameters(cfg.model, 1)
+    rng = np.random.default_rng(67)
+    for name, t in params.items():
+        if name.startswith("head.") and ".l2." in name:
+            t.data = rng.uniform(-0.05, 0.05, size=t.data.shape)
+    return cfg, samples, params
+
+
+def _scene_backward(sample, params, cfg):
+    """One scene's backward into params, scaled as in a batch of two."""
+    with tg.Tape() as tape:
+        loss, _, _ = total_loss(forward(sample.cache, params, cfg.model),
+                                sample.gt, sample.mask, cfg.loss)
+        scaled = tg.scale(loss, 0.5)
+    tape.backward(scaled)
+
+
+def test_backward_memory_stays_near_the_forward_and_frees_the_tape():
+    cfg, (sample,), params = _default_model_scenes(1)
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
+    tracemalloc.start()
+    try:
+        with tg.Tape() as tape:
+            loss, _, _ = total_loss(forward(sample.cache, params, cfg.model),
+                                    sample.gt, sample.mask, cfg.loss)
+        end_of_forward, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * end_of_forward, (peak, end_of_forward)
+    # the tape and the loss are still alive: only the leaves' gradients remain
+    assert after <= 1.5 * param_bytes, (after, param_bytes)
+
+
+def test_two_scene_accumulation_equals_separate_gradients():
+    cfg, samples, params = _default_model_scenes(2)
+    names = params.paths()
+
+    def grads():
+        return {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                for n, t in params.items()}
+
+    separate = []
+    for sample in samples:
+        params.zero_grads()
+        _scene_backward(sample, params, cfg)
+        separate.append(grads())
+    params.zero_grads()
+    for sample in samples:  # as train does: one ModelParameters, one tape per scene
+        _scene_backward(sample, params, cfg)
+    accumulated = grads()
+    leaves = [t.grad for _, t in params.items()]
+    for i, g in enumerate(leaves):
+        for h in leaves[i + 1:]:
+            assert not np.shares_memory(g, h)
+
+    # the second scene onto fresh copies of the first scene's gradients
+    for name, t in params.items():
+        t.grad = separate[0][name].copy()
+    _scene_backward(samples[1], params, cfg)
+    for name in names:
+        assert accumulated[name].tobytes() == params[name].grad.tobytes(), name
+    # a parameter read once per scene takes one addition per scene, so its
+    # sum is exact; the shared edge MLP is read once per call-site and adds
+    # its contributions one by one onto what it holds
+    once = [n for n in names if not n.startswith("embed.edge.")]
+    assert len(once) == len(names) - 4
+    for name in once:
+        total = separate[0][name] + separate[1][name]
+        assert accumulated[name].tobytes() == total.tobytes(), name
