@@ -10,6 +10,7 @@ from .graph import GraphConfig
 from .losses import LossConfig
 from .model import ModelConfig
 from .optim import OptimConfig
+from .scene import DEFAULT_SEGMENT_LEN
 
 
 @dataclass
@@ -18,7 +19,7 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optim: OptimConfig = field(default_factory=OptimConfig)
-    segment_len: float = 3.0
+    segment_len: float = DEFAULT_SEGMENT_LEN
     seed: int = 0
     data: str = None
     val_data: str = None

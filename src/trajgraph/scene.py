@@ -6,14 +6,15 @@ One scene per line, JSON-encoded, fields:
   lanes[{lane_id, left_lane_id?, right_lane_id?, centerline[[x,y]]}]
 Units are meters, seconds, radians; encoding UTF-8.
 
-Lane centerlines are resampled into fixed-length segments at load time;
-normalization translates a scene into its local frame and crops it to the
-160 m x 160 m region of interest.
+Loading a record parses it, validates the scene once, cuts each lane
+centerline into fixed-length chords by array code, then checks only the new
+chords. Normalization translates a scene into its local frame and crops it
+to the 160 m x 160 m region of interest.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,9 +135,6 @@ def validate_scene(scene):
         _require(len(lane.centerline) >= 2, scene.scene_id, fld, "centerline needs >= 2 points")
         for x, y in lane.centerline:
             _require(_finite(x, y), scene.scene_id, fld, "non-finite centerline point")
-    for seg in scene.segments:
-        _require((seg.dx, seg.dy) != (0.0, 0.0), scene.scene_id,
-                 f"segments[{seg.lane_id}:{seg.index_in_lane}]", "zero direction vector")
 
 
 def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, right_lane_id=None):
@@ -148,7 +146,7 @@ def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, righ
     """
     if len(polyline) < 2:
         raise ValidationError(f"lane {lane_id!r}: polyline needs >= 2 points")
-    if target_len <= 0:
+    if not target_len > 0:
         raise ValidationError(f"lane {lane_id!r}: target_len must be positive")
     pts = np.asarray(polyline, dtype=np.float64)
     deltas = np.diff(pts, axis=0)
@@ -160,30 +158,16 @@ def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, righ
     if total > MAX_LANE_SEGMENTS * target_len:
         raise ValidationError(f"lane {lane_id!r}: {total:.3g} m, over {MAX_LANE_SEGMENTS} segments")
 
-    def point_at(s):
-        i = int(np.searchsorted(cumulative, s, side="right")) - 1
-        i = min(max(i, 0), len(lengths) - 1)
-        if lengths[i] == 0.0:
-            return pts[i]
-        frac = (s - cumulative[i]) / lengths[i]
-        return pts[i] + frac * deltas[i]
-
-    cut_points = [pts[0]]
-    s = target_len
-    while s < total - 1e-9:
-        cut_points.append(point_at(s))
-        s += target_len
-    cut_points.append(pts[-1])
-
-    segments = []
-    for idx in range(len(cut_points) - 1):
-        a, b = cut_points[idx], cut_points[idx + 1]
-        segments.append(MapSegment(
-            x=float((a[0] + b[0]) / 2.0), y=float((a[1] + b[1]) / 2.0),
-            dx=float(b[0] - a[0]), dy=float(b[1] - a[1]),
-            lane_id=lane_id, index_in_lane=idx,
-            left_lane_id=left_lane_id, right_lane_id=right_lane_id))
-    return segments
+    # a cut s in (0, total) has cumulative[i] <= s < cumulative[i+1]: its piece is not empty
+    cuts = np.cumsum(np.full(int(total / target_len) + 2, target_len, dtype=np.float64))
+    cuts = cuts[cuts < total - 1e-9]
+    i = np.searchsorted(cumulative, cuts, side="right") - 1
+    frac = (cuts - cumulative[i]) / lengths[i]
+    points = np.concatenate([pts[:1], pts[i] + frac[:, None] * deltas[i], pts[-1:]])
+    mids = ((points[:-1] + points[1:]) / 2.0).tolist()
+    chords = (points[1:] - points[:-1]).tolist()
+    return [MapSegment(x, y, dx, dy, lane_id, idx, left_lane_id, right_lane_id)
+            for idx, ((x, y), (dx, dy)) in enumerate(zip(mids, chords))]
 
 
 def build_segments(scene, segment_len=DEFAULT_SEGMENT_LEN):
@@ -265,7 +249,9 @@ def _record_to_scene(rec, line_no, segment_len):
         raise ParseError(f"line {line_no}: malformed scene record ({exc})") from exc
     validate_scene(scene)
     scene.segments = build_segments(scene, segment_len)
-    validate_scene(scene)
+    for seg in scene.segments:
+        _require((seg.dx, seg.dy) != (0.0, 0.0), scene.scene_id,
+                 f"segments[{seg.lane_id}:{seg.index_in_lane}]", "zero direction vector")
     return scene
 
 
@@ -358,11 +344,9 @@ def normalize_scene(scene, rule=None):
             continue
         tracks.append(moved)
 
-    segments = []
-    for seg in scene.segments:
-        moved = replace(seg, x=seg.x - ox, y=seg.y - oy)
-        if _inside_crop(moved.x, moved.y):
-            segments.append(moved)
+    segments = [MapSegment(s.x - ox, s.y - oy, s.dx, s.dy, s.lane_id, s.index_in_lane,
+                           s.left_lane_id, s.right_lane_id)
+                for s in scene.segments if _inside_crop(s.x - ox, s.y - oy)]
 
     lanes = [Lane(l.lane_id, [(x - ox, y - oy) for x, y in l.centerline],
                   l.left_lane_id, l.right_lane_id) for l in scene.lanes]

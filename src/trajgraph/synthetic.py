@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import AgentState, AgentTrack, Lane, Scene, build_segments
+from .scene import (DEFAULT_SEGMENT_LEN, ORIGIN_GEOMETRIC_CENTER, AgentState, AgentTrack,
+                    Lane, Scene, build_segments)
 
 LANE_LENGTH = 120.0
 LANE_SPACING = 3.5
 POINT_SPACING = 5.0
+SPEED_MIN = 4.0  # m/s; each agent's constant speed is drawn uniformly in between
+SPEED_MAX = 9.0
 
 
 @dataclass
@@ -31,10 +34,7 @@ class SyntheticSpec:
     dt: float
     noise: float = 0.0
     curved: bool = False
-    speed_min: float = 4.0
-    speed_max: float = 9.0
-    segment_len: float = 3.0
-    origin_rule: str = "geometric-center"
+    segment_len: float = DEFAULT_SEGMENT_LEN
     split_pairs: bool = True
 
 
@@ -118,7 +118,7 @@ def _build_lanes(rng, spec, scene_idx):
 
 
 def _build_track(rng, spec, geom, lateral, agent_id, is_ego):
-    speed = rng.uniform(spec.speed_min, spec.speed_max)
+    speed = rng.uniform(SPEED_MIN, SPEED_MAX)
     s0 = rng.uniform(0.25 * LANE_LENGTH, 0.45 * LANE_LENGTH)
     past = []
     for t in range(spec.t_obs):
@@ -157,7 +157,7 @@ def generate_synthetic(spec, seed):
                 rng, spec, geom, lateral, agent_id=f"s{i}-a{a}", is_ego=(a == 0)))
         scene = Scene(
             scene_id=f"synth-{i:04d}", t_obs=spec.t_obs, t_f=spec.t_f, dt=spec.dt,
-            origin_rule=spec.origin_rule, tracks=tracks, lanes=lanes)
+            origin_rule=ORIGIN_GEOMETRIC_CENTER, tracks=tracks, lanes=lanes)
         scene.segments = build_segments(scene, spec.segment_len)
         scenes.append(scene)
     return scenes

@@ -165,6 +165,40 @@ def polyline_arc_length(points):
     return total
 
 
+def segment_centerline_by_loop(polyline, target_len):
+    """Chord cutting one cut point at a time, as a Python loop over arc
+    length (reference for the array code). Returns one
+    (x, y, dx, dy, index_in_lane) tuple per chord, or None for a polyline the
+    real code must reject."""
+    pts = np.asarray(polyline, dtype=np.float64)
+    if len(pts) < 2 or target_len <= 0:
+        return None
+    deltas = np.diff(pts, axis=0)
+    lengths = np.hypot(deltas[:, 0], deltas[:, 1])
+    cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
+    total = float(cumulative[-1])
+    if total <= 0.0 or total > 10_000 * target_len:
+        return None
+
+    def point_at(s):
+        i = int(np.searchsorted(cumulative, s, side="right")) - 1
+        i = min(max(i, 0), len(lengths) - 1)
+        if lengths[i] == 0.0:
+            return pts[i]
+        frac = (s - cumulative[i]) / lengths[i]
+        return pts[i] + frac * deltas[i]
+
+    cut_points = [pts[0]]
+    s = target_len
+    while s < total - 1e-9:
+        cut_points.append(point_at(s))
+        s += target_len
+    cut_points.append(pts[-1])
+    return [(float((a[0] + b[0]) / 2.0), float((a[1] + b[1]) / 2.0),
+             float(b[0] - a[0]), float(b[1] - a[1]), idx)
+            for idx, (a, b) in enumerate(zip(cut_points, cut_points[1:]))]
+
+
 def gatv2_per_head(h_src, h_dst, src, dst, edge_h, w1, w2, w3, attn, slope):
     """GATv2 head by head, destination by destination, from the slices
     w[:, h, :] of stacked [n_in, heads, dh] weights (attn is [1, heads, dh]).

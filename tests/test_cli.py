@@ -437,6 +437,17 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_zero_chord_lane_exit_code(tmp_path, capsys):
+    rec = copy.deepcopy(_SCENE_RECORD)
+    rec["lanes"] = [{"lane_id": "l", "centerline": [[0.0, 0.0], [1.5, 0.0], [0.0, 0.0]]}]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(rec) + "\n")
+    rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "segments[l:0]" in err and "zero direction vector" in err
+
+
 def test_missing_config_beside_checkpoint(tmp_path):
     ckpt = tmp_path / "lonely.bin"
     ckpt.write_bytes(CHECKPOINT_MAGIC)

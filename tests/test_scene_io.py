@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trajgraph import scene as scene_mod
 from trajgraph.errors import ConfigError, ParseError, ValidationError
 from trajgraph.scene import (
     AgentState, AgentTrack, Lane, Scene, build_segments, load_scenes,
@@ -11,7 +13,7 @@ from trajgraph.scene import (
 )
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
-from oracles import polyline_arc_length
+from oracles import polyline_arc_length, segment_centerline_by_loop
 
 
 def make_scene(tracks, lanes=(), scene_id="s0", t_obs=3, t_f=2, dt=0.1,
@@ -105,6 +107,28 @@ def test_duplicate_agent_id_rejected(tmp_path):
     save_scenes([scene], path)
     with pytest.raises(ValidationError, match="duplicate agent_id"):
         load_scenes(path)
+
+
+def test_load_validates_each_scene_once(tmp_path, monkeypatch):
+    spec = SyntheticSpec(scenes=3, agents=2, lanes=2, t_obs=4, t_f=3, dt=0.1)
+    path = tmp_path / "scenes.jsonl"
+    save_scenes(generate_synthetic(spec, seed=2), path)
+    calls = []
+    validate = scene_mod.validate_scene
+    monkeypatch.setattr(scene_mod, "validate_scene",
+                        lambda scene: calls.append(scene.scene_id) or validate(scene))
+    load_scenes(path)
+    assert calls == ["synth-0000", "synth-0001", "synth-0002"]
+
+
+def test_zero_chord_rejected(tmp_path):
+    # out and back: the lane's one 3 m chord starts and ends at the origin
+    scene = make_scene([straight_track("a0")],
+                       [Lane("l", [(0.0, 0.0), (1.5, 0.0), (0.0, 0.0)])])
+    path = tmp_path / "scenes.jsonl"
+    save_scenes([scene], path)
+    with pytest.raises(ValidationError, match=r"segments\[l:0\].*zero direction vector"):
+        load_scenes(path, segment_len=3.0)
 
 
 # --- normalization --------------------------------------------------------
@@ -236,6 +260,64 @@ def test_overlong_lane_rejected():
         with pytest.raises(ValidationError, match="over 10000 segments"), \
                 np.errstate(over="ignore"):  # the +-1e308 chord overflows to inf
             segment_centerline(pts, step, "l")
+
+
+_COORD = st.floats(-50.0, 50.0) | st.integers(-40, 40).map(float)
+_TARGET_LEN = st.floats(0.1, 30.0) | st.integers(1, 12)
+
+
+@st.composite
+def _free_polylines(draw):
+    """Polylines of up to 8 distinct points, each repeated up to 3 times."""
+    points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    return [p for p, r in zip(points, repeats) for _ in range(r)], draw(_TARGET_LEN)
+
+
+@st.composite
+def _multiple_polylines(draw):
+    """Straight lines whose length is an exact multiple of target_len or
+    within 2e-9 of one, split at up to four drawn fractions (repeats included)."""
+    target = draw(_TARGET_LEN)
+    nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10, 2e-9, -2e-9]))
+    length = draw(st.integers(1, 40)) * target + nudge
+    ux, uy = draw(st.sampled_from([(1.0, 0.0), (0.6, 0.8), (0.0, -1.0)]))
+    x0, y0 = draw(_COORD), draw(_COORD)
+    fracs = [0.0] + sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4))) + [1.0]
+    return [(x0 + f * length * ux, y0 + f * length * uy) for f in fracs], target
+
+
+@st.composite
+def _bound_polylines(draw):
+    """Two-point lines around the 10,000-chord bound."""
+    target = draw(st.floats(0.01, 5.0) | st.integers(1, 3))
+    chords = draw(st.integers(9_999, 10_001))
+    nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.5]))
+    return [(0.0, 0.0), ((chords + nudge) * target, 0.0)], target
+
+
+def _bits(chords):
+    return [[(type(v), v.hex() if isinstance(v, float) else v) for v in c] for c in chords]
+
+
+def test_segment_centerline_matches_loop():
+    """Cutting by array code gives the loop's chords bit for bit, the sign
+    of zero included, or both reject the polyline."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_free_polylines() | _multiple_polylines() | _bound_polylines())
+    def check(case):
+        polyline, target = case
+        expected = segment_centerline_by_loop(polyline, target)
+        if expected is None:
+            with pytest.raises(ValidationError):
+                segment_centerline(polyline, target, "l", "ll")
+            return
+        segs = segment_centerline(polyline, target, "l", "ll")
+        assert _bits([(s.x, s.y, s.dx, s.dy, s.index_in_lane) for s in segs]) == _bits(expected)
+        assert {(s.lane_id, s.left_lane_id, s.right_lane_id) for s in segs} == {("l", "ll", None)}
+
+    check()
 
 
 # --- synthetic generation ---------------------------------------------------
