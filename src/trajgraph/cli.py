@@ -199,8 +199,7 @@ def cmd_predict(args):
     graph = sample.cache.graph
     for row, track_id in enumerate(sample.track_ids):
         history = [[float(x), float(y)]
-                   for (x, y) in graph.agent_feats[
-                       [i for i, (tr, _) in enumerate(graph.agent_meta) if tr == row], :2]]
+                   for (x, y) in graph.agent_feats[graph.agent_track == row, :2]]
         lines.append({"role": "history", "agent_id": track_id, "points": history})
         if sample.mask[row]:
             lines.append({"role": "gt", "agent_id": track_id,

@@ -16,7 +16,8 @@ track reordering.
 
 Edge construction is array code throughout: lane links come from a sorted
 sweep over chord start points, dilated lane links from joins of sorted pair
-arrays, and social, temporal and fusion edges from dense node tables.
+arrays, lane-neighbour, social and temporal edges from dense node tables, and
+fusion edges from a dense distance matrix.
 """
 
 import math
@@ -69,9 +70,9 @@ class GraphConfig:
 @dataclass
 class HeteroGraph:
     agent_feats: np.ndarray          # [N_A, 5] raw (x, y, vx, vy, heading)
-    agent_meta: list                 # per node: (track_index, timestep)
-    map_feats: np.ndarray            # [N_M, 4] raw (x, y, dx, dy)
-    map_meta: list                   # per node: (lane_id, index_in_lane)
+    agent_track: np.ndarray          # [N_A] int64 index of each node's track in scene.tracks
+    agent_step: np.ndarray           # [N_A] int64 timestep of each node
+    map_feats: np.ndarray            # [N_M, 4] raw (x, y, dx, dy), scene.segments.feats
     dt: float                        # scene.dt: seconds per step, for the head's start points
     edges: dict = field(default_factory=dict)       # relation -> [E,2] int64 (src, dst)
     edge_feats: dict = field(default_factory=dict)  # relation -> [E,2] float64
@@ -111,10 +112,6 @@ def _sorted_unique(codes):
     return codes[keep]
 
 
-def _as_pairs(pairs):
-    return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-
-
 def _expand_ranges(lo, hi):
     """(row, position) for every position in [lo[row], hi[row]), row-major."""
     counts = hi - lo
@@ -151,32 +148,30 @@ def _finalize_relation(graph, name, pairs, nodes):
 def _agent_nodes(scene):
     """Agent-state nodes, track by track in timestep order.
 
-    Returns features, meta, the node index over the (agent_id, timestep)
-    keys, each node's track, the readout node per track and a dense
+    Returns features, each node's track and timestep, the node index over
+    the (agent_id, timestep) keys, the readout node per track and a dense
     [n_tracks, steps] node table holding -1 where a track is unobserved.
     """
     tracks = scene.tracks
     feats = [[s.x, s.y, s.vx, s.vy, s.heading] for tr in tracks for _, s in tr.past]
-    meta = [(i, t) for i, tr in enumerate(tracks) for t, _ in tr.past]
     arr = np.asarray(feats, dtype=np.float64).reshape(len(feats), 5)
-    track_of = np.asarray([i for i, _ in meta], dtype=np.int64)
-    step = np.asarray([t for _, t in meta], dtype=np.int64)
-    readout = np.cumsum([len(tr.past) for tr in tracks], dtype=np.int64) - 1
+    counts = np.asarray([len(tr.past) for tr in tracks], dtype=np.int64)
+    track_of = np.repeat(np.arange(len(tracks), dtype=np.int64), counts)
+    step = np.asarray([t for tr in tracks for t, _ in tr.past], dtype=np.int64)
+    readout = np.cumsum(counts) - 1
     rank, order = _stable_rank(_code_of([tr.agent_id for tr in tracks])[track_of], step)
     width = int(step.max()) + 1 if step.size else 0
     table = np.full((len(tracks), width), -1, dtype=np.int64)
     table[track_of, step] = np.arange(step.shape[0])
-    return arr, meta, _NodeIndex(rank, order, arr[:, :2]), track_of, readout, table
+    return arr, track_of, step, _NodeIndex(rank, order, arr[:, :2]), readout, table
 
 
 def _map_nodes(scene):
+    """Node index of the map-segment nodes over the (lane_id, index) keys."""
     segs = scene.segments
-    feats = [[seg.x, seg.y, seg.dx, seg.dy] for seg in segs]
-    meta = [(seg.lane_id, seg.index_in_lane) for seg in segs]
-    arr = np.asarray(feats, dtype=np.float64).reshape(len(feats), 4)
-    index = np.asarray([i for _, i in meta], dtype=np.int64)
-    rank, order = _stable_rank(_code_of([lane for lane, _ in meta]), index)
-    return arr, meta, _NodeIndex(rank, order, arr[:, :2])
+    lane_code = _code_of([lane.lane_id for lane in scene.lanes])
+    rank, order = _stable_rank(lane_code[segs.lane], segs.index)
+    return _NodeIndex(rank, order, segs.feats[:, :2])
 
 
 def build_agent_edges(track_of, readout):
@@ -239,11 +234,10 @@ def build_map_edges(scene, map_feats, dilation):
 
     pre-i holds the pairs joined by a walk of exactly i pre-1 links, self
     pairs excluded; each order joins the previous order's pairs (self pairs
-    included) with the pre-1 links on their middle node.
+    included) with the pre-1 links on their middle node. A chord's left
+    (right) neighbour is the chord at its index on the left (right) lane.
     """
-    segs = scene.segments
-    known_lanes = {l.lane_id for l in scene.lanes} | {s.lane_id for s in segs}
-    seg_index = {(s.lane_id, s.index_in_lane): i for i, s in enumerate(segs)}
+    segs, lanes = scene.segments, scene.lanes
     n = map_feats.shape[0]
 
     base = _lane_links(map_feats)
@@ -261,20 +255,26 @@ def build_map_edges(scene, map_feats, dilation):
         relations[map_pre_relation(i)] = pairs
         relations[map_suc_relation(i)] = pairs[:, ::-1]
 
-    left, right = [], []
-    for i, seg in enumerate(segs):
-        for token, bucket in ((seg.left_lane_id, left), (seg.right_lane_id, right)):
-            if token is None:
-                continue
-            if token not in known_lanes:
-                raise ValidationError(
-                    f"segment {seg.lane_id!r}:{seg.index_in_lane} references "
-                    f"unknown lane {token!r}")
-            neighbor = seg_index.get((token, seg.index_in_lane))
-            if neighbor is not None:
-                bucket.append((neighbor, i))
-    relations[REL_MAP_LEFT] = _as_pairs(left)
-    relations[REL_MAP_RIGHT] = _as_pairs(right)
+    # side[k]: left and right lane index of chord k's lane, -1 for none, -2 for unknown
+    lane_of = {lane.lane_id: i for i, lane in enumerate(lanes)}
+    lane_of[None] = -1
+    side = np.asarray([[lane_of.get(l.left_lane_id, -2), lane_of.get(l.right_lane_id, -2)]
+                       for l in lanes], dtype=np.int64).reshape(len(lanes), 2)[segs.lane]
+    dangling = np.flatnonzero((side == -2).any(axis=1))
+    if dangling.size:
+        lane, index = lanes[segs.lane[dangling[0]]], segs.index[dangling[0]]
+        token = lane.left_lane_id if lane.left_lane_id not in lane_of else lane.right_lane_id
+        raise ValidationError(
+            f"segment {lane.lane_id!r}:{index} references unknown lane {token!r}")
+    # search sorted keys lane * width + index; a dense [lanes, width] table can be huge
+    width = int(segs.index.max()) + 1 if n else 0
+    order = np.argsort(segs.lane * width + segs.index)
+    keys = (segs.lane * width + segs.index)[order]
+    for name, column in ((REL_MAP_LEFT, 0), (REL_MAP_RIGHT, 1)):
+        want = side[:, column] * width + segs.index
+        pos = np.minimum(np.searchsorted(keys, want), n - 1)
+        hit = np.flatnonzero((want >= 0) & (keys[pos] == want))
+        relations[name] = np.stack([order[pos[hit]], hit], axis=1)
     return relations
 
 
@@ -292,14 +292,14 @@ def build_fusion_edges(agent_feats, map_feats, t_th, d_min):
 
 def build_graph(scene, cfg):
     """Assemble the full heterogeneous graph for one normalized scene."""
-    agent_feats, agent_meta, agent_nodes, track_of, readout, table = _agent_nodes(scene)
-    map_feats, map_meta, map_nodes = _map_nodes(scene)
+    agent_feats, track_of, step, agent_nodes, readout, table = _agent_nodes(scene)
+    map_feats = scene.segments.feats
     graph = HeteroGraph(
-        agent_feats=agent_feats, agent_meta=agent_meta,
-        map_feats=map_feats, map_meta=map_meta, dt=scene.dt,
+        agent_feats=agent_feats, agent_track=track_of, agent_step=step,
+        map_feats=map_feats, dt=scene.dt,
         readout_index=readout, track_ids=[t.agent_id for t in scene.tracks])
 
-    nodes = {"agent": agent_nodes, "map": map_nodes}
+    nodes = {"agent": agent_nodes, "map": _map_nodes(scene)}
     pre, suc, merge = build_agent_edges(track_of, readout)
     relations = {REL_AGENT_PRE: pre, REL_AGENT_SUC: suc,
                  REL_SOCIAL: build_social_edges(table), REL_MERGE: merge}

@@ -255,7 +255,7 @@ def _start_positions(graph, cfg):
     node's timestep. Tracks with zero velocity fields stay at p_last.
     """
     last = graph.agent_feats[graph.readout_index]
-    t_last = np.array([graph.agent_meta[i][1] for i in graph.readout_index], dtype=np.float64)
+    t_last = graph.agent_step[graph.readout_index].astype(np.float64)
     lead = cfg.t_obs - t_last[:, None] + np.arange(cfg.t_f, dtype=np.float64)
     xy = last[:, None, 0:2] + last[:, None, 2:4] * graph.dt * lead[:, :, None]
     return xy.reshape(len(t_last), 2 * cfg.t_f)
@@ -279,8 +279,7 @@ class EncoderCache:
         self.agent_in = tg.Tensor(graph.agent_feats)
         self.map_in = tg.Tensor(graph.map_feats)
         if cfg.use_temporal:
-            steps = [t for _, t in graph.agent_meta]
-            self.tau = tg.Tensor(temporal_encoding(steps, cfg.f))
+            self.tau = tg.Tensor(temporal_encoding(graph.agent_step, cfg.f))
         else:
             self.tau = None
         # out[:, 2t+c] = sum of the (x, y) increments s <= t, coordinate c

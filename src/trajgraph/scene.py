@@ -8,13 +8,15 @@ Units are meters, seconds, radians; encoding UTF-8.
 
 Loading a record parses it, validates the scene once, cuts each lane
 centerline into fixed-length chords by array code, then checks only the new
-chords. Normalization translates a scene into its local frame and crops it
-to the 160 m x 160 m region of interest.
+chords. The chords stay arrays from the cut to the graph, in one Segments
+record per scene. Normalization translates a scene into its local frame and
+crops it to the 160 m x 160 m region of interest.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -60,22 +62,21 @@ class Lane:
     right_lane_id: str = None
 
 
-@dataclass
-class MapSegment:
-    x: float
-    y: float
-    dx: float
-    dy: float
-    lane_id: str
-    index_in_lane: int
-    left_lane_id: str = None
-    right_lane_id: str = None
+@dataclass(eq=False)
+class Segments:
+    """Every chord of a scene, lane by lane in chord order. Neighbour lanes
+    are read from Scene.lanes, not stored per chord."""
+    feats: np.ndarray  # [N, 4] float64 chord midpoint and vector (x, y, dx, dy)
+    lane: np.ndarray   # [N] int64 index of the chord's lane in Scene.lanes
+    index: np.ndarray  # [N] int64 position of the chord along its lane
 
-    def start(self):
-        return (self.x - 0.5 * self.dx, self.y - 0.5 * self.dy)
+    def __eq__(self, other):
+        return all(map(np.array_equal, (self.feats, self.lane, self.index),
+                       (other.feats, other.lane, other.index)))
 
-    def end(self):
-        return (self.x + 0.5 * self.dx, self.y + 0.5 * self.dy)
+
+def _no_segments():
+    return Segments(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 @dataclass
@@ -87,16 +88,18 @@ class Scene:
     origin_rule: str
     tracks: list = field(default_factory=list)
     lanes: list = field(default_factory=list)
-    segments: list = field(default_factory=list)
+    segments: Segments = field(default_factory=_no_segments)
 
 
-def _require(cond, scene_id, field_name, message):
+def _require(cond, scene_id, field_name, message, *args):
+    """Raise when cond fails; the message is formatted with args only then."""
     if not cond:
-        raise ValidationError(f"scene {scene_id!r}, field {field_name!r}: {message}")
+        raise ValidationError(
+            f"scene {scene_id!r}, field {field_name!r}: {message.format(*args)}")
 
 
 def _finite(*values):
-    return all(math.isfinite(v) for v in values)
+    return all(map(math.isfinite, values))
 
 
 def validate_scene(scene):
@@ -105,7 +108,7 @@ def validate_scene(scene):
     _require(scene.t_f >= 0, scene.scene_id, "t_f", "must be >= 0")
     _require(scene.dt > 0 and math.isfinite(scene.dt), scene.scene_id, "dt", "must be positive")
     _require(scene.origin_rule in ORIGIN_RULES, scene.scene_id, "origin_rule",
-             f"must be one of {ORIGIN_RULES}")
+             "must be one of {}", ORIGIN_RULES)
     seen_agents = set()
     for track in scene.tracks:
         fld = f"tracks[{track.agent_id}]"
@@ -115,34 +118,34 @@ def validate_scene(scene):
         prev = -1
         for t, state in track.past:
             _require(isinstance(t, int) and 0 <= t < scene.t_obs, scene.scene_id, fld,
-                     f"timestep {t} outside [0, {scene.t_obs})")
+                     "timestep {} outside [0, {})", t, scene.t_obs)
             _require(t > prev, scene.scene_id, fld, "past timesteps must be strictly increasing")
             prev = t
             _require(_finite(state.x, state.y, state.vx, state.vy, state.heading),
                      scene.scene_id, fld, "non-finite state")
             _require(-math.pi < state.heading <= math.pi, scene.scene_id, fld,
-                     f"heading {state.heading} outside (-pi, pi]")
+                     "heading {} outside (-pi, pi]", state.heading)
         if track.future is not None:
             _require(len(track.future) == scene.t_f, scene.scene_id, fld,
-                     f"future length {len(track.future)} != t_f {scene.t_f}")
-            for x, y in track.future:
-                _require(_finite(x, y), scene.scene_id, fld, "non-finite future position")
+                     "future length {} != t_f {}", len(track.future), scene.t_f)
+            _require(_finite(*chain.from_iterable(track.future)), scene.scene_id, fld,
+                     "non-finite future position")
     seen_lanes = set()
     for lane in scene.lanes:
         fld = f"lanes[{lane.lane_id}]"
         _require(lane.lane_id not in seen_lanes, scene.scene_id, fld, "duplicate lane_id")
         seen_lanes.add(lane.lane_id)
         _require(len(lane.centerline) >= 2, scene.scene_id, fld, "centerline needs >= 2 points")
-        for x, y in lane.centerline:
-            _require(_finite(x, y), scene.scene_id, fld, "non-finite centerline point")
+        _require(_finite(*chain.from_iterable(lane.centerline)), scene.scene_id, fld,
+                 "non-finite centerline point")
 
 
-def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, right_lane_id=None):
+def segment_centerline(polyline, target_len, lane_id=""):
     """Resample a polyline by arc length into chords of ~target_len meters.
 
     Cut points sit every target_len meters of arc length; the last chord
-    takes whatever remains (and may be shorter). Each chord becomes one
-    MapSegment with the chord midpoint and the chord vector as direction.
+    takes whatever remains (and may be shorter). Returns one (x, y, dx, dy)
+    row per chord: the chord midpoint and the chord vector as direction.
     """
     if len(polyline) < 2:
         raise ValidationError(f"lane {lane_id!r}: polyline needs >= 2 points")
@@ -164,19 +167,15 @@ def segment_centerline(polyline, target_len, lane_id="", left_lane_id=None, righ
     i = np.searchsorted(cumulative, cuts, side="right") - 1
     frac = (cuts - cumulative[i]) / lengths[i]
     points = np.concatenate([pts[:1], pts[i] + frac[:, None] * deltas[i], pts[-1:]])
-    mids = ((points[:-1] + points[1:]) / 2.0).tolist()
-    chords = (points[1:] - points[:-1]).tolist()
-    return [MapSegment(x, y, dx, dy, lane_id, idx, left_lane_id, right_lane_id)
-            for idx, ((x, y), (dx, dy)) in enumerate(zip(mids, chords))]
+    return np.concatenate([(points[:-1] + points[1:]) / 2.0, points[1:] - points[:-1]], axis=1)
 
 
 def build_segments(scene, segment_len=DEFAULT_SEGMENT_LEN):
-    segs = []
-    for lane in scene.lanes:
-        segs.extend(segment_centerline(
-            lane.centerline, segment_len, lane.lane_id,
-            lane.left_lane_id, lane.right_lane_id))
-    return segs
+    rows = [segment_centerline(lane.centerline, segment_len, lane.lane_id)
+            for lane in scene.lanes]
+    lane = np.repeat(np.arange(len(rows), dtype=np.int64), [r.shape[0] for r in rows])
+    index = np.arange(lane.shape[0], dtype=np.int64) - np.searchsorted(lane, lane)
+    return Segments(np.concatenate(rows + [np.zeros((0, 4))]), lane, index)
 
 
 # --- scenario file IO -----------------------------------------------------
@@ -248,10 +247,12 @@ def _record_to_scene(rec, line_no, segment_len):
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"line {line_no}: malformed scene record ({exc})") from exc
     validate_scene(scene)
-    scene.segments = build_segments(scene, segment_len)
-    for seg in scene.segments:
-        _require((seg.dx, seg.dy) != (0.0, 0.0), scene.scene_id,
-                 f"segments[{seg.lane_id}:{seg.index_in_lane}]", "zero direction vector")
+    segs = scene.segments = build_segments(scene, segment_len)
+    zero = np.flatnonzero(~segs.feats[:, 2:].any(axis=1))
+    if zero.size:
+        k = zero[0]
+        _require(False, scene.scene_id, f"segments[{scene.lanes[segs.lane[k]].lane_id}:"
+                 f"{segs.index[k]}]", "zero direction vector")
     return scene
 
 
@@ -344,9 +345,9 @@ def normalize_scene(scene, rule=None):
             continue
         tracks.append(moved)
 
-    segments = [MapSegment(s.x - ox, s.y - oy, s.dx, s.dy, s.lane_id, s.index_in_lane,
-                           s.left_lane_id, s.right_lane_id)
-                for s in scene.segments if _inside_crop(s.x - ox, s.y - oy)]
+    feats = scene.segments.feats - np.array([ox, oy, 0.0, 0.0])
+    keep = (np.abs(feats[:, :2]) <= CROP_HALF_EXTENT).all(axis=1)
+    segments = Segments(feats[keep], scene.segments.lane[keep], scene.segments.index[keep])
 
     lanes = [Lane(l.lane_id, [(x - ox, y - oy) for x, y in l.centerline],
                   l.left_lane_id, l.right_lane_id) for l in scene.lanes]

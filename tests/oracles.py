@@ -128,15 +128,36 @@ def lane_links_by_scan(segments):
     """Base lane links by scanning every ordered segment pair: (i, j) when
     segment i's chord ends within 1e-6 m of where segment j's starts."""
     pairs = set()
-    for i, a in enumerate(segments):
-        ax, ay = a.x + a.dx / 2, a.y + a.dy / 2
-        for j, b in enumerate(segments):
+    rows = segments.feats.tolist()
+    for i, (x, y, dx, dy) in enumerate(rows):
+        ax, ay = x + dx / 2, y + dy / 2
+        for j, (bx, by, bdx, bdy) in enumerate(rows):
             if i == j:
                 continue
-            bx, by = b.x - b.dx / 2, b.y - b.dy / 2
-            if math.hypot(ax - bx, ay - by) <= 1e-6:
+            if math.hypot(ax - (bx - bdx / 2), ay - (by - bdy / 2)) <= 1e-6:
                 pairs.add((i, j))
     return pairs
+
+
+def segment_keys(scene):
+    """(lane_id, index along the lane) of every segment of a scene."""
+    return [(scene.lanes[lane].lane_id, index)
+            for lane, index in zip(scene.segments.lane.tolist(), scene.segments.index.tolist())]
+
+
+def neighbour_edges_by_scan(scene):
+    """(left, right) sets of (neighbour, segment) pairs: a segment links to
+    the segment at its own index on its lane's left or right lane."""
+    lanes = {lane.lane_id: lane for lane in scene.lanes}
+    keys = segment_keys(scene)
+    node_of = {key: j for j, key in enumerate(keys)}
+    left, right = set(), set()
+    for j, (lane_id, index) in enumerate(keys):
+        lane = lanes[lane_id]
+        for token, bucket in ((lane.left_lane_id, left), (lane.right_lane_id, right)):
+            if token is not None and (token, index) in node_of:
+                bucket.add((node_of[(token, index)], j))
+    return left, right
 
 
 def fusion_edges_by_scan(agent_xy, agent_speed, map_xy, t_th, d_min):

@@ -27,8 +27,8 @@ from trajgraph.train import evaluate_samples, prepare_samples, train
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     brute_force_metrics, dilated_edges_by_matrix_power, fusion_edges_by_scan,
-    grad_rel_error, lane_links_by_scan, node_position, numeric_gradient,
-    relation_names, social_edges_by_enumeration,
+    grad_rel_error, lane_links_by_scan, neighbour_edges_by_scan, node_position,
+    numeric_gradient, relation_names, social_edges_by_enumeration,
 )
 
 OP_TOL = 1e-5
@@ -258,12 +258,7 @@ def test_criterion_graph_oracle():
             assert got(map_pre_relation(order)) == expected
             assert got(map_suc_relation(order)) == {(d, s) for s, d in expected}
 
-        seg_index = {(s.lane_id, s.index_in_lane): j for j, s in enumerate(scene.segments)}
-        left, right = set(), set()
-        for j, seg in enumerate(scene.segments):
-            for token, bucket in ((seg.left_lane_id, left), (seg.right_lane_id, right)):
-                if token is not None and (token, seg.index_in_lane) in seg_index:
-                    bucket.add((seg_index[(token, seg.index_in_lane)], j))
+        left, right = neighbour_edges_by_scan(scene)
         assert got("map.left.map") == left
         assert got("map.right.map") == right
 

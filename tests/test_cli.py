@@ -504,6 +504,16 @@ def test_mistyped_scene_field_exits_2(tmp_path, track_edit, lane_edit, message):
     assert "line 1" in err and message in err
 
 
+def test_dangling_lane_token_exits_2(tmp_path):
+    rec = copy.deepcopy(_SCENE_RECORD)
+    rec["lanes"][0]["left_lane_id"] = "ghost"
+    data = tmp_path / "ghost.jsonl"
+    data.write_text(json.dumps(rec) + "\n")
+    rc, err = run_cli("train", "--data", data, "--out", tmp_path / "o")
+    assert rc == 2 and "Traceback" not in err
+    assert "references unknown lane 'ghost'" in err
+
+
 def test_truncated_checkpoint_exits_2(trained, tmp_path):
     out, data = trained
     cut = tmp_path / "cut"

@@ -13,7 +13,8 @@ from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     dilated_edges_by_matrix_power, dump_graph, fusion_edges_by_scan, lane_links_by_scan,
-    node_position, relation_names, social_edges_by_enumeration,
+    neighbour_edges_by_scan, node_position, relation_names, segment_keys,
+    social_edges_by_enumeration,
 )
 
 CFG = GraphConfig()
@@ -21,6 +22,11 @@ CFG = GraphConfig()
 
 def edge_set(graph, name):
     return {(int(s), int(d)) for s, d in graph.edges[name]}
+
+
+def agent_keys(graph):
+    """(track index, timestep) of every agent node."""
+    return list(zip(graph.agent_track.tolist(), graph.agent_step.tolist()))
 
 
 def test_empty_scene():
@@ -76,7 +82,8 @@ def test_two_agents_two_steps_social_count():
     graph = build_graph(make_scene(tracks, t_obs=2, t_f=0), CFG)
     assert len(graph.edges[REL_SOCIAL]) == 8
     expected = social_edges_by_enumeration([[0, 1], [0, 1]])
-    got = {(graph.agent_meta[s], graph.agent_meta[d]) for s, d in graph.edges[REL_SOCIAL]}
+    keys = agent_keys(graph)
+    got = {(keys[s], keys[d]) for s, d in graph.edges[REL_SOCIAL]}
     assert got == expected
 
 
@@ -93,8 +100,8 @@ def test_three_agents_social_matches_enumeration():
     graph = build_graph(scene, CFG)
     assert len(graph.edges[REL_SOCIAL]) == 168
     expected = social_edges_by_enumeration([[t for t, _ in tr.past] for tr in tracks])
-    got = {((graph.agent_meta[s]), (graph.agent_meta[d]))
-           for s, d in graph.edges[REL_SOCIAL]}
+    keys = agent_keys(graph)
+    got = {(keys[s], keys[d]) for s, d in graph.edges[REL_SOCIAL]}
     assert got == expected
 
 
@@ -105,7 +112,8 @@ def test_partial_history_social_matches_enumeration():
     scene = make_scene([t0, t1], t_obs=6, t_f=0)
     graph = build_graph(scene, CFG)
     expected = social_edges_by_enumeration([[t for t, _ in tr.past] for tr in scene.tracks])
-    got = {(graph.agent_meta[s], graph.agent_meta[d]) for s, d in graph.edges[REL_SOCIAL]}
+    keys = agent_keys(graph)
+    got = {(keys[s], keys[d]) for s, d in graph.edges[REL_SOCIAL]}
     assert got == expected
 
 
@@ -120,12 +128,14 @@ def test_lane_dilation_counts():
 def test_parallel_lanes_left_right():
     lanes = [straight_lane("a", 9.0, y=0.0, left="b"),
              straight_lane("b", 9.0, y=3.5, right="a")]
-    graph = build_graph(make_scene([], lanes, t_obs=1, t_f=0), CFG)
+    scene = make_scene([], lanes, t_obs=1, t_f=0)
+    graph = build_graph(scene, CFG)
     assert len(graph.edges[REL_MAP_LEFT]) == 3
     assert len(graph.edges[REL_MAP_RIGHT]) == 3
+    keys = segment_keys(scene)
     for s, d in graph.edges[REL_MAP_LEFT]:
-        assert graph.map_meta[s][0] == "b" and graph.map_meta[d][0] == "a"
-        assert graph.map_meta[s][1] == graph.map_meta[d][1]
+        assert keys[s][0] == "b" and keys[d][0] == "a"
+        assert keys[s][1] == keys[d][1]
 
 
 def test_mismatched_lane_lengths_pair_to_shorter():
@@ -134,6 +144,23 @@ def test_mismatched_lane_lengths_pair_to_shorter():
     graph = build_graph(make_scene([], lanes, t_obs=1, t_f=0), CFG)
     assert len(graph.edges[REL_MAP_LEFT]) == 3
     assert len(graph.edges[REL_MAP_RIGHT]) == 3
+
+
+def test_neighbour_links_on_cropped_map():
+    # two 300 m neighbouring lanes, offset along x so that the crop cuts
+    # them at different chord indices
+    lanes = [straight_lane("a", 300.0, y=0.0, x0=-130.0, left="b"),
+             straight_lane("b", 300.0, y=3.5, x0=-151.0, right="a")]
+    track = straight_track("a0", x0=0.0, vx=0.0, t_obs=1, t_f=0, is_ego=True)
+    raw = make_scene([track], lanes, t_obs=1, t_f=0, origin_rule="ego-last-step")
+    scene = normalize_scene(raw)
+    kept = scene.segments.index
+    assert 0 < kept.shape[0] < raw.segments.index.shape[0] and kept.min() > 0
+    graph = build_graph(scene, CFG)
+    left, right = neighbour_edges_by_scan(scene)
+    assert left and right
+    assert edge_set(graph, REL_MAP_LEFT) == left
+    assert edge_set(graph, REL_MAP_RIGHT) == right
 
 
 def test_dilation_matches_matrix_power_oracle():
@@ -155,7 +182,7 @@ def test_dilation_matches_matrix_power_oracle():
     graph = build_graph(scene, GraphConfig(dilation=4))
     assert graph.n_map_nodes > 500
     base = lane_links_by_scan(scene.segments)
-    lane = [lane_id for lane_id, _ in graph.map_meta]
+    lane = scene.segments.lane
     assert any(lane[s] != lane[d] for s, d in base)  # cross-lane links are exercised
     for i in range(1, 5):
         expected = dilated_edges_by_matrix_power(base, graph.n_map_nodes, i)
@@ -201,7 +228,7 @@ def _junction(ends, starts, gap):
         start = (3.0 + sx * gap, sy * gap)
         lanes.append(Lane(f"out{k}", [start, (start[0] + 3.0, start[1] + 2.0 * k - 1.0)]))
     scene = make_scene([], lanes, t_obs=1, t_f=0, segment_len=10.0)
-    assert len(scene.segments) == len(lanes)
+    assert scene.segments.feats.shape[0] == len(lanes)
     n_in = len(ends)
     return scene, {(i, n_in + j) for i in range(n_in) for j in range(len(starts))}
 
@@ -237,8 +264,8 @@ def test_edges_strictly_increasing_in_stable_keys():
         scene.tracks = [scene.tracks[j] for j in rng.permutation(len(scene.tracks))]
         graph = build_graph(scene, cfg)
         keys = {
-            "agent": [(graph.track_ids[tr], t) for tr, t in graph.agent_meta],
-            "map": list(graph.map_meta),
+            "agent": [(graph.track_ids[tr], t) for tr, t in agent_keys(graph)],
+            "map": segment_keys(scene),
         }
         for name in relation_names(cfg.dilation):
             src_type, dst_type = name.split(".")[0], name.split(".")[2]
@@ -256,7 +283,7 @@ def test_fusion_threshold_floor():
     track = straight_track("a0", x0=0.0, vx=0.0, t_obs=1, t_f=0)
     lane = straight_lane("l0", 4.0, x0=4.0, y=0.0)  # single segment, midpoint (6, 0)
     scene = make_scene([track], [lane], t_obs=1, t_f=0, segment_len=4.0)
-    assert (scene.segments[0].x, scene.segments[0].y) == (6.0, 0.0)
+    assert scene.segments.feats[:, :2].tolist() == [[6.0, 0.0]]
     graph = build_graph(scene, GraphConfig(t_th=2.0, d_min=5.0))
     assert len(graph.edges[REL_DRIVES_ON]) == 0
     assert len(graph.edges[REL_TRAFFIC_INFO]) == 0
@@ -343,10 +370,10 @@ def test_track_permutation_isomorphism():
 
     # node mapping via (agent_id, timestep) identity
     by_key = {}
-    for idx, (track_idx, t) in enumerate(graph.agent_meta):
+    for idx, (track_idx, t) in enumerate(agent_keys(graph)):
         by_key[(scene.tracks[track_idx].agent_id, t)] = idx
     mapping = {}
-    for idx, (track_idx, t) in enumerate(graph_p.agent_meta):
+    for idx, (track_idx, t) in enumerate(agent_keys(graph_p)):
         mapping[idx] = by_key[(shuffled.tracks[track_idx].agent_id, t)]
 
     for name in relation_names(CFG.dilation):

@@ -163,9 +163,9 @@ def test_segment_outside_crop_dropped():
     track = straight_track("a0", x0=0.0, t_obs=1, t_f=0, vx=0.0)
     scene = make_scene([track], [lane], t_obs=1, t_f=0)
     scene.segments = build_segments(scene, segment_len=6.0)
-    assert len(scene.segments) == 1 and scene.segments[0].x == 81.0
+    assert scene.segments.feats.tolist() == [[81.0, 0.0, 6.0, 0.0]]
     norm = normalize_scene(scene)
-    assert norm.segments == []
+    assert norm.segments.feats.shape == (0, 4) and norm.segments.lane.shape == (0,)
 
 
 def test_track_outside_crop_dropped():
@@ -214,24 +214,21 @@ def test_normalize_idempotent():
 
 def test_straight_line_uniform_chords():
     segs = segment_centerline([(0.0, 0.0), (10.0, 0.0)], 2.0, "l")
-    assert len(segs) == 5
-    for i, seg in enumerate(segs):
-        assert seg.dx == pytest.approx(2.0, abs=1e-12)
-        assert seg.dy == 0.0
-        assert seg.index_in_lane == i
+    assert segs.shape == (5, 4)
+    assert segs[:, 2] == pytest.approx([2.0] * 5, abs=1e-12)
+    assert (segs[:, 3] == 0.0).all()
 
 
 def test_short_polyline_single_chord():
     segs = segment_centerline([(0.0, 0.0), (1.0, 0.0)], 2.0, "l")
-    assert len(segs) == 1
-    assert (segs[0].dx, segs[0].dy) == (1.0, 0.0)
+    assert segs[:, 2:].tolist() == [[1.0, 0.0]]
 
 
 def test_quarter_circle_chord_length():
     arc = [(10.0 * math.cos(a), 10.0 * math.sin(a))
            for a in np.linspace(0.0, math.pi / 2.0, 200)]
     segs = segment_centerline(arc, 1.0, "arc")
-    chord_sum = sum(math.hypot(s.dx, s.dy) for s in segs)
+    chord_sum = float(np.hypot(segs[:, 2], segs[:, 3]).sum())
     true_len = 10.0 * math.pi / 2.0
     assert abs(chord_sum - true_len) / true_len < 0.01
     assert abs(polyline_arc_length(arc) - true_len) / true_len < 0.01
@@ -240,11 +237,11 @@ def test_quarter_circle_chord_length():
 def test_segmentation_covers_polyline():
     pts = [(0.0, 0.0), (3.0, 4.0), (9.0, 4.0)]
     segs = segment_centerline(pts, 2.5, "l")
-    assert segs[0].start() == (0.0, 0.0)
-    end = segs[-1].end()
-    assert abs(end[0] - 9.0) < 1e-9 and abs(end[1] - 4.0) < 1e-9
-    for a, b in zip(segs, segs[1:]):
-        assert a.end() == b.start()
+    start = segs[:, :2] - 0.5 * segs[:, 2:]
+    end = segs[:, :2] + 0.5 * segs[:, 2:]
+    assert start[0].tolist() == [0.0, 0.0]
+    assert abs(end[-1, 0] - 9.0) < 1e-9 and abs(end[-1, 1] - 4.0) < 1e-9
+    assert (end[:-1] == start[1:]).all()
 
 
 def test_degenerate_polyline_rejected():
@@ -302,20 +299,36 @@ def _bits(chords):
 
 def test_segment_centerline_matches_loop():
     """Cutting by array code gives the loop's chords bit for bit, the sign
-    of zero included, or both reject the polyline."""
+    of zero included, or both reject the polyline. build_segments over a
+    scene of several lanes gives the loop's chords concatenated over lanes,
+    each tagged with its lane's position and its index along the lane."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(_free_polylines() | _multiple_polylines() | _bound_polylines())
-    def check(case):
+    @given(_free_polylines() | _multiple_polylines() | _bound_polylines(),
+           st.lists(_free_polylines() | _multiple_polylines(), max_size=3))
+    def check(case, others):
         polyline, target = case
         expected = segment_centerline_by_loop(polyline, target)
         if expected is None:
             with pytest.raises(ValidationError):
-                segment_centerline(polyline, target, "l", "ll")
+                segment_centerline(polyline, target, "l")
+        else:
+            rows = segment_centerline(polyline, target, "l").tolist()
+            assert _bits([row + [i] for i, row in enumerate(rows)]) == _bits(expected)
+
+        lines = [polyline] + [line for line, _ in others]
+        scene = Scene("s", 1, 0, 0.1, "geometric-center",
+                      lanes=[Lane(f"l{k}", line) for k, line in enumerate(lines)])
+        per_lane = [segment_centerline_by_loop(line, target) for line in lines]
+        if any(chords is None for chords in per_lane):
+            with pytest.raises(ValidationError):
+                build_segments(scene, target)
             return
-        segs = segment_centerline(polyline, target, "l", "ll")
-        assert _bits([(s.x, s.y, s.dx, s.dy, s.index_in_lane) for s in segs]) == _bits(expected)
-        assert {(s.lane_id, s.left_lane_id, s.right_lane_id) for s in segs} == {("l", "ll", None)}
+        segs = build_segments(scene, target)
+        got = [row + [lane, index] for row, lane, index in
+               zip(segs.feats.tolist(), segs.lane.tolist(), segs.index.tolist())]
+        assert _bits(got) == _bits([chord[:4] + (k, chord[4])
+                                    for k, chords in enumerate(per_lane) for chord in chords])
 
     check()
 
@@ -349,6 +362,6 @@ def test_synthetic_curved_scenes_validate():
     spec = SyntheticSpec(scenes=3, agents=2, lanes=3, t_obs=4, t_f=3, dt=0.1,
                          noise=0.1, curved=True)
     scenes = generate_synthetic(spec, seed=11)
-    assert all(s.segments for s in scenes)
+    assert all(s.segments.feats.size for s in scenes)
     names = {l.lane_id for s in scenes for l in s.lanes}
     assert len(names) == sum(len(s.lanes) for s in scenes)
