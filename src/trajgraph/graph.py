@@ -16,8 +16,9 @@ track reordering.
 
 Edge construction is array code throughout: lane links come from a sorted
 sweep over chord start points, dilated lane links from joins of sorted pair
-arrays, lane-neighbour, social and temporal edges from dense node tables, and
-fusion edges from a dense distance matrix.
+arrays, lane neighbours from a search of sorted (lane, index) keys, temporal
+edges from consecutive node indices, social edges from a node table with one
+column per observed timestep, and fusion edges from a dense distance matrix.
 """
 
 import math
@@ -149,8 +150,10 @@ def _agent_nodes(scene):
     """Agent-state nodes, track by track in timestep order.
 
     Returns features, each node's track and timestep, the node index over
-    the (agent_id, timestep) keys, the readout node per track and a dense
-    [n_tracks, steps] node table holding -1 where a track is unobserved.
+    the (agent_id, timestep) keys, the readout node per track, the sorted
+    distinct observed timesteps and a dense [n_tracks, len(steps)] node
+    table, one column per observed timestep, holding -1 where a track is
+    unobserved.
     """
     tracks = scene.tracks
     feats = [[s.x, s.y, s.vx, s.vy, s.heading] for tr in tracks for _, s in tr.past]
@@ -160,10 +163,10 @@ def _agent_nodes(scene):
     step = np.asarray([t for tr in tracks for t, _ in tr.past], dtype=np.int64)
     readout = np.cumsum(counts) - 1
     rank, order = _stable_rank(_code_of([tr.agent_id for tr in tracks])[track_of], step)
-    width = int(step.max()) + 1 if step.size else 0
-    table = np.full((len(tracks), width), -1, dtype=np.int64)
-    table[track_of, step] = np.arange(step.shape[0])
-    return arr, track_of, step, _NodeIndex(rank, order, arr[:, :2]), readout, table
+    steps = _sorted_unique(step)
+    table = np.full((len(tracks), steps.shape[0]), -1, dtype=np.int64)
+    table[track_of, np.searchsorted(steps, step)] = np.arange(step.shape[0])
+    return arr, track_of, step, _NodeIndex(rank, order, arr[:, :2]), readout, steps, table
 
 
 def _map_nodes(scene):
@@ -189,16 +192,20 @@ def build_agent_edges(track_of, readout):
     return pre, pre[:, ::-1], merge
 
 
-def build_social_edges(node_table):
+def build_social_edges(steps, node_table):
     """Directed edges into each agent node from every other track's nodes at
     the previous, same and next timestep, when observed.
 
-    node_table: [n_tracks, steps] node index per (track, timestep), -1 where
-    unobserved."""
+    steps: the sorted distinct observed timesteps; node_table: [n_tracks,
+    len(steps)] node index per (track, timestep), -1 where unobserved."""
     n_tracks = node_table.shape[0]
     padded = np.pad(node_table, ((0, 0), (1, 1)), constant_values=-1)
-    # near[j, t, k]: track j's node at timestep t + k - 1
+    # near[j, c, k]: track j's node at column c + k - 1, when that column's
+    # timestep is steps[c] + k - 1
     near = np.stack([padded[:, :-2], padded[:, 1:-1], padded[:, 2:]], axis=2)
+    apart = np.flatnonzero(np.diff(steps) != 1)  # column c's step + 1 is not column c + 1's
+    near[:, apart + 1, 0] = -1
+    near[:, apart, 2] = -1
     dst = node_table[:, None, :, None]
     ok = ((dst >= 0) & (near[None] >= 0)
           & ~np.eye(n_tracks, dtype=bool)[:, :, None, None])
@@ -292,7 +299,7 @@ def build_fusion_edges(agent_feats, map_feats, t_th, d_min):
 
 def build_graph(scene, cfg):
     """Assemble the full heterogeneous graph for one normalized scene."""
-    agent_feats, track_of, step, agent_nodes, readout, table = _agent_nodes(scene)
+    agent_feats, track_of, step, agent_nodes, readout, steps, table = _agent_nodes(scene)
     map_feats = scene.segments.feats
     graph = HeteroGraph(
         agent_feats=agent_feats, agent_track=track_of, agent_step=step,
@@ -302,7 +309,7 @@ def build_graph(scene, cfg):
     nodes = {"agent": agent_nodes, "map": _map_nodes(scene)}
     pre, suc, merge = build_agent_edges(track_of, readout)
     relations = {REL_AGENT_PRE: pre, REL_AGENT_SUC: suc,
-                 REL_SOCIAL: build_social_edges(table), REL_MERGE: merge}
+                 REL_SOCIAL: build_social_edges(steps, table), REL_MERGE: merge}
     relations.update(build_map_edges(scene, map_feats, cfg.dilation))
     relations[REL_DRIVES_ON], relations[REL_TRAFFIC_INFO] = build_fusion_edges(
         agent_feats, map_feats, cfg.t_th, cfg.d_min)

@@ -63,7 +63,8 @@ class ModelConfig:
         if self.dilation < 1 or self.n_map_layers < 0 or self.n_fusion_layers < 0:
             raise ConfigError("dilation must be positive and layer counts non-negative")
         if not 0.0 <= self.leaky_slope <= 1.0:
-            # leaky_relu's branch-free form is exact only for slopes in [0, 1]
+            # edge_attention reads the LeakyReLU branch from the sign of its
+            # output, which needs slope >= 0; above 1 it is no longer leaky
             raise ConfigError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
 
     @property
@@ -349,30 +350,14 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, return_attention=
     In node-level form, W3's row blocks W3a, W3b, W3c act on their own
     inputs: edge pre-activations (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c,
     self ones x_dst (W3a + W3b), values (x_src W2)[src]. All heads run in
-    one pass: weights flatten to [n_in, heads * dh], attention vectors to a
-    block-diagonal [f, heads] matrix. With return_attention, also returns
-    the [in-edges + destinations, heads] weights.
+    one `tg.edge_attention` record. With return_attention, also returns the
+    [in-edges + destinations, heads] weights.
     """
-    f, heads, dh = cfg.f, cfg.heads, cfg.f // cfg.heads
-    n_rows = len(rel.ext_targets)
-    w1, w2, w3 = (tg.reshape(params[f"{prefix}.{w}"], (-1, f)) for w in ("w1", "w2", "w3"))
-    w3a, w3b, w3c = (tg.gather_rows(w3, np.arange(b * f, (b + 1) * f)) for b in range(3))
-    head_of_column = tg.Tensor(np.repeat(np.eye(heads), dh, axis=0))
-    attn = tg.scale_rows(head_of_column, tg.reshape(params[f"{prefix}.attn"], (f, 1)))
-
-    edge_pre = tg.add(tg.add(tg.gather_rows(tg.matmul(h_dst, w3a), rel.dst),
-                             tg.gather_rows(tg.matmul(h_src, w3b), rel.src)),
-                      tg.matmul(edge_h, w3c))
-    pre = tg.concat_rows([edge_pre, tg.matmul(h_dst, tg.add(w3a, w3b))])  # in-edges, then self
-    logits = tg.matmul(tg.leaky_relu(pre, cfg.leaky_slope), attn)
-    alpha = tg.segment_softmax(logits, rel.ext_targets, rel.n_dst)
-    values = tg.concat_rows([tg.gather_rows(tg.matmul(h_src, w2), rel.src),
-                             tg.matmul(h_dst, w1)])
-    weighted = tg.scale_rows(tg.reshape(values, (n_rows * heads, dh)),
-                             tg.reshape(alpha, (n_rows * heads, 1)))
-    out = tg.segment_sum(tg.reshape(weighted, (n_rows, f)), rel.ext_targets, rel.n_dst)
+    out, alpha = tg.edge_attention(
+        h_src, h_dst, edge_h, *(params[f"{prefix}.{w}"] for w in ("w1", "w2", "w3", "attn")),
+        rel.src, rel.dst, rel.ext_targets, cfg.leaky_slope)
     if return_attention:
-        return out, alpha.data.copy()
+        return out, alpha.copy()
     return out
 
 

@@ -116,15 +116,23 @@ def validate_scene(scene):
         seen_agents.add(track.agent_id)
         _require(len(track.past) >= 1, scene.scene_id, fld, "past must have at least one state")
         prev = -1
-        for t, state in track.past:
-            _require(isinstance(t, int) and 0 <= t < scene.t_obs, scene.scene_id, fld,
-                     "timestep {} outside [0, {})", t, scene.t_obs)
-            _require(t > prev, scene.scene_id, fld, "past timesteps must be strictly increasing")
+        for t, s in track.past:
+            # one test that passes exactly when the four checks below do: t >
+            # prev >= -1 gives t >= 0, a finite sum needs finite terms and the
+            # heading range holds no non-finite value; the checks run only to
+            # report the first failure
+            if not (isinstance(t, int) and prev < t < scene.t_obs
+                    and math.isfinite(s.x + s.y + s.vx + s.vy)
+                    and -math.pi < s.heading <= math.pi):
+                _require(isinstance(t, int) and 0 <= t < scene.t_obs, scene.scene_id, fld,
+                         "timestep {} outside [0, {})", t, scene.t_obs)
+                _require(t > prev, scene.scene_id, fld,
+                         "past timesteps must be strictly increasing")
+                _require(_finite(s.x, s.y, s.vx, s.vy, s.heading), scene.scene_id, fld,
+                         "non-finite state")
+                _require(-math.pi < s.heading <= math.pi, scene.scene_id, fld,
+                         "heading {} outside (-pi, pi]", s.heading)
             prev = t
-            _require(_finite(state.x, state.y, state.vx, state.vy, state.heading),
-                     scene.scene_id, fld, "non-finite state")
-            _require(-math.pi < state.heading <= math.pi, scene.scene_id, fld,
-                     "heading {} outside (-pi, pi]", state.heading)
         if track.future is not None:
             _require(len(track.future) == scene.t_f, scene.scene_id, fld,
                      "future length {} != t_f {}", len(track.future), scene.t_f)

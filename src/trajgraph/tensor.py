@@ -2,17 +2,18 @@
 
 Covers exactly the operations the prediction model needs: matrix products,
 elementwise arithmetic with single-row (bias) broadcasting, activations,
-layer normalization, segment softmax, sum and gather for message passing,
-and a total sum. Everything is recorded on an explicit tape; replaying the
-tape in reverse order of recording accumulates gradients into ``.grad``.
+layer normalization, segment sum and gather for message passing, one fused
+multi-head attention conv, and a total sum. Everything is recorded on an
+explicit tape; replaying the tape in reverse order of recording accumulates
+gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
-and only the arrays its own backward reads (a product's factors, a
-softmax's output, an activation's mask or derivative, layer norm's
-normalized rows); an intermediate that no backward reads is freed as soon
-as the forward drops it. Backward consumes the tape: each record is popped
-as it runs, and each op takes and clears its output's gradient, so
+and only the arrays its own backward reads (a product's factors, an
+activation's mask or sign, attention's activations and weights, layer
+norm's normalized rows); an intermediate that no backward reads is freed as
+soon as the forward drops it. Backward consumes the tape: each record is
+popped as it runs, and each op takes and clears its output's gradient, so
 intermediate gradients die as backward goes. Pass-through ops (add, sub,
 add_scalar, reshape, concat, concat_rows) hand that buffer, or views of
 it, to an input instead of copying; add copies only when both inputs take
@@ -309,22 +310,6 @@ def relu(a):
     return out
 
 
-def leaky_relu(a, slope):
-    """x for x > 0 else slope*x; subgradient slope at the kink.
-
-    Computed without branches as x * deriv, deriv = [x > 0] (1 - slope) +
-    slope, which equals the two-branch form bitwise for slope in [0, 1].
-    """
-    slope = float(slope)
-    deriv = (a.data > 0.0) * (1.0 - slope)
-    deriv += slope
-    out, tape = _make_output(a.data * deriv, (a,))
-    if tape:
-        sa = a._slot
-        _on_backward(tape, out, lambda g: _give(sa, g * deriv))
-    return out
-
-
 def absolute(a):
     """|x|; subgradient 0 at the kink."""
     out, tape = _make_output(np.abs(a.data), (a,))
@@ -401,28 +386,125 @@ def segment_sum(messages, targets, n):
     return out
 
 
-def segment_softmax(logits, targets, n):
-    """Exp-normalize within each target group (max-subtracted for stability).
+def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, slope):
+    """Multi-head GATv2 attention with an implicit self edge per destination,
+    as one tape record with a hand-written backward.
 
-    Columns are independent: an [E,h] input holds h parallel softmaxes.
+    Weights are stacked per head: w1, w2 [n_in, heads, dh], w3 [3 n_in,
+    heads, dh] in row blocks W3a, W3b, W3c, attn [1, heads, dh]; columns
+    h*dh..(h+1)*dh belong to head h. The E in-edges (src -> dst, features
+    edge) come first, then one self edge per destination; ext_targets is
+    their destinations, dst followed by 0..n_dst-1. Per row and head:
+
+        pre   = (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c   (in-edge)
+                x_dst (W3a + W3b)                              (self edge)
+        act   = pre if pre > 0 else slope * pre
+        logit = act . attn, per head
+        alpha = softmax of the logits over each destination's rows
+        out   = sum over a destination's rows of alpha * value, the value
+                being (x_src W2)[src] (in-edge) or x_dst W1 (self edge)
+
+    The group maximum and sums run through ``kernels`` in ascending row
+    order. Backward keeps per row only act and alpha, and the node-level
+    x_src W2 and x_dst W1: for slope >= 0, act > 0 exactly where pre > 0,
+    so act also gives the LeakyReLU branch. Returns (out [n_dst, heads*dh],
+    alpha [E + n_dst, heads]); alpha is the array backward reads, so the
+    caller must not write to it.
     """
-    targets = _check_targets(targets, n, logits.data.shape[0])
-    if logits.data.shape[0]:
-        group_max = kernels.segment_max(logits.data, targets, n)
-        shifted = logits.data - group_max[targets]
-        expd = np.exp(shifted)
-        denom = kernels.segment_sum(expd, targets, n)
-        result = expd / denom[targets]
-    else:
-        result = np.zeros_like(logits.data)
-    out, tape = _make_output(result, (logits,))
+    slope = float(slope)
+    if w1.data.ndim != 3:
+        raise DimensionError(f"edge_attention weights must be [n_in, heads, dh]: {w1.data.shape}")
+    n_in, heads, dh = w1.data.shape
+    f = heads * dh
+    got = tuple(t.data.shape[1:] for t in (x_src, x_dst, edge))
+    got += (w2.data.shape, w3.data.shape, attn.data.shape)
+    want = ((n_in,),) * 3 + ((n_in, heads, dh), (3 * n_in, heads, dh), (1, heads, dh))
+    if got != want:
+        raise DimensionError(f"edge_attention shapes incompatible: {got} vs {want}")
+    xs, xd, e = x_src.data, x_dst.data, edge.data
+    n_src, n_dst, n_edges = xs.shape[0], xd.shape[0], e.shape[0]
+    n_rows = n_edges + n_dst
+    src = _check_targets(src, n_src, n_edges)
+    dst = _check_targets(dst, n_dst, n_edges)
+    ext = _check_targets(ext_targets, n_dst, n_rows)
+    mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
+    w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
+    head_of_column = np.repeat(np.eye(heads), dh, axis=0)
+    attn_mat = head_of_column * attn.data.reshape(f, 1)  # block-diagonal [f, heads]
+
+    act = np.empty((n_rows, f))
+    np.take(xd @ w3a, dst, axis=0, out=act[:n_edges])
+    act[:n_edges] += (xs @ w3b)[src]
+    act[:n_edges] += e @ w3c
+    np.matmul(xd, w3a + w3b, out=act[n_edges:])
+    np.multiply(act, slope, out=act, where=act <= 0.0)
+    alpha = act @ attn_mat  # the logits, normalized in place
+    alpha -= kernels.segment_max(alpha, ext, n_dst)[ext]
+    np.exp(alpha, out=alpha)
+    alpha /= kernels.segment_sum(alpha, ext, n_dst)[ext]
+    vs, vd = xs @ mat2, xd @ mat1
+    weighted = np.empty((n_rows, f))
+    np.take(vs, src, axis=0, out=weighted[:n_edges])
+    weighted[n_edges:] = vd
+    per_head = weighted.reshape(n_rows, heads, dh)
+    per_head *= alpha[:, :, None]
+    out, tape = _make_output(kernels.segment_sum(weighted, ext, n_dst),
+                             (x_src, x_dst, edge, w1, w2, w3, attn))
     if tape:
-        sl = logits._slot
+        s_src, s_dst, s_edge = _slot_of(x_src), _slot_of(x_dst), _slot_of(edge)
+        s1, s2, s3, s_attn = (_slot_of(w) for w in (w1, w2, w3, attn))
+        w_shape, w3_shape = w1.data.shape, w3.data.shape
+        saved = [act, alpha]  # backward takes them, to free each after its last use
         def bwd(g):
-            weighted = kernels.segment_sum(result * g, targets, n)
-            _give(sl, result * (g - weighted[targets]))
+            act, alpha = saved
+            saved.clear()
+            # g_rows: the gradient of each row's weighted value, then (in
+            # place) of its value, then of its pre-activation
+            g_rows = g[ext]
+            per_head = g_rows.reshape(n_rows, heads, dh)
+            g_alpha = np.empty((n_rows, heads))
+            g_alpha[n_edges:] = (per_head[n_edges:] * vd.reshape(n_dst, heads, dh)).sum(axis=2)
+            edge_values = vs[src]
+            edge_values *= g_rows[:n_edges]
+            g_alpha[:n_edges] = edge_values.reshape(n_edges, heads, dh).sum(axis=2)
+            del edge_values
+            per_head *= alpha[:, :, None]
+            g_vs, g_vd = kernels.segment_sum(g_rows[:n_edges], src, n_src), g_rows[n_edges:]
+            if s1:
+                _give(s1, (xd.T @ g_vd).reshape(w_shape))
+            if s2:
+                _give(s2, (xs.T @ g_vs).reshape(w_shape))
+            gx_src = g_vs @ mat2.T if s_src else None
+            gx_dst = g_vd @ mat1.T if s_dst else None
+
+            g_logits = g_alpha
+            g_logits -= kernels.segment_sum(alpha * g_alpha, ext, n_dst)[ext]
+            g_logits *= alpha
+            del alpha
+            if s_attn:
+                g_attn = ((act.T @ g_logits) * head_of_column).sum(axis=1)
+                _give(s_attn, g_attn.reshape(1, heads, dh))
+            g_pre = np.matmul(g_logits, attn_mat.T, out=g_rows)
+            np.multiply(g_pre, slope, out=g_pre, where=act <= 0.0)
+            del act
+            g_edge, g_self = g_pre[:n_edges], g_pre[n_edges:]
+            if s_edge:
+                _give(s_edge, g_edge @ w3c.T)
+            g_a = kernels.segment_sum(g_edge, dst, n_dst)  # of x_dst W3a, in-edges and self
+            g_a += g_self
+            g_b = kernels.segment_sum(g_edge, src, n_src)  # of x_src W3b
+            if s3:
+                dw3 = np.concatenate([xd.T @ g_a, xs.T @ g_b + xd.T @ g_self, e.T @ g_edge])
+                _give(s3, dw3.reshape(w3_shape))
+            if s_src:
+                gx_src += g_b @ w3b.T
+                _give(s_src, gx_src)
+            if s_dst:
+                gx_dst += g_a @ w3a.T
+                gx_dst += g_self @ w3b.T
+                _give(s_dst, gx_dst)
         _on_backward(tape, out, bwd)
-    return out
+    return out, alpha
 
 
 def gather_rows(a, idx):

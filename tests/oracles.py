@@ -245,6 +245,43 @@ def gatv2_per_head(h_src, h_dst, src, dst, edge_h, w1, w2, w3, attn, slope):
     return out
 
 
+def _sums_in_row_order(rows, idx, n):
+    """Group sums of rows, each group added from zero in ascending row order."""
+    out = np.zeros((n, rows.shape[1]))
+    for r, i in enumerate(idx):
+        out[i] += rows[r]
+    return out
+
+
+def gatv2_composite(h_src, h_dst, src, dst, edge_h, w1, w2, w3, attn, slope):
+    """GATv2 over all heads at once, as a chain of single numpy steps whose
+    arithmetic order the model's attention must match bitwise: node-level
+    projections gathered per edge, (x_dst W3a)[dst] + (x_src W3b)[src] then
+    + e W3c, self rows x_dst (W3a + W3b), the two-branch LeakyReLU, a
+    block-diagonal logits matmul, a max-shifted softmax per destination and
+    the alpha-weighted sum of values, group sums in ascending row order.
+    Rows are the in-edges, then one self edge per destination. Returns
+    (out, alpha).
+    """
+    n_in, heads, dh = w1.shape
+    f = heads * dh
+    n_dst = h_dst.shape[0]
+    ext = np.concatenate([dst, np.arange(n_dst)])
+    w3a, w3b, w3c = (w3.reshape(3 * n_in, f)[b * n_in:(b + 1) * n_in] for b in range(3))
+    attn_mat = np.repeat(np.eye(heads), dh, axis=0) * attn.reshape(f, 1)
+    pre = np.concatenate([((h_dst @ w3a)[dst] + (h_src @ w3b)[src]) + edge_h @ w3c,
+                          h_dst @ (w3a + w3b)])
+    logits = np.where(pre > 0, pre, slope * pre) @ attn_mat
+    group_max = np.full((n_dst, heads), -np.inf)
+    for r, i in enumerate(ext):
+        group_max[i] = np.maximum(group_max[i], logits[r])
+    expd = np.exp(logits - group_max[ext])
+    alpha = expd / _sums_in_row_order(expd, ext, n_dst)[ext]
+    values = np.concatenate([(h_src @ w2.reshape(n_in, f))[src], h_dst @ w1.reshape(n_in, f)])
+    weighted = (values.reshape(-1, heads, dh) * alpha[:, :, None]).reshape(-1, f)
+    return _sums_in_row_order(weighted, ext, n_dst), alpha
+
+
 def gcn_per_relation(h_src, n_dst, relations, weights, biases):
     """Degree-normalized graph conv one relation at a time, edge by edge.
 

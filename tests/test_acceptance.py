@@ -101,7 +101,6 @@ def test_criterion_gradient_suite():
     act = tg.Tensor(safe, requires_grad=True)
     wa = tg.Tensor(rng.normal(size=(4, 6)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.relu(act), wa)), [act], OP_TOL))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.leaky_relu(act, 0.2), wa)), [act], OP_TOL))
     track(checked(lambda: tg.sum_all(tg.mul(tg.absolute(act), wa)), [act], OP_TOL))
 
     gain = tg.Tensor(rng.normal(size=6), requires_grad=True)
@@ -115,10 +114,15 @@ def test_criterion_gradient_suite():
     track(checked(lambda: tg.sum_all(tg.mul(tg.segment_sum(msgs, targets, 3), wm)),
                   [msgs], OP_TOL))
 
-    logits = tg.Tensor(rng.normal(size=(7, 1)), requires_grad=True)
-    wl = tg.Tensor(rng.normal(size=(7, 1)))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.segment_softmax(logits, targets, 3), wl)),
-                  [logits], OP_TOL))
+    # attention conv: 4 sources, 3 destinations (the last without in-edges),
+    # 5 edges, 2 heads of width 2
+    att = [tg.Tensor(rng.normal(size=s), requires_grad=True)
+           for s in ((4, 4), (3, 4), (5, 4), (4, 2, 2), (4, 2, 2), (12, 2, 2), (1, 2, 2))]
+    a_src, a_dst = np.array([1, 3, 0, 2, 3]), np.array([0, 0, 1, 1, 1])
+    a_ext = np.concatenate([a_dst, np.arange(3)])
+    wat = tg.Tensor(rng.normal(size=(3, 4)))
+    track(checked(lambda: tg.sum_all(tg.mul(
+        tg.edge_attention(*att, a_src, a_dst, a_ext, 0.2)[0], wat)), att, OP_TOL))
 
     idx = rng.integers(0, 5, size=6)
     wg = tg.Tensor(rng.normal(size=(6, 4)))

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,68 @@ def test_partial_history_social_matches_enumeration():
     keys = agent_keys(graph)
     got = {(keys[s], keys[d]) for s, d in graph.edges[REL_SOCIAL]}
     assert got == expected
+
+
+def test_huge_t_obs_builds_in_small_memory():
+    # two one-state tracks at the last of 10^6 steps: the node table has one
+    # column per observed step, not one per step
+    t_obs = 10 ** 6
+    tracks = [AgentTrack(f"a{i}", [(t_obs - 1, AgentState(0.0, 4.0 * i, 1.0, 0.0, 0.0))], [])
+              for i in range(2)]
+    scene = make_scene(tracks, t_obs=t_obs, t_f=0)
+    tracemalloc.start()
+    try:
+        graph = build_graph(scene, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert edge_set(graph, REL_SOCIAL) == {(0, 1), (1, 0)}
+
+
+def _gapped_track(agent_id, steps, y0=0.0):
+    track = straight_track(agent_id, y0=y0, t_obs=max(steps) + 1, t_f=0)
+    track.past = [track.past[t] for t in steps]
+    return track
+
+
+def _digest_scenes():
+    """Synthetic scenes at the benchmark's sizes, and helper scenes whose
+    tracks skip steps, so that observed steps are not contiguous."""
+    scenes = []
+    for agents, lanes, seed in ((4, 2, 1), (16, 8, 2), (3, 0, 3)):
+        spec = SyntheticSpec(scenes=2, agents=agents, lanes=lanes, t_obs=10, t_f=30, dt=0.1,
+                             noise=0.05, curved=seed % 2 == 1)
+        scenes += [normalize_scene(s) for s in generate_synthetic(spec, seed)]
+    gapped = [_gapped_track("a", [0, 2, 5]), _gapped_track("b", [1, 2, 6], y0=3.0),
+              _gapped_track("c", [4, 5, 6, 9], y0=6.0), _gapped_track("d", [9], y0=9.0)]
+    scenes.append(make_scene(gapped, [straight_lane("l0", 30.0, y=1.0)], t_obs=10, t_f=0))
+    scenes.append(make_scene([straight_track(f"a{i}", y0=4.0 * i, t_obs=10, t_f=0)
+                              for i in range(3)], t_obs=10, t_f=0))
+    return scenes
+
+
+def _graph_digest(graph):
+    h = hashlib.sha256()
+    for arr in (graph.agent_feats, graph.agent_track, graph.agent_step, graph.map_feats,
+                graph.readout_index):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for name in sorted(graph.edges):
+        h.update(name.encode())
+        h.update(graph.edges[name].tobytes())
+        h.update(graph.edge_feats[name].tobytes())
+    return h.hexdigest()[:16]
+
+
+# digests of the graphs built from a dense [tracks, max step + 1] node table
+GRAPH_DIGESTS = [
+    "6d2a5ef79cd5ed9b", "55949d0de041c14e", "b23ef780f0c28a2b", "31a3f3b497b68e95",
+    "94fab22540f81c07", "0977e0a2a6fe40be", "c91ab0f00f7afcb8", "e2fb5c8863136f51",
+]
+
+
+def test_graphs_bitwise_equal_to_dense_step_table():
+    assert [_graph_digest(build_graph(s, CFG)) for s in _digest_scenes()] == GRAPH_DIGESTS
 
 
 def test_lane_dilation_counts():

@@ -19,7 +19,9 @@ from trajgraph.scene import AgentState, AgentTrack, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
-from oracles import gatv2_per_head, gcn_per_relation, grad_rel_error, numeric_gradient
+from oracles import (
+    gatv2_composite, gatv2_per_head, gcn_per_relation, grad_rel_error, numeric_gradient,
+)
 from test_acceptance import OP_TOL
 
 GCFG = GraphConfig(dilation=2)
@@ -247,6 +249,12 @@ def test_gatv2_matches_per_head_oracle(heads, relation):
     expected = gatv2_per_head(h_src.data, h_dst.data, rel.src, rel.dst, e.data,
                               w1, w2, w3, attn, cfg.leaky_slope)
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+    # and bitwise equal to the step-by-step composite
+    _, alpha = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg, return_attention=True)
+    composite, composite_alpha = gatv2_composite(h_src.data, h_dst.data, rel.src, rel.dst,
+                                                 e.data, w1, w2, w3, attn, cfg.leaky_slope)
+    assert out.data.tobytes() == composite.tobytes()
+    assert alpha.tobytes() == composite_alpha.tobytes()
 
 
 def test_gatv2_gradient_every_weight_entry():

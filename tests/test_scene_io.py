@@ -101,6 +101,44 @@ def test_non_finite_position_rejected(tmp_path):
     del scene
 
 
+def _first_past_state_error(t_obs, past):
+    """validate_scene's four per-state checks one by one, in its order."""
+    prev = -1
+    for t, s in past:
+        if not (isinstance(t, int) and 0 <= t < t_obs):
+            return f"timestep {t} outside [0, {t_obs})"
+        if not t > prev:
+            return "past timesteps must be strictly increasing"
+        prev = t
+        if not all(map(math.isfinite, (s.x, s.y, s.vx, s.vy, s.heading))):
+            return "non-finite state"
+        if not -math.pi < s.heading <= math.pi:
+            return f"heading {s.heading} outside (-pi, pi]"
+    return None
+
+
+_VALUES = st.sampled_from([0.0, -2.5, 1e308, -1e308, math.nan, math.inf, -math.inf])
+_HEADINGS = st.sampled_from([0.0, math.pi, -math.pi, math.nextafter(-math.pi, 0.0), 3.5,
+                             math.nan, -math.inf])
+_PAST_STATES = st.tuples(st.sampled_from([-1, 0, 1, 2, 3, 2.0]),
+                         st.builds(AgentState, _VALUES, _VALUES, _VALUES, _VALUES, _HEADINGS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PAST_STATES, min_size=1, max_size=3))
+def test_past_state_checks_report_the_first_failure(past):
+    # validate_scene tests a past state at once and checks one by one only
+    # when that fails; finite values whose sum overflows must still pass
+    scene = make_scene([AgentTrack("a0", past, None)], t_obs=3)
+    want = _first_past_state_error(3, past)
+    if want is None:
+        scene_mod.validate_scene(scene)
+    else:
+        with pytest.raises(ValidationError) as err:
+            scene_mod.validate_scene(scene)
+        assert str(err.value) == f"scene 's0', field 'tracks[a0]': {want}"
+
+
 def test_duplicate_agent_id_rejected(tmp_path):
     scene = make_scene([straight_track("a0"), straight_track("a0", y0=5.0)])
     path = tmp_path / "dup.jsonl"

@@ -12,7 +12,7 @@ from trajgraph.model import forward, init_parameters
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 from trajgraph.train import prepare_samples
 
-from oracles import grad_rel_error, numeric_gradient
+from oracles import gatv2_composite, grad_rel_error, numeric_gradient
 
 GRAD_TOL = 1e-5
 
@@ -80,9 +80,8 @@ def test_bias_broadcast_gradient_is_column_sum():
         lambda: tg.sum_all(tg.mul(tg.add(a, bias), tg.Tensor(upstream))), [a, bias])
 
 
-def test_relu_leaky_values():
+def test_relu_values():
     assert tg.relu(tg.Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
-    assert tg.leaky_relu(tg.Tensor([-10.0]), 0.2).data.tolist() == [-2.0]
 
 
 def test_activation_gradients_away_from_kink():
@@ -93,24 +92,7 @@ def test_activation_gradients_away_from_kink():
     w = tg.Tensor(rng.normal(size=(4, 6)))
     check_gradients(lambda: tg.sum_all(tg.mul(tg.relu(a), w)), [a])
     a.zero_grad()
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.leaky_relu(a, 0.2), w)), [a])
-    a.zero_grad()
     check_gradients(lambda: tg.sum_all(tg.mul(tg.absolute(a), w)), [a])
-
-
-@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
-def test_leaky_relu_equals_two_branch_form_bitwise(slope):
-    rng = np.random.default_rng(59)
-    x = rng.normal(size=(64, 8)) * np.exp(rng.uniform(-20.0, 20.0, size=(64, 8)))
-    x[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
-    a = tg.Tensor(x, requires_grad=True)
-    with tg.Tape() as tape:
-        out = tg.leaky_relu(a, slope)
-        total = tg.sum_all(out)
-    tape.backward(total)
-    assert out.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
-    # a unit upstream gradient leaves the derivative itself on the input
-    assert a.grad.tobytes() == np.where(x > 0.0, 1.0, slope).tobytes()
 
 
 def test_layer_norm_constant_row():
@@ -168,34 +150,128 @@ def test_segment_sum_ones_upstream_gives_unit_edge_gradient():
     assert np.array_equal(msgs.grad, np.ones((5, 2)))
 
 
+# --- edge attention ----------------------------------------------------------
+# The fused GATv2 op. The leaky_relu and segment_softmax tests keep their
+# names: each pins its property on the LeakyReLU or the softmax inside it.
+
+_ATT_SRC = np.array([1, 3, 2, 0, 3, 1, 0])
+_ATT_DST = np.array([0, 0, 0, 1, 2, 2, 2])  # destination 3 has no in-edges
+
+
+def _attention_inputs(rng, heads, shared=False, scale=1.0, n_dst=4, n_edges=7, n_in=4, dh=2):
+    """[x_src, x_dst, edge, w1, w2, w3, attn], each taking a gradient;
+    x_src is x_dst when shared, else it has 5 rows."""
+    x_dst = tg.Tensor(rng.normal(size=(n_dst, n_in)) * scale, requires_grad=True)
+    x_src = x_dst if shared else tg.Tensor(rng.normal(size=(5, n_in)) * scale,
+                                           requires_grad=True)
+    shapes = [(n_edges, n_in), (n_in, heads, dh), (n_in, heads, dh),
+              (3 * n_in, heads, dh), (1, heads, dh)]
+    return [x_src, x_dst] + [tg.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def _attention(inputs, slope, src=_ATT_SRC, dst=_ATT_DST):
+    ext = np.concatenate([dst, np.arange(inputs[1].shape[0])])
+    return tg.edge_attention(*inputs, src, dst, ext, slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
+def test_leaky_relu_equals_two_branch_form_bitwise(slope):
+    """edge_attention's outputs and weights equal the composite oracle's,
+    whose LeakyReLU is np.where(pre > 0, pre, slope * pre), bitwise, over
+    pre-activations of sizes 1e-9 to 1e9 and exact zeros; at pre == 0 the
+    derivative is slope."""
+    rng = np.random.default_rng(59)
+    inputs = _attention_inputs(rng, heads=2)
+    inputs[1].data *= np.exp(rng.uniform(-20.0, 20.0, size=inputs[1].shape))
+    inputs[1].data[3] = 0.0  # the self row of the destination without in-edges
+    out, alpha = _attention(inputs, slope)
+    want_out, want_alpha = gatv2_composite(
+        inputs[0].data, inputs[1].data, _ATT_SRC, _ATT_DST,
+        *(t.data for t in inputs[2:]), slope)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert alpha.tobytes() == want_alpha.tobytes()
+
+    # W3 = 0 puts every pre-activation at the kink; only the derivative
+    # there depends on the slope, so W3's gradient scales with it
+    kink = _attention_inputs(np.random.default_rng(60), heads=2)
+    kink[5].data[:] = 0.0
+    w = tg.Tensor(rng.normal(size=(4, 4)))
+
+    def w3_grad(s):
+        kink[5].zero_grad()
+        with tg.Tape() as tape:
+            total = tg.sum_all(tg.mul(_attention(kink, s)[0], w))
+        tape.backward(total)
+        return kink[5].grad
+
+    at_slope, at_one = w3_grad(slope), w3_grad(1.0)
+    assert np.abs(at_one).max() > 0.0
+    assert np.abs(at_slope - slope * at_one).max() <= 1e-12 * np.abs(at_one).max()
+    assert slope > 0.0 or not at_slope.any()
+
+
 def test_segment_softmax_values():
-    single = tg.segment_softmax(tg.Tensor([[0.7]]), [0], 1)
-    assert single.data.tolist() == [[1.0]]
-    pair = tg.segment_softmax(tg.Tensor([[0.0], [0.0]]), [0, 0], 1)
-    assert pair.data.tolist() == [[0.5], [0.5]]
+    # zero logits (W3 = 0): each of a destination's k in-edges and its self
+    # edge weigh 1 / (k + 1) exactly; no in-edges leaves the self edge at 1
+    inputs = _attention_inputs(np.random.default_rng(21), heads=2)
+    inputs[5].data[:] = 0.0
+    _, alpha = _attention(inputs, 0.2)
+    per_row = [0.25, 0.25, 0.25, 0.5, 0.25, 0.25, 0.25] + [0.25, 0.5, 0.25, 1.0]
+    assert alpha.tolist() == [[w, w] for w in per_row]
 
 
 def test_segment_softmax_group_sums():
     rng = np.random.default_rng(23)
-    logits = tg.Tensor(rng.normal(size=(40, 1)) * 5)
-    targets = rng.integers(0, 6, size=40)
-    out = tg.segment_softmax(logits, targets, 6)
-    sums = np.zeros(6)
-    np.add.at(sums, targets, out.data[:, 0])
-    present = np.unique(targets)
-    assert np.all(np.abs(sums[present] - 1.0) < 1e-12)
+    src = rng.integers(0, 5, size=40)
+    dst = np.sort(rng.integers(0, 6, size=40))
+    inputs = _attention_inputs(rng, heads=4, scale=5.0, n_dst=6, n_edges=40)
+    _, alpha = _attention(inputs, 0.2, src, dst)
+    sums = np.zeros((6, 4))
+    np.add.at(sums, np.concatenate([dst, np.arange(6)]), alpha)
+    assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
 def test_segment_softmax_gradients():
+    # through the per-destination softmax: the logits' weights, 3 heads
     rng = np.random.default_rng(29)
-    logits = tg.Tensor(rng.normal(size=(8, 1)), requires_grad=True)
-    targets = [0, 0, 1, 1, 1, 2, 2, 0]
-    w = tg.Tensor(rng.normal(size=(8, 1)))
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.segment_softmax(logits, targets, 3), w)), [logits])
-    logits.zero_grad()
-    wide = tg.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-    w3 = tg.Tensor(rng.normal(size=(8, 3)))
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.segment_softmax(wide, targets, 3), w3)), [wide])
+    inputs = _attention_inputs(rng, heads=3)
+    w = tg.Tensor(rng.normal(size=(4, 6)))
+    check_gradients(lambda: tg.sum_all(tg.mul(_attention(inputs, 0.2)[0], w)), inputs[5:])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_edge_attention_gradients(slope, heads, shared):
+    """All seven inputs, x_src is x_dst as in the social and merge convs or
+    not, with a destination that has no in-edges."""
+    rng = np.random.default_rng(71 + heads)
+    inputs = _attention_inputs(rng, heads, shared)
+    w = tg.Tensor(rng.normal(size=(4, 2 * heads)))
+    leaves = inputs[1:] if shared else inputs
+    check_gradients(lambda: tg.sum_all(tg.mul(_attention(inputs, slope)[0], w)), leaves)
+
+
+def test_edge_attention_holds_act_and_alpha_per_row():
+    rng = np.random.default_rng(73)
+    n_src, n_dst, n_edges, heads, dh = 30, 20, 3000, 4, 4
+    f = heads * dh
+    src = rng.integers(0, n_src, size=n_edges)
+    dst = np.sort(rng.integers(0, n_dst, size=n_edges))
+    inputs = [tg.Tensor(rng.normal(size=s), requires_grad=True) for s in (
+        (n_src, f), (n_dst, f), (n_edges, f), (f, heads, dh), (f, heads, dh),
+        (3 * f, heads, dh), (1, heads, dh))]
+    ext = np.concatenate([dst, np.arange(n_dst)])
+    tracemalloc.start()
+    try:
+        with tg.Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out, alpha = tg.edge_attention(*inputs, src, dst, ext, 0.2)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    node_level = 8 * f * (n_src + 2 * n_dst)  # x_src W2, x_dst W1 and the output
+    assert held <= 8 * (f + heads) * (n_edges + n_dst) + node_level + 8192, held
 
 
 def test_concat_and_gather():
@@ -408,6 +484,14 @@ def test_backward_memory_stays_near_the_forward_and_frees_the_tape():
     assert peak <= 1.25 * end_of_forward, (peak, end_of_forward)
     # the tape and the loss are still alive: only the leaves' gradients remain
     assert after <= 1.5 * param_bytes, (after, param_bytes)
+
+
+def test_default_scene_records_one_tape_record_per_attention_conv():
+    # one record per attention conv; with 30 single ops per conv a scene records 645
+    cfg, (sample,), params = _default_model_scenes(1)
+    with tg.Tape() as tape:
+        total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
+    assert len(tape._records) <= 413
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
