@@ -28,6 +28,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not self.segment_len > 0:
+            raise ConfigError("segment_len must be positive")
         if self.graph.dilation != self.model.dilation:
             raise ConfigError(f"graph dilation {self.graph.dilation} != "
                               f"model dilation {self.model.dilation}")

@@ -2,36 +2,28 @@
 
 Pipeline per scene: per-type embedding MLPs (linear -> ReLU -> LayerNorm)
 with a sinusoidal per-timestep encoding concatenated onto agent nodes, a
-staged heterogeneous encoder (map context, agent context with social
-attention in the last two layers, agent<->map fusion, merge readout), and
-K independent regression/scoring MLP pairs producing multi-modal
-trajectories with unnormalized scores.
+heterogeneous graph encoder, and K independent regression/scoring MLP pairs
+producing multi-modal trajectories with unnormalized scores.
 
-Message passing uses two conv types: a degree-normalized graph conv whose
-messages add the edge feature to the source node feature before the linear
-map, and a multi-head gated attention conv (GATv2 style) with an implicit
-self edge per destination, in node-level form: an edge's pre-activation is
-(x_dst W3a)[dst] + (x_src W3b)[src] + e W3c, a self edge's x_dst (W3a + W3b).
-The graph conv runs once per call-site over all of its relations (the lane
-relations of a map layer, or agent pre/suc): messages are summed per
-(target, relation) row in ascending edge order, and one matmul with the
-relations' stacked weights sums over relations.
-The updates of one layer are merged by sum -> ReLU -> residual -> LayerNorm.
+`encoder_layers` is the one description of the encoder's wiring: each
+layer's call-sites, a degree-normalized graph conv over a group of
+relations (`gcn_edge_conv`) or a GATv2-style attention conv over one
+relation (`gatv2_conv`), and the merges that sum their updates
+(`layer_merge`). Parameter specs, the per-graph relation cache and `encode`
+are all read off it.
 """
 
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tg
 from .errors import CheckpointError, ConfigError
-from .graph import (
-    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO,
-    relation_endpoints,
-)
+from .graph import REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, relation_endpoints
 
 CHECKPOINT_MAGIC = b"HOLIGRAPH3"
 
@@ -101,6 +93,54 @@ def is_normalization_param(path):
     return any(seg == "norm" or seg.endswith("_norm") for seg in path.split("."))
 
 
+# --- encoder wiring ---------------------------------------------------------
+
+# A layer's merges run in order; a merge sums its call-sites' updates into
+# the state of one node type and normalizes with LayerNorm `norm` under the
+# layer prefix.
+Layer = namedtuple("Layer", "prefix merges")
+Merge = namedtuple("Merge", "node norm sites")
+
+# Every call-site -> its parameters' name under the layer prefix (None: the
+# layer prefix itself), in the order the cache embeds their edges; the edge
+# MLP's gradients are summed in that order.
+_CALL_SITES = {"agent": None, REL_MERGE: None, REL_SOCIAL: "social", "map": None,
+               REL_DRIVES_ON: "drives_on", REL_TRAFFIC_INFO: "traffic_info"}
+
+
+def _gcn_groups(cfg):
+    """Grouped GCN call-site -> its relations' shorts. Short s of group g is
+    the graph relation "g.s.g", with weights rel.s under the layer prefix."""
+    return {"agent": ("pre", "suc"), "map": cfg.map_rel_shorts()}
+
+
+def _site_prefix(layer_prefix, site):
+    name = _CALL_SITES[site]
+    return f"{layer_prefix}.{name}" if name else layer_prefix
+
+
+def encoder_layers(cfg):
+    """The encoder's wiring, layer by layer, in run order.
+
+    A call-site is a grouped GCN ("map" or "agent") or one attention
+    relation. Every call-site of a layer reads the states from before the
+    layer; its merges then run in order.
+    """
+    social = (REL_SOCIAL,) if cfg.use_social else ()
+    n_map, n_fusion = (cfg.n_map_layers, cfg.n_fusion_layers) if cfg.use_map else (0, 0)
+    layers = [Layer(f"map_layer.{l}", (Merge("map", "norm", ("map",)),)) for l in range(n_map)]
+    for l in range(cfg.n_agent_layers):
+        sites = ("agent",) + (social if l >= cfg.n_agent_layers - 2 else ())
+        layers.append(Layer(f"agent_layer.{l}", (Merge("agent", "norm", sites),)))
+    for l in range(n_fusion):
+        merges = (Merge("agent", "agent_norm", ("agent",) + social + (REL_TRAFFIC_INFO,)),)
+        if l < cfg.n_fusion_layers - 1:  # the last layer's map update is never read
+            merges += (Merge("map", "map_norm", ("map", REL_DRIVES_ON)),)
+        layers.append(Layer(f"fusion_layer.{l}", merges))
+    layers.append(Layer("merge", (Merge("agent", "norm", (REL_MERGE,)),)))
+    return layers
+
+
 def expected_parameter_specs(cfg):
     """path -> shape for every parameter the configuration instantiates."""
     f = cfg.f
@@ -133,35 +173,17 @@ def expected_parameter_specs(cfg):
         linear("embed.edge.linear", 2, f)
         norm("embed.edge.norm")
 
-    if cfg.use_map:
-        for l in range(cfg.n_map_layers):
-            for short in cfg.map_rel_shorts():
-                linear(f"map_layer.{l}.rel.{short}", f, f)
-            norm(f"map_layer.{l}.norm")
-
-    for l in range(cfg.n_agent_layers):
-        linear(f"agent_layer.{l}.rel.pre", f, f)
-        linear(f"agent_layer.{l}.rel.suc", f, f)
-        if cfg.use_social and l >= cfg.n_agent_layers - 2:
-            gat(f"agent_layer.{l}.social")
-        norm(f"agent_layer.{l}.norm")
-
-    if cfg.use_map:
-        for l in range(cfg.n_fusion_layers):
-            linear(f"fusion_layer.{l}.rel.pre", f, f)
-            linear(f"fusion_layer.{l}.rel.suc", f, f)
-            if cfg.use_social:
-                gat(f"fusion_layer.{l}.social")
-            gat(f"fusion_layer.{l}.traffic_info")
-            norm(f"fusion_layer.{l}.agent_norm")
-            if l < cfg.n_fusion_layers - 1:  # the last layer's map update is never read
-                for short in cfg.map_rel_shorts():
-                    linear(f"fusion_layer.{l}.rel.{short}", f, f)
-                gat(f"fusion_layer.{l}.drives_on")
-                norm(f"fusion_layer.{l}.map_norm")
-
-    gat("merge")
-    norm("merge.norm")
+    groups = _gcn_groups(cfg)
+    for layer in encoder_layers(cfg):
+        for merge in layer.merges:
+            for site in merge.sites:
+                prefix = _site_prefix(layer.prefix, site)
+                if site in groups:
+                    for short in groups[site]:
+                        linear(f"{prefix}.rel.{short}", f, f)
+                else:
+                    gat(prefix)
+            norm(f"{layer.prefix}.{merge.norm}")
 
     out = 2 * cfg.t_f
     for k in range(cfg.modes):
@@ -229,6 +251,7 @@ class _RelationCache:
         self.n_src = graph.n_agent_nodes if src_type == "agent" else graph.n_map_nodes
         self.n_dst = graph.n_agent_nodes if dst_type == "agent" else graph.n_map_nodes
         self.n_relations = r = len(names)
+        self.shorts = [name.split(".")[1] for name in names]
         edges = np.concatenate([graph.edges[name] for name in names])
         kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
         self.src = edges[:, 0].copy()
@@ -268,15 +291,13 @@ class EncoderCache:
     def __init__(self, graph, cfg):
         self.graph = graph
         # keyed by call-site: the grouped GCNs' "map" and "agent", and each
-        # attention relation on its own; only the groups the encoder reads
-        groups = {"agent": [REL_AGENT_PRE, REL_AGENT_SUC], REL_MERGE: [REL_MERGE]}
-        if cfg.use_social:
-            groups[REL_SOCIAL] = [REL_SOCIAL]
-        if cfg.use_map:
-            groups["map"] = [f"map.{short}.map" for short in cfg.map_rel_shorts()]
-            groups[REL_DRIVES_ON] = [REL_DRIVES_ON]
-            groups[REL_TRAFFIC_INFO] = [REL_TRAFFIC_INFO]
-        self.relations = {key: _RelationCache(graph, names) for key, names in groups.items()}
+        # attention relation on its own; only the call-sites the encoder reads
+        groups = _gcn_groups(cfg)
+        read = {site for layer in encoder_layers(cfg) for m in layer.merges for site in m.sites}
+        self.relations = {
+            site: _RelationCache(graph, [f"{site}.{s}.{site}" for s in groups[site]]
+                                 if site in groups else [site])
+            for site in _CALL_SITES if site in read}
         self.agent_in = tg.Tensor(graph.agent_feats)
         self.map_in = tg.Tensor(graph.map_feats)
         if cfg.use_temporal:
@@ -310,7 +331,7 @@ def embed(cache, params, cfg):
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
     if cfg.use_temporal:
-        agent_h = tg.matmul(tg.concat([agent_h, cache.tau]), params["embed.temporal.weight"])
+        agent_h = tg.matmul(tg.concat([agent_h, cache.tau], 1), params["embed.temporal.weight"])
     map_h = _embed_block(cache.map_in, params, "embed.map") if cfg.use_map else None
 
     edge_h = {}
@@ -336,8 +357,8 @@ def gcn_edge_conv(h_src, rel, edge_h, weights, biases):
     msg = tg.scale_rows(tg.add(tg.gather_rows(h_src, rel.src), edge_h), rel.coeff)
     agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
     # explicit width: n_dst is 0 in a scene without map segments
-    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat_rows(weights))
-    bias = tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat_rows(biases))
+    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
+    bias = tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0))
     return tg.add(out, bias)
 
 
@@ -374,71 +395,45 @@ def layer_merge(updates, h_prev, params, prefix, cfg):
 
 # --- encoder ----------------------------------------------------------------
 
-def _relation_weights(params, layer_prefix, shorts):
-    return ([params[f"{layer_prefix}.rel.{short}.weight"] for short in shorts],
-            [params[f"{layer_prefix}.rel.{short}.bias"] for short in shorts])
+def _grouped_gcn(h, cache, edge_h, params, layer_prefix, group):
+    rel = cache.relations[group]
+    weights = [params[f"{layer_prefix}.rel.{short}.weight"] for short in rel.shorts]
+    biases = [params[f"{layer_prefix}.rel.{short}.bias"] for short in rel.shorts]
+    return gcn_edge_conv(h, rel, edge_h[group], weights, biases)
 
 
 def _map_stage_updates(map_h, cache, edge_h, params, layer_prefix, cfg):
     """The lane relations' summed update, as one grouped conv."""
-    weights, biases = _relation_weights(params, layer_prefix, cfg.map_rel_shorts())
-    return gcn_edge_conv(map_h, cache.relations["map"], edge_h["map"], weights, biases)
+    return _grouped_gcn(map_h, cache, edge_h, params, layer_prefix, "map")
 
 
 def _agent_gcn_updates(agent_h, cache, edge_h, params, layer_prefix):
     """The temporal pre/suc relations' summed update, as one grouped conv."""
-    weights, biases = _relation_weights(params, layer_prefix, ("pre", "suc"))
-    return gcn_edge_conv(agent_h, cache.relations["agent"], edge_h["agent"], weights, biases)
+    return _grouped_gcn(agent_h, cache, edge_h, params, layer_prefix, "agent")
+
+
+def _site_update(site, h, cache, edge_h, params, layer_prefix, cfg):
+    """One call-site's update from the node states `h` before its layer."""
+    prefix = _site_prefix(layer_prefix, site)
+    if site == "map":
+        return _map_stage_updates(h["map"], cache, edge_h, params, prefix, cfg)
+    if site == "agent":
+        return _agent_gcn_updates(h["agent"], cache, edge_h, params, prefix)
+    src, dst = relation_endpoints(site)
+    return gatv2_conv(h[src], h[dst], cache.relations[site], edge_h[site], params, prefix, cfg)
 
 
 def encode(cache, params, cfg):
-    """Run the staged encoder; returns one latent row per track."""
+    """Run the layers of `encoder_layers`; returns one latent row per track."""
     agent_h, map_h, edge_h = embed(cache, params, cfg)
-
-    if cfg.use_map:
-        for l in range(cfg.n_map_layers):
-            prefix = f"map_layer.{l}"
-            update = _map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)
-            map_h = layer_merge([update], map_h, params, f"{prefix}.norm", cfg)
-
-    for l in range(cfg.n_agent_layers):
-        prefix = f"agent_layer.{l}"
-        updates = [_agent_gcn_updates(agent_h, cache, edge_h, params, prefix)]
-        if cfg.use_social and l >= cfg.n_agent_layers - 2:
-            rel = cache.relations[REL_SOCIAL]
-            updates.append(gatv2_conv(agent_h, agent_h, rel, edge_h[REL_SOCIAL],
-                                      params, f"{prefix}.social", cfg))
-        agent_h = layer_merge(updates, agent_h, params, f"{prefix}.norm", cfg)
-
-    if cfg.use_map:
-        for l in range(cfg.n_fusion_layers):
-            prefix = f"fusion_layer.{l}"
-            agent_updates = [_agent_gcn_updates(agent_h, cache, edge_h, params, prefix)]
-            if cfg.use_social:
-                rel = cache.relations[REL_SOCIAL]
-                agent_updates.append(gatv2_conv(agent_h, agent_h, rel, edge_h[REL_SOCIAL],
-                                                params, f"{prefix}.social", cfg))
-            rel = cache.relations[REL_TRAFFIC_INFO]
-            agent_updates.append(gatv2_conv(map_h, agent_h, rel, edge_h[REL_TRAFFIC_INFO],
-                                            params, f"{prefix}.traffic_info", cfg))
-
-            last_layer = l == cfg.n_fusion_layers - 1
-            if not last_layer:
-                # the final fusion layer's map update would never be read again
-                map_updates = [_map_stage_updates(map_h, cache, edge_h, params, prefix, cfg)]
-                rel = cache.relations[REL_DRIVES_ON]
-                map_updates.append(gatv2_conv(agent_h, map_h, rel, edge_h[REL_DRIVES_ON],
-                                              params, f"{prefix}.drives_on", cfg))
-
-            new_agent = layer_merge(agent_updates, agent_h, params, f"{prefix}.agent_norm", cfg)
-            if not last_layer:
-                map_h = layer_merge(map_updates, map_h, params, f"{prefix}.map_norm", cfg)
-            agent_h = new_agent
-
-    rel = cache.relations[REL_MERGE]
-    update = gatv2_conv(agent_h, agent_h, rel, edge_h[REL_MERGE], params, "merge", cfg)
-    agent_h = layer_merge([update], agent_h, params, "merge.norm", cfg)
-    return tg.gather_rows(agent_h, cache.graph.readout_index)
+    h = {"agent": agent_h, "map": map_h}
+    for layer in encoder_layers(cfg):
+        updates = [[_site_update(site, h, cache, edge_h, params, layer.prefix, cfg)
+                    for site in merge.sites] for merge in layer.merges]
+        h.update({merge.node: layer_merge(u, h[merge.node], params,
+                                          f"{layer.prefix}.{merge.norm}", cfg)
+                  for merge, u in zip(layer.merges, updates)})
+    return tg.gather_rows(h["agent"], cache.graph.readout_index)
 
 
 # --- prediction head --------------------------------------------------------
@@ -476,11 +471,11 @@ def predict_head(latent, cache, params, cfg):
         deltas = _head_block(latent, params, f"head.reg.k{k}")
         traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
         traj_parts.append(traj)
-        score_in = tg.concat([latent, traj])
+        score_in = tg.concat([latent, traj], 1)
         score_parts.append(_head_block(score_in, params, f"head.score.k{k}"))
-    flat = tg.concat(traj_parts)
+    flat = tg.concat(traj_parts, 1)
     trajectories = tg.reshape(flat, (n_agents, cfg.modes, cfg.t_f, 2))
-    scores = tg.concat(score_parts)
+    scores = tg.concat(score_parts, 1)
     return Prediction(trajectories=trajectories, scores=scores)
 
 

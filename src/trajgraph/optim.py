@@ -30,6 +30,12 @@ class OptimConfig:
             raise ConfigError("batch_size and decay_period must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
+        if not (self.lr0 > 0 and self.decay_factor > 0 and self.eps > 0):
+            raise ConfigError("lr0, decay_factor and eps must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be non-negative")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
 
 
 def learning_rate(cfg, epoch):

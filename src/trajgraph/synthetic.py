@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .scene import (DEFAULT_SEGMENT_LEN, ORIGIN_GEOMETRIC_CENTER, AgentState, AgentTrack,
-                    Lane, Scene, build_segments)
+                    Lane, Scene, build_segments, validate_scene)
 
 LANE_LENGTH = 120.0
 LANE_SPACING = 3.5
@@ -146,6 +147,10 @@ def _build_track(rng, spec, geom, lateral, agent_id, is_ego):
 
 def generate_synthetic(spec, seed):
     """Generate `spec.scenes` scenes; identical output for identical seeds."""
+    # refuse, before any draw, a spec whose scenes load_scenes would refuse
+    validate_scene(Scene("synth-0000", spec.t_obs, spec.t_f, spec.dt, ORIGIN_GEOMETRIC_CENTER))
+    if not math.isfinite(spec.noise):
+        raise ConfigError(f"noise must be finite, got {spec.noise!r}")
     rng = np.random.default_rng(seed)
     scenes = []
     for i in range(spec.scenes):

@@ -15,9 +15,9 @@ norm's normalized rows); an intermediate that no backward reads is freed as
 soon as the forward drops it. Backward consumes the tape: each record is
 popped as it runs, and each op takes and clears its output's gradient, so
 intermediate gradients die as backward goes. Pass-through ops (add, sub,
-add_scalar, reshape, concat, concat_rows) hand that buffer, or views of
-it, to an input instead of copying; add copies only when both inputs take
-a gradient and the second holds none yet. After backward only leaves hold
+add_scalar, reshape, concat) hand that buffer, or views of it, to an
+input instead of copying; add copies only when both inputs take a
+gradient and the second holds none yet. After backward only leaves hold
 ``.grad``, which may be a view of a larger buffer (no two leaves' views
 overlap).
 
@@ -526,36 +526,19 @@ def gather_rows(a, idx):
 
 # --- shape manipulation ---------------------------------------------------
 
-def concat(parts):
-    """Concatenate [n,f_i] tensors along the feature axis."""
+def concat(parts, axis):
+    """Join tensors along `axis`: [n_i, f] row blocks on 0, [n, f_i] on 1."""
     parts = list(parts)
-    out, tape = _make_output(np.concatenate([p.data for p in parts], axis=1), parts)
+    out, tape = _make_output(np.concatenate([p.data for p in parts], axis=axis), parts)
     if tape:
         slots = [_slot_of(p) for p in parts]
-        widths = [p.data.shape[1] for p in parts]
+        sizes = [p.data.shape[axis] for p in parts]
         def bwd(g):
             off = 0
-            for s, w in zip(slots, widths):
+            for s, n in zip(slots, sizes):
                 if s:
-                    _give(s, g[:, off:off + w])
-                off += w
-        _on_backward(tape, out, bwd)
-    return out
-
-
-def concat_rows(parts):
-    """Stack [n_i,f] tensors vertically."""
-    parts = list(parts)
-    out, tape = _make_output(np.concatenate([p.data for p in parts], axis=0), parts)
-    if tape:
-        slots = [_slot_of(p) for p in parts]
-        heights = [p.data.shape[0] for p in parts]
-        def bwd(g):
-            off = 0
-            for s, h in zip(slots, heights):
-                if s:
-                    _give(s, g[off:off + h])
-                off += h
+                    _give(s, g[(slice(None),) * axis + (slice(off, off + n),)])
+                off += n
         _on_backward(tape, out, bwd)
     return out
 

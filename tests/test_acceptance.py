@@ -128,9 +128,9 @@ def test_criterion_gradient_suite():
     wg = tg.Tensor(rng.normal(size=(6, 4)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.gather_rows(x, idx), wg)), [x], OP_TOL))
     wc = tg.Tensor(rng.normal(size=(5, 8)))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.concat([x, y]), wc)), [x, y], OP_TOL))
+    track(checked(lambda: tg.sum_all(tg.mul(tg.concat([x, y], 1), wc)), [x, y], OP_TOL))
     wr = tg.Tensor(rng.normal(size=(10, 4)))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.concat_rows([x, y]), wr)), [x, y], OP_TOL))
+    track(checked(lambda: tg.sum_all(tg.mul(tg.concat([x, y], 0), wr)), [x, y], OP_TOL))
     wrs = tg.Tensor(rng.normal(size=(2, 10)))
     track(checked(lambda: tg.sum_all(tg.mul(tg.reshape(x, (2, 10)), wrs)), [x], OP_TOL))
     track(checked(lambda: tg.sum_all(x), [x], OP_TOL))

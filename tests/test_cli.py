@@ -252,6 +252,21 @@ def test_gen_zero_scenes(tmp_path):
     assert path.read_text() == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--t-obs", "0"], "field 't_obs': must be >= 1", id="t-obs-0"),
+    pytest.param(["--dt", "nan"], "field 'dt': must be positive", id="dt-nan"),
+    pytest.param(["--dt", "0"], "field 'dt': must be positive", id="dt-0"),
+    pytest.param(["--dt", "-1"], "field 'dt': must be positive", id="dt-negative"),
+    pytest.param(["--t-f", "-3"], "field 't_f': must be >= 0", id="t-f-negative"),
+    pytest.param(["--noise", "inf"], "noise must be finite, got inf", id="noise-infinity"),
+])
+def test_gen_refuses_a_spec_load_would_refuse(tmp_path, flags, message):
+    path = tmp_path / "bad.jsonl"
+    rc, err = run_cli("gen-synthetic", "--scenes", "2", *flags, "--out", path)
+    assert rc == 2 and "Traceback" not in err
+    assert message in err and not path.exists()
+
+
 # --- train ------------------------------------------------------------------
 
 def test_train_writes_artifacts(tmp_path):
@@ -588,6 +603,22 @@ def test_missing_config_file_exits_2(trained, tmp_path):
                  id="leaky-slope-above-one"),
     pytest.param('{"model": {"leaky_slope": -3.3}}', "leaky_slope must be in [0, 1], got -3.3",
                  id="leaky-slope-negative"),
+    pytest.param('{"optim": {"lr0": -1.0}}', "lr0, decay_factor and eps must be positive",
+                 id="lr0-negative"),
+    pytest.param('{"optim": {"decay_factor": -3.0}}',
+                 "lr0, decay_factor and eps must be positive", id="decay-factor-negative"),
+    pytest.param('{"optim": {"eps": -1.0}}', "lr0, decay_factor and eps must be positive",
+                 id="eps-negative"),
+    pytest.param('{"optim": {"weight_decay": -1.0}}', "weight_decay must be non-negative",
+                 id="weight-decay-negative"),
+    pytest.param('{"optim": {"beta1": 1.0}}', "beta1 and beta2 must be in [0, 1)",
+                 id="beta1-one"),
+    pytest.param('{"optim": {"beta1": -0.5}}', "beta1 and beta2 must be in [0, 1)",
+                 id="beta1-negative"),
+    pytest.param('{"optim": {"beta2": 1.5}}', "beta1 and beta2 must be in [0, 1)",
+                 id="beta2-above-one"),
+    pytest.param('{"segment_len": -1.0}', "segment_len must be positive",
+                 id="segment-len-negative"),
 ])
 def test_mistyped_config_exits_2(tmp_path, text, message):
     data = gen_data(tmp_path)

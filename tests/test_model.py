@@ -6,8 +6,8 @@ import pytest
 from trajgraph import tensor as tg
 from trajgraph.errors import CheckpointError, ConfigError
 from trajgraph.graph import (
-    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig,
-    build_graph,
+    REL_AGENT_PRE, REL_AGENT_SUC, REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO,
+    GraphConfig, build_graph,
 )
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, _RelationCache, embed,
@@ -476,16 +476,41 @@ class _ReadSpy(ModelParameters):
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, {"n_fusion_layers": 1}, {"n_fusion_layers": 3}, {"use_map": False},
-    {"use_social": False}, {"use_relational": False}, {"use_residual": False},
-    {"use_temporal": False},
+    {}, {"n_fusion_layers": 0}, {"n_fusion_layers": 1}, {"n_fusion_layers": 3},
+    {"n_map_layers": 0}, {"use_map": False}, {"use_social": False},
+    {"use_map": False, "use_social": False}, {"use_relational": False},
+    {"use_residual": False}, {"use_temporal": False}, {"t_obs": 1},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()) or "default")
 def test_forward_reads_every_parameter(overrides):
+    # t_obs 1 leaves one agent layer, so social attention sits in layer 0
     cfg = ModelConfig(**overrides)
     _, _, cache = build_synthetic_cache(cfg, seed=46)
     params = _ReadSpy(dict(init_parameters(cfg, seed=47).items()))
     forward(cache, params, cfg)
     assert sorted(set(expected_parameter_specs(cfg)) - params.read) == []
+
+
+class _KeySpy(dict):
+    """A dict that records every key looked up by subscript."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n_fusion_layers", [0, 1, 2])
+def test_cache_holds_exactly_the_relations_encode_reads(n_fusion_layers):
+    cfg = tiny_cfg(n_fusion_layers=n_fusion_layers)
+    _, _, cache = build_synthetic_cache(cfg, seed=48)
+    cache.relations = _KeySpy(cache.relations)
+    encode(cache, init_parameters(cfg, seed=49), cfg)
+    # the order of edge-MLP records, which sets the order gradients are summed in
+    order = ["agent", REL_MERGE, REL_SOCIAL, "map", REL_DRIVES_ON, REL_TRAFFIC_INFO]
+    assert list(cache.relations) == [key for key in order if key in cache.relations.read]
 
 
 def test_default_parameter_count():

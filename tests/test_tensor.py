@@ -275,7 +275,9 @@ def test_edge_attention_holds_act_and_alpha_per_row():
 
 
 def test_concat_and_gather():
-    assert tg.concat([tg.Tensor([[1.0]]), tg.Tensor([[2.0]])]).data.tolist() == [[1.0, 2.0]]
+    parts = [tg.Tensor([[1.0]]), tg.Tensor([[2.0]])]
+    assert tg.concat(parts, 1).data.tolist() == [[1.0, 2.0]]
+    assert tg.concat(parts, 0).data.tolist() == [[1.0], [2.0]]
     a = tg.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     with tg.Tape() as tape:
         out = tg.sum_all(tg.gather_rows(a, [0, 0]))
@@ -303,7 +305,7 @@ def test_reshape_and_concat_rows_gradients():
     b = tg.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     w = tg.Tensor(rng.normal(size=(5, 2, 3)))
     def build():
-        stacked = tg.concat_rows([a, b])
+        stacked = tg.concat([a, b], 0)
         return tg.sum_all(tg.mul(tg.reshape(stacked, (5, 2, 3)), w))
     check_gradients(build, [a, b])
 
@@ -398,11 +400,12 @@ _HAND_OFF_CASES = {
     "add": (lambda x, y: tg.add(x, y), (3, 2), lambda w: (w, w)),
     "add-self": (lambda x, y: tg.add(x, x), (3, 2), lambda w: (w + w, None)),
     "sub-self": (lambda x, y: tg.sub(x, x), (3, 2), lambda w: (w - w, None)),
-    "concat-rows-self": (lambda x, y: tg.concat_rows([x, x]), (6, 2),
+    "concat-rows-self": (lambda x, y: tg.concat([x, x], 0), (6, 2),
                          lambda w: (w[:3] + w[3:], None)),
-    "concat-self": (lambda x, y: tg.concat([x, x]), (3, 4),
+    "concat-self": (lambda x, y: tg.concat([x, x], 1), (3, 4),
                     lambda w: (w[:, :2] + w[:, 2:], None)),
-    "concat": (lambda x, y: tg.concat([x, y]), (3, 4), lambda w: (w[:, :2], w[:, 2:])),
+    "concat": (lambda x, y: tg.concat([x, y], 1), (3, 4), lambda w: (w[:, :2], w[:, 2:])),
+    "concat-rows": (lambda x, y: tg.concat([x, y], 0), (6, 2), lambda w: (w[:3], w[3:])),
     "reshape": (lambda x, y: tg.reshape(x, (2, 3)), (2, 3), lambda w: (w.reshape(3, 2), None)),
 }
 
