@@ -55,8 +55,9 @@ class ModelConfig:
         if self.dilation < 1 or self.n_map_layers < 0 or self.n_fusion_layers < 0:
             raise ConfigError("dilation must be positive and layer counts non-negative")
         if not 0.0 <= self.leaky_slope <= 1.0:
-            # edge_attention reads the LeakyReLU branch from the sign of its
-            # output, which needs slope >= 0; above 1 it is no longer leaky
+            # edge_attention computes LeakyReLU as max(pre, slope * pre) and
+            # reads its branch from the sign of the output: the first needs
+            # slope <= 1, the second slope >= 0
             raise ConfigError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
 
     @property

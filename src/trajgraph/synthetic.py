@@ -151,6 +151,9 @@ def generate_synthetic(spec, seed):
     validate_scene(Scene("synth-0000", spec.t_obs, spec.t_f, spec.dt, ORIGIN_GEOMETRIC_CENTER))
     if not math.isfinite(spec.noise):
         raise ConfigError(f"noise must be finite, got {spec.noise!r}")
+    for name in ("scenes", "agents", "lanes", "noise"):
+        if getattr(spec, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(spec, name)!r}")
     rng = np.random.default_rng(seed)
     scenes = []
     for i in range(spec.scenes):

@@ -398,20 +398,27 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
 
         pre   = (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c   (in-edge)
                 x_dst (W3a + W3b)                              (self edge)
-        act   = pre if pre > 0 else slope * pre
+        act   = max(pre, slope * pre)
         logit = act . attn, per head
         alpha = softmax of the logits over each destination's rows
         out   = sum over a destination's rows of alpha * value, the value
                 being (x_src W2)[src] (in-edge) or x_dst W1 (self edge)
 
-    The group maximum and sums run through ``kernels`` in ascending row
-    order. Backward keeps per row only act and alpha, and the node-level
-    x_src W2 and x_dst W1: for slope >= 0, act > 0 exactly where pre > 0,
-    so act also gives the LeakyReLU branch. Returns (out [n_dst, heads*dh],
-    alpha [E + n_dst, heads]); alpha is the array backward reads, so the
-    caller must not write to it.
+    max(pre, slope * pre) is LeakyReLU, bitwise, only for slope in [0, 1],
+    so any other slope raises ValueError. src, dst and ext_targets are
+    range-checked once on entry; the row gathers then run as
+    ``np.take(..., mode="clip")``, which never clips a checked index and,
+    unlike the default mode, does not buffer its ``out``. The group maximum
+    and sums run through ``kernels`` in ascending row order. Backward keeps
+    per row only act and alpha, and the node-level x_src W2 and x_dst W1:
+    for slope >= 0, act > 0 exactly where pre > 0, so act also gives the
+    LeakyReLU branch, and backward turns act in place into the derivative.
+    Returns (out [n_dst, heads*dh], alpha [E + n_dst, heads]); alpha is the
+    array backward reads, so the caller must not write to it.
     """
     slope = float(slope)
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"edge_attention slope must be in [0, 1], got {slope!r}")
     if w1.data.ndim != 3:
         raise DimensionError(f"edge_attention weights must be [n_in, heads, dh]: {w1.data.shape}")
     n_in, heads, dh = w1.data.shape
@@ -432,19 +439,20 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
     attn_mat = head_of_column * attn.data.reshape(f, 1)  # block-diagonal [f, heads]
 
-    act = np.empty((n_rows, f))
-    np.take(xd @ w3a, dst, axis=0, out=act[:n_edges])
-    act[:n_edges] += (xs @ w3b)[src]
-    act[:n_edges] += e @ w3c
+    # weighted, the alpha-weighted values, is filled last; until then it is
+    # the scratch buffer of the pre-activation's terms and of slope * pre
+    act, weighted = np.empty((n_rows, f)), np.empty((n_rows, f))
+    np.take(xd @ w3a, dst, axis=0, out=act[:n_edges], mode="clip")
+    act[:n_edges] += np.take(xs @ w3b, src, axis=0, out=weighted[:n_edges], mode="clip")
+    act[:n_edges] += np.matmul(e, w3c, out=weighted[:n_edges])
     np.matmul(xd, w3a + w3b, out=act[n_edges:])
-    np.multiply(act, slope, out=act, where=act <= 0.0)
+    np.maximum(act, np.multiply(act, slope, out=weighted), out=act)
     alpha = act @ attn_mat  # the logits, normalized in place
     alpha -= kernels.segment_max(alpha, ext, n_dst)[ext]
     np.exp(alpha, out=alpha)
     alpha /= kernels.segment_sum(alpha, ext, n_dst)[ext]
     vs, vd = xs @ mat2, xd @ mat1
-    weighted = np.empty((n_rows, f))
-    np.take(vs, src, axis=0, out=weighted[:n_edges])
+    np.take(vs, src, axis=0, out=weighted[:n_edges], mode="clip")
     weighted[n_edges:] = vd
     per_head = weighted.reshape(n_rows, heads, dh)
     per_head *= alpha[:, :, None]
@@ -460,15 +468,19 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
             saved.clear()
             # g_rows: the gradient of each row's weighted value, then (in
             # place) of its value, then of its pre-activation
-            g_rows = g[ext]
+            g_rows = np.take(g, ext, axis=0, mode="clip")
             per_head = g_rows.reshape(n_rows, heads, dh)
             g_alpha = np.empty((n_rows, heads))
             g_alpha[n_edges:] = (per_head[n_edges:] * vd.reshape(n_dst, heads, dh)).sum(axis=2)
-            edge_values = vs[src]
+            edge_values = np.take(vs, src, axis=0, mode="clip")
             edge_values *= g_rows[:n_edges]
             g_alpha[:n_edges] = edge_values.reshape(n_edges, heads, dh).sum(axis=2)
             del edge_values
+            g_logits = g_alpha
+            g_logits -= kernels.segment_sum(alpha * g_alpha, ext, n_dst)[ext]
+            g_logits *= alpha
             per_head *= alpha[:, :, None]
+            del alpha  # before the largest scatter below
             g_vs, g_vd = kernels.segment_sum(g_rows[:n_edges], src, n_src), g_rows[n_edges:]
             if s1:
                 _give(s1, (xd.T @ g_vd).reshape(w_shape))
@@ -477,15 +489,15 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
             gx_src = g_vs @ mat2.T if s_src else None
             gx_dst = g_vd @ mat1.T if s_dst else None
 
-            g_logits = g_alpha
-            g_logits -= kernels.segment_sum(alpha * g_alpha, ext, n_dst)[ext]
-            g_logits *= alpha
-            del alpha
             if s_attn:
                 g_attn = ((act.T @ g_logits) * head_of_column).sum(axis=1)
                 _give(s_attn, g_attn.reshape(1, heads, dh))
             g_pre = np.matmul(g_logits, attn_mat.T, out=g_rows)
-            np.multiply(g_pre, slope, out=g_pre, where=act <= 0.0)
+            # act becomes the LeakyReLU derivative in place: 1 where act > 0,
+            # else slope
+            np.greater(act, 0.0, out=act, casting="unsafe")
+            np.maximum(act, slope, out=act)
+            g_pre *= act
             del act
             g_edge, g_self = g_pre[:n_edges], g_pre[n_edges:]
             if s_edge:

@@ -259,11 +259,15 @@ def test_gen_zero_scenes(tmp_path):
     pytest.param(["--dt", "-1"], "field 'dt': must be positive", id="dt-negative"),
     pytest.param(["--t-f", "-3"], "field 't_f': must be >= 0", id="t-f-negative"),
     pytest.param(["--noise", "inf"], "noise must be finite, got inf", id="noise-infinity"),
+    pytest.param(["--scenes", "-3"], "scenes must be >= 0, got -3", id="scenes-negative"),
+    pytest.param(["--agents", "-2"], "agents must be >= 0, got -2", id="agents-negative"),
+    pytest.param(["--lanes", "-5"], "lanes must be >= 0, got -5", id="lanes-negative"),
+    pytest.param(["--noise", "-1"], "noise must be >= 0, got -1.0", id="noise-negative"),
 ])
 def test_gen_refuses_a_spec_load_would_refuse(tmp_path, flags, message):
     path = tmp_path / "bad.jsonl"
     rc, err = run_cli("gen-synthetic", "--scenes", "2", *flags, "--out", path)
-    assert rc == 2 and "Traceback" not in err
+    assert rc == 2 and "Traceback" not in err and len(err.splitlines()) == 1
     assert message in err and not path.exists()
 
 
