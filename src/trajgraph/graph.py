@@ -10,9 +10,11 @@ Edges within a relation are sorted by (target key, source key), where a
 node's key is its stable identity (agent_id/timestep, lane_id/segment
 index), not its index. Each node type's keys are turned once into integer
 ranks, and every relation is ordered and deduplicated by one sort of
-rank-pair codes. Aggregation order therefore survives any permutation of
-the input track list, which makes model outputs exactly equivariant under
-track reordering.
+rank-pair codes. Agent nodes are laid out in that same key order, track by
+track in agent_id order, so every node and edge array is the same under any
+permutation of the input track list; only agent_track and readout_index,
+which index the scene's tracks, follow it. This makes model outputs exactly
+equivariant under track reordering, also where a sum runs in node order.
 
 Edge construction is array code throughout: lane links come from a sorted
 sweep over chord start points, dilated lane links from joins of sorted pair
@@ -70,6 +72,7 @@ class GraphConfig:
 
 @dataclass
 class HeteroGraph:
+    # agent nodes run track by track in agent_id order, each track in timestep order
     agent_feats: np.ndarray          # [N_A, 5] raw (x, y, vx, vy, heading)
     agent_track: np.ndarray          # [N_A] int64 index of each node's track in scene.tracks
     agent_step: np.ndarray           # [N_A] int64 timestep of each node
@@ -77,7 +80,8 @@ class HeteroGraph:
     dt: float                        # scene.dt: seconds per step, for the head's start points
     edges: dict = field(default_factory=dict)       # relation -> [E,2] int64 (src, dst)
     edge_feats: dict = field(default_factory=dict)  # relation -> [E,2] float64
-    readout_index: np.ndarray = None                # [n_tracks] node at last observed step
+    readout_index: np.ndarray = None                # [n_tracks] node at last observed step,
+                                                    # in scene.tracks order
     track_ids: list = field(default_factory=list)
 
     @property
@@ -147,26 +151,32 @@ def _finalize_relation(graph, name, pairs, nodes):
 
 
 def _agent_nodes(scene):
-    """Agent-state nodes, track by track in timestep order.
+    """Agent-state nodes, track by track in agent_id order (the order the
+    edges are ranked by), each track in timestep order.
 
-    Returns features, each node's track and timestep, the node index over
-    the (agent_id, timestep) keys, the readout node per track, the sorted
-    distinct observed timesteps and a dense [n_tracks, len(steps)] node
-    table, one column per observed timestep, holding -1 where a track is
-    unobserved.
+    Returns features, each node's track (its index in scene.tracks) and
+    timestep, the node index over the (agent_id, timestep) keys, the readout
+    node per track in scene order, the sorted distinct observed timesteps
+    and a dense [n_tracks, len(steps)] node table, one row per track in
+    agent_id order and one column per observed timestep, holding -1 where a
+    track is unobserved.
     """
     tracks = scene.tracks
-    feats = [[s.x, s.y, s.vx, s.vy, s.heading] for tr in tracks for _, s in tr.past]
+    order = np.argsort(_code_of([tr.agent_id for tr in tracks]), kind="stable")
+    laid = [tracks[i] for i in order]
+    feats = [[s.x, s.y, s.vx, s.vy, s.heading] for tr in laid for _, s in tr.past]
     arr = np.asarray(feats, dtype=np.float64).reshape(len(feats), 5)
-    counts = np.asarray([len(tr.past) for tr in tracks], dtype=np.int64)
-    track_of = np.repeat(np.arange(len(tracks), dtype=np.int64), counts)
-    step = np.asarray([t for tr in tracks for t, _ in tr.past], dtype=np.int64)
-    readout = np.cumsum(counts) - 1
-    rank, order = _stable_rank(_code_of([tr.agent_id for tr in tracks])[track_of], step)
+    counts = np.asarray([len(tr.past) for tr in laid], dtype=np.int64)
+    row_of = np.repeat(np.arange(len(laid), dtype=np.int64), counts)
+    track_of = order[row_of]
+    step = np.asarray([t for tr in laid for t, _ in tr.past], dtype=np.int64)
+    readout = np.empty(len(tracks), dtype=np.int64)
+    readout[order] = np.cumsum(counts) - 1
+    rank, node_order = _stable_rank(row_of, step)
     steps = _sorted_unique(step)
     table = np.full((len(tracks), steps.shape[0]), -1, dtype=np.int64)
-    table[track_of, np.searchsorted(steps, step)] = np.arange(step.shape[0])
-    return arr, track_of, step, _NodeIndex(rank, order, arr[:, :2]), readout, steps, table
+    table[row_of, np.searchsorted(steps, step)] = np.arange(step.shape[0])
+    return arr, track_of, step, _NodeIndex(rank, node_order, arr[:, :2]), readout, steps, table
 
 
 def _map_nodes(scene):

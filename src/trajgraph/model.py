@@ -308,6 +308,10 @@ class EncoderCache:
         # out[:, 2t+c] = sum of the (x, y) increments s <= t, coordinate c
         self.cumsum = tg.Tensor(np.kron(np.triu(np.ones((cfg.t_f, cfg.t_f))), np.eye(2)))
         self.start = tg.Tensor(_start_positions(graph, cfg))
+        # the tracks in agent_id order, whose readout nodes ascend, and the
+        # inverse permutation
+        self.track_order = np.argsort(graph.readout_index)
+        self.track_rank = np.argsort(self.track_order)
 
 
 def make_cache(graph, cfg):
@@ -317,9 +321,8 @@ def make_cache(graph, cfg):
 # --- building blocks --------------------------------------------------------
 
 def _embed_block(x, params, prefix):
-    h = tg.relu(tg.add(tg.matmul(x, params[f"{prefix}.linear.weight"]),
-                       params[f"{prefix}.linear.bias"]))
-    return tg.layer_norm(h, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.offset"])
+    return tg.linear_relu_norm(x, *(params[f"{prefix}.{name}"] for name in (
+        "linear.weight", "linear.bias", "norm.gain", "norm.offset")))
 
 
 def embed(cache, params, cfg):
@@ -328,7 +331,8 @@ def embed(cache, params, cfg):
     Returns (agent_h, map_h, edge_h per call-site); map_h is None when the
     map branch is disabled, edge embeddings are zero when relational
     features are disabled. The shared edge MLP runs once per call-site over
-    its concatenated relations.
+    its concatenated relations. Each embedding MLP is one
+    `tg.linear_relu_norm` record.
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
     if cfg.use_temporal:
@@ -425,7 +429,13 @@ def _site_update(site, h, cache, edge_h, params, layer_prefix, cfg):
 
 
 def encode(cache, params, cfg):
-    """Run the layers of `encoder_layers`; returns one latent row per track."""
+    """Run the layers of `encoder_layers`; returns one latent row per track,
+    in scene track order.
+
+    The node states are in the graph's agent_id node layout throughout, so
+    they do not depend on the order of the scene's tracks; only the final
+    gather at the readout nodes does, and a gather is exact.
+    """
     agent_h, map_h, edge_h = embed(cache, params, cfg)
     h = {"agent": agent_h, "map": map_h}
     for layer in encoder_layers(cfg):
@@ -465,18 +475,26 @@ def predict_head(latent, cache, params, cfg):
     are zero). An untrained head therefore predicts constant velocity and
     the modes learn residuals from it. Each mode's score sees the latent
     and that mode's trajectory.
+
+    The MLPs run over the tracks in agent_id order: the latent and start
+    rows are gathered into it and the outputs gathered back to scene order,
+    both exactly. A matmul's rounding can depend on a row's place in the
+    BLAS row tiles, so this makes the outputs permute bitwise with the
+    tracks.
     """
     n_agents = latent.data.shape[0]
+    latent = tg.gather_rows(latent, cache.track_order)
+    start = tg.Tensor(cache.start.data[cache.track_order])
     traj_parts, score_parts = [], []
     for k in range(cfg.modes):
         deltas = _head_block(latent, params, f"head.reg.k{k}")
-        traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
+        traj = tg.add(tg.matmul(deltas, cache.cumsum), start)
         traj_parts.append(traj)
         score_in = tg.concat([latent, traj], 1)
         score_parts.append(_head_block(score_in, params, f"head.score.k{k}"))
-    flat = tg.concat(traj_parts, 1)
+    flat = tg.gather_rows(tg.concat(traj_parts, 1), cache.track_rank)
     trajectories = tg.reshape(flat, (n_agents, cfg.modes, cfg.t_f, 2))
-    scores = tg.concat(score_parts, 1)
+    scores = tg.gather_rows(tg.concat(score_parts, 1), cache.track_rank)
     return Prediction(trajectories=trajectories, scores=scores)
 
 

@@ -2,18 +2,21 @@
 
 Covers exactly the operations the prediction model needs: matrix products,
 elementwise arithmetic with single-row (bias) broadcasting, activations,
-layer normalization, segment sum and gather for message passing, one fused
-multi-head attention conv, and a total sum. Everything is recorded on an
-explicit tape; replaying the tape in reverse order of recording accumulates
-gradients into ``.grad``.
+layer normalization, one fused linear -> ReLU -> layer norm embedding,
+segment sum and gather for message passing, one fused multi-head attention
+conv, and a total sum. Everything is recorded on an explicit tape;
+replaying the tape in reverse order of recording accumulates gradients
+into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
 and only the arrays its own backward reads (a product's factors, an
 activation's mask or sign, attention's activations and weights, layer
 norm's normalized rows); an intermediate that no backward reads is freed as
-soon as the forward drops it. Backward consumes the tape: each record is
-popped as it runs, and each op takes and clears its output's gradient, so
+soon as the forward drops it. The embedding record holds only its inputs:
+its backward recomputes the normalized rows block by block from the
+[rows, n_in] input. Backward consumes the tape: each record is popped as
+it runs, and each op takes and clears its output's gradient, so
 intermediate gradients die as backward goes. Pass-through ops (add, sub,
 add_scalar, reshape, concat) hand that buffer, or views of it, to an
 input instead of copying; add copies only when both inputs take a
@@ -26,9 +29,14 @@ bitwise-identical outputs and gradients. Segment aggregation and gather
 gradients go through the numpy kernels in ``kernels`` (there is no other
 backend), which always add in ascending edge-index order. A gather gradient
 sums the upstream rows of each index first and then adds that sum onto the
-gradient already held: g + (r1 + r2), not (g + r1) + r2.
+gradient already held: g + (r1 + r2), not (g + r1) + r2. The row-blocked
+ops (attention, embedding) cut rows into fixed blocks of ``_ROW_BLOCK``:
+sums within a block run in ascending edge order and the blocks' sums are
+added in ascending block order. Attention's dense value sums are matrix
+products, whose sums run over the source nodes in node order. Graphs lay
+agent nodes out in agent_id order, so the encoder's inputs, and with them
+its outputs bit for bit, do not depend on the order of the scene's tracks.
 """
-
 import numpy as np
 
 from . import kernels
@@ -37,6 +45,16 @@ from .errors import DimensionError, TapeError
 _MAX_RANK = 4
 
 _tape_stack = []
+
+# Rows per block of the row-blocked ops (edge attention, linear_relu_norm):
+# a [1024, 64] float64 block is 512 KiB. Timed on 16-agent scenes (2-CPU
+# host), 512 to 2048 rows were alike within noise and 4096 slower.
+_ROW_BLOCK = 1024
+
+
+def _blocks(n):
+    """[lo, hi) of the consecutive row blocks over n rows, in ascending order."""
+    return [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
 
 
 class _GradSlot:
@@ -362,10 +380,93 @@ def layer_norm(a, gain, offset):
     return out
 
 
+def _relu_norm_block(x, weight, bias, lo, hi):
+    """(xhat, inv, relu mask) of rows lo..hi of layer_norm(relu(x W + b))
+    before its gain and offset, by the ops of matmul, add, relu and
+    layer_norm in turn."""
+    z = x[lo:hi] @ weight
+    z += bias
+    mask = z > 0.0
+    np.maximum(z, 0.0, out=z)
+    z -= z.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((z * z).mean(axis=1, keepdims=True) + _LN_EPS)
+    z *= inv
+    return z, inv, mask
+
+
+def linear_relu_norm(x, weight, bias, gain, offset):
+    """layer_norm(relu(x @ weight + bias), gain, offset) as one tape record.
+
+    Forward runs in row blocks of ``_ROW_BLOCK`` and gives the bits of the
+    four separate ops. The record holds only its inputs: backward recomputes
+    each block's normalized rows and ReLU mask from the [rows, n_in] input.
+    Parameter gradients are summed block by block in ascending row order.
+    """
+    if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
+        raise DimensionError(
+            f"linear_relu_norm shapes incompatible: {x.data.shape} x {weight.data.shape}")
+    n, f = x.data.shape[0], weight.data.shape[1]
+    for name, t in (("bias", bias), ("gain", gain), ("offset", offset)):
+        if t.data.reshape(-1).shape != (f,):
+            raise DimensionError(
+                f"linear_relu_norm {name} must have {f} entries, got {t.data.shape}")
+    xs, w = x.data, weight.data
+    b_row, g_row, o_row = (t.data.reshape(1, f) for t in (bias, gain, offset))
+    out_data = np.empty((n, f))
+    for lo, hi in _blocks(n):
+        xhat = _relu_norm_block(xs, w, b_row, lo, hi)[0]
+        xhat *= g_row
+        np.add(xhat, o_row, out=out_data[lo:hi])
+    out, tape = _make_output(out_data, (x, weight, bias, gain, offset))
+    if tape:
+        slots = [_slot_of(t) for t in (x, weight, bias, gain, offset)]
+        shapes = [t.data.shape for t in (weight, bias, gain, offset)]
+        def bwd(g):
+            s_x, s_w, s_b, s_gain, s_offset = slots
+            g_x = np.empty((n, xs.shape[1])) if s_x else None
+            g_w, g_b = np.zeros((xs.shape[1], f)), np.zeros(f)
+            g_gain, g_offset = np.zeros(f), np.zeros(f)
+            for lo, hi in _blocks(n):
+                xhat, inv, mask = _relu_norm_block(xs, w, b_row, lo, hi)
+                # g is this record's own: its block becomes, in place, the
+                # gradient of xhat, then of the pre-activation
+                d = g[lo:hi]
+                g_gain += np.einsum("ij,ij->j", d, xhat)
+                g_offset += d.sum(axis=0)
+                d *= g_row
+                m1 = d.mean(axis=1, keepdims=True)
+                m2 = np.einsum("ij,ij->i", d, xhat).reshape(-1, 1) / f
+                d -= m1
+                xhat *= m2
+                d -= xhat
+                d *= inv
+                d *= mask
+                g_w += xs[lo:hi].T @ d
+                g_b += d.sum(axis=0)
+                if s_x:
+                    np.matmul(d, w.T, out=g_x[lo:hi])
+            for slot, grad, shape in zip(slots[1:], (g_w, g_b, g_gain, g_offset), shapes):
+                if slot:
+                    _give(slot, grad.reshape(shape))
+            if s_x:
+                _give(s_x, g_x)
+        _on_backward(tape, out, bwd)
+    return out
+
+
 # --- segment operations ---------------------------------------------------
 
+def _index_array(idx, what):
+    """idx as a contiguous int64 array; an empty list is an empty index, but
+    a non-empty float or bool array is refused instead of truncated."""
+    arr = np.asarray(idx)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise IndexError(f"{what} must be integers, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _check_targets(targets, n, n_rows):
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
+    targets = _index_array(targets, "segment targets")
     if targets.ndim != 1 or targets.shape[0] != n_rows:
         raise DimensionError(f"need one target per row: {targets.shape} vs {n_rows} rows")
     if n_rows and (targets.min() < 0 or targets.max() >= n):
@@ -386,6 +487,21 @@ def segment_sum(messages, targets, n):
     return out
 
 
+def _dense_values(heads, n_dst, n_src, n_edges, f):
+    """Whether edge attention sums its in-edge values as dense per-head
+    products: when the [heads, n_dst, n_src] weight matrices are no larger
+    than an [n_edges, f] edge array."""
+    return heads * n_dst * n_src <= n_edges * f
+
+
+def _pair_weights(alpha_edges, src, dst, n_src, n_dst):
+    """[heads, n_dst, n_src]: per head, the attention weights of the in-edges
+    summed per (dst, src) pair in ascending edge order."""
+    heads = alpha_edges.shape[1]
+    w = kernels.segment_sum(alpha_edges, dst * n_src + src, n_dst * n_src)
+    return np.ascontiguousarray(w.T).reshape(heads, n_dst, n_src)
+
+
 def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, slope):
     """Multi-head GATv2 attention with an implicit self edge per destination,
     as one tape record with a hand-written backward.
@@ -394,7 +510,8 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
     heads, dh] in row blocks W3a, W3b, W3c, attn [1, heads, dh]; columns
     h*dh..(h+1)*dh belong to head h. The E in-edges (src -> dst, features
     edge) come first, then one self edge per destination; ext_targets is
-    their destinations, dst followed by 0..n_dst-1. Per row and head:
+    their destinations, dst followed by 0..n_dst-1 (anything else raises
+    ValueError). Per row and head:
 
         pre   = (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c   (in-edge)
                 x_dst (W3a + W3b)                              (self edge)
@@ -408,13 +525,24 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
     so any other slope raises ValueError. src, dst and ext_targets are
     range-checked once on entry; the row gathers then run as
     ``np.take(..., mode="clip")``, which never clips a checked index and,
-    unlike the default mode, does not buffer its ``out``. The group maximum
-    and sums run through ``kernels`` in ascending row order. Backward keeps
-    per row only act and alpha, and the node-level x_src W2 and x_dst W1:
-    for slope >= 0, act > 0 exactly where pre > 0, so act also gives the
-    LeakyReLU branch, and backward turns act in place into the derivative.
-    Returns (out [n_dst, heads*dh], alpha [E + n_dst, heads]); alpha is the
-    array backward reads, so the caller must not write to it.
+    unlike the default mode, does not buffer its ``out``.
+
+    The per-row work (pre-activation, LeakyReLU, logits, and backward's
+    gradients of them) runs in fixed blocks of ``_ROW_BLOCK`` rows, so its
+    temporaries are block-sized. The in-edge value sum takes one of two
+    forms, by size alone: when the per-head [n_dst, n_src] weight matrices
+    are no larger than an [E, heads*dh] edge array (heads * n_dst * n_src
+    <= E * heads * dh), it is the dense product W_h (x_src W2)_h per head,
+    W summing alpha over each (dst, src) pair (duplicate pairs included);
+    otherwise the weighted values are gathered and scattered one row block
+    at a time. The self term alpha_self * x_dst W1 is added last. The group
+    maximum and sums run through ``kernels`` in ascending row order.
+    Backward keeps per row only act and alpha (W is rebuilt from alpha),
+    and the node-level x_src W2 and x_dst W1; block by block it turns act
+    in place into the gradient of the pre-activation, through the LeakyReLU
+    derivative. Returns (out [n_dst, heads*dh], alpha
+    [E + n_dst, heads]); alpha is the array backward reads, so the caller
+    must not write to it.
     """
     slope = float(slope)
     if not 0.0 <= slope <= 1.0:
@@ -434,30 +562,54 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
     src = _check_targets(src, n_src, n_edges)
     dst = _check_targets(dst, n_dst, n_edges)
     ext = _check_targets(ext_targets, n_dst, n_rows)
+    if not (np.array_equal(ext[:n_edges], dst)
+            and np.array_equal(ext[n_edges:], np.arange(n_dst))):
+        raise ValueError("edge_attention ext_targets must be dst followed by 0..n_dst-1")
     mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
     w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
     attn_mat = head_of_column * attn.data.reshape(f, 1)  # block-diagonal [f, heads]
+    dense = _dense_values(heads, n_dst, n_src, n_edges, f)
 
-    # weighted, the alpha-weighted values, is filled last; until then it is
-    # the scratch buffer of the pre-activation's terms and of slope * pre
-    act, weighted = np.empty((n_rows, f)), np.empty((n_rows, f))
-    np.take(xd @ w3a, dst, axis=0, out=act[:n_edges], mode="clip")
-    act[:n_edges] += np.take(xs @ w3b, src, axis=0, out=weighted[:n_edges], mode="clip")
-    act[:n_edges] += np.matmul(e, w3c, out=weighted[:n_edges])
+    a_dst, b_src = xd @ w3a, xs @ w3b
+    act, alpha = np.empty((n_rows, f)), np.empty((n_rows, heads))
     np.matmul(xd, w3a + w3b, out=act[n_edges:])
-    np.maximum(act, np.multiply(act, slope, out=weighted), out=act)
-    alpha = act @ attn_mat  # the logits, normalized in place
+    scratch = np.empty((min(_ROW_BLOCK, n_rows), f))
+    # blocks run over all rows, in-edges then self edges, so that the logits
+    # matmul sees the rows in the row tiles of one [n_rows, f] product
+    for lo, hi in _blocks(n_rows):
+        cut = min(hi, n_edges)
+        if lo < cut:
+            pre, tmp = act[lo:cut], scratch[:cut - lo]
+            np.take(a_dst, dst[lo:cut], axis=0, out=pre, mode="clip")
+            pre += np.take(b_src, src[lo:cut], axis=0, out=tmp, mode="clip")
+            pre += np.matmul(e[lo:cut], w3c, out=tmp)
+        block = act[lo:hi]
+        np.maximum(block, np.multiply(block, slope, out=scratch[:hi - lo]), out=block)
+        np.matmul(block, attn_mat, out=alpha[lo:hi])  # the logits, normalized below
+    del a_dst, b_src
     alpha -= kernels.segment_max(alpha, ext, n_dst)[ext]
     np.exp(alpha, out=alpha)
     alpha /= kernels.segment_sum(alpha, ext, n_dst)[ext]
+
     vs, vd = xs @ mat2, xd @ mat1
-    np.take(vs, src, axis=0, out=weighted[:n_edges], mode="clip")
-    weighted[n_edges:] = vd
-    per_head = weighted.reshape(n_rows, heads, dh)
-    per_head *= alpha[:, :, None]
-    out, tape = _make_output(kernels.segment_sum(weighted, ext, n_dst),
-                             (x_src, x_dst, edge, w1, w2, w3, attn))
+    if dense:
+        w = _pair_weights(alpha[:n_edges], src, dst, n_src, n_dst)
+        per_head = np.matmul(w, vs.reshape(n_src, heads, dh).transpose(1, 0, 2))
+        del w
+        out_data = np.ascontiguousarray(per_head.transpose(1, 0, 2)).reshape(n_dst, f)
+        del per_head
+    else:
+        out_data = np.zeros((n_dst, f))
+        for lo, hi in _blocks(n_edges):
+            rows = np.take(vs, src[lo:hi], axis=0, out=scratch[:hi - lo], mode="clip")
+            per_head = rows.reshape(hi - lo, heads, dh)
+            per_head *= alpha[lo:hi, :, None]
+            kernels.add_rows_at(out_data, dst[lo:hi], rows)
+    del scratch
+    per_head = out_data.reshape(n_dst, heads, dh)
+    per_head += vd.reshape(n_dst, heads, dh) * alpha[n_edges:, :, None]
+    out, tape = _make_output(out_data, (x_src, x_dst, edge, w1, w2, w3, attn))
     if tape:
         s_src, s_dst, s_edge = _slot_of(x_src), _slot_of(x_dst), _slot_of(edge)
         s1, s2, s3, s_attn = (_slot_of(w) for w in (w1, w2, w3, attn))
@@ -466,47 +618,78 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
         def bwd(g):
             act, alpha = saved
             saved.clear()
-            # g_rows: the gradient of each row's weighted value, then (in
-            # place) of its value, then of its pre-activation
-            g_rows = np.take(g, ext, axis=0, mode="clip")
-            per_head = g_rows.reshape(n_rows, heads, dh)
+            g_heads = g.reshape(n_dst, heads, dh)
             g_alpha = np.empty((n_rows, heads))
-            g_alpha[n_edges:] = (per_head[n_edges:] * vd.reshape(n_dst, heads, dh)).sum(axis=2)
-            edge_values = np.take(vs, src, axis=0, mode="clip")
-            edge_values *= g_rows[:n_edges]
-            g_alpha[:n_edges] = edge_values.reshape(n_edges, heads, dh).sum(axis=2)
-            del edge_values
+            g_alpha[n_edges:] = (g_heads * vd.reshape(n_dst, heads, dh)).sum(axis=2)
+            g_vd = (g_heads * alpha[n_edges:, :, None]).reshape(n_dst, f)
+            if dense:
+                g_by_head = g_heads.transpose(1, 0, 2)
+                w = _pair_weights(alpha[:n_edges], src, dst, n_src, n_dst)
+                g_vs = np.matmul(w.transpose(0, 2, 1), g_by_head)
+                del w
+                g_vs = np.ascontiguousarray(g_vs.transpose(1, 0, 2)).reshape(n_src, f)
+                g_w = np.matmul(g_by_head, vs.reshape(n_src, heads, dh).transpose(1, 2, 0))
+                g_alpha[:n_edges] = np.take(g_w.reshape(heads, n_dst * n_src),
+                                            dst * n_src + src, axis=1).T
+                del g_w
+            else:
+                g_vs = np.zeros((n_src, f))
+                rows, values = np.empty((2, min(_ROW_BLOCK, n_edges), f))
+                for lo, hi in _blocks(n_edges):
+                    g_rows = np.take(g, dst[lo:hi], axis=0, out=rows[:hi - lo], mode="clip")
+                    vals = np.take(vs, src[lo:hi], axis=0, out=values[:hi - lo], mode="clip")
+                    vals *= g_rows
+                    g_alpha[lo:hi] = vals.reshape(hi - lo, heads, dh).sum(axis=2)
+                    per_head = g_rows.reshape(hi - lo, heads, dh)
+                    per_head *= alpha[lo:hi, :, None]
+                    kernels.add_rows_at(g_vs, src[lo:hi], g_rows)
+                del rows, values
             g_logits = g_alpha
             g_logits -= kernels.segment_sum(alpha * g_alpha, ext, n_dst)[ext]
             g_logits *= alpha
-            per_head *= alpha[:, :, None]
-            del alpha  # before the largest scatter below
-            g_vs, g_vd = kernels.segment_sum(g_rows[:n_edges], src, n_src), g_rows[n_edges:]
+            del alpha
             if s1:
                 _give(s1, (xd.T @ g_vd).reshape(w_shape))
             if s2:
                 _give(s2, (xs.T @ g_vs).reshape(w_shape))
             gx_src = g_vs @ mat2.T if s_src else None
             gx_dst = g_vd @ mat1.T if s_dst else None
+            del g_vs, g_vd
 
-            if s_attn:
-                g_attn = ((act.T @ g_logits) * head_of_column).sum(axis=1)
-                _give(s_attn, g_attn.reshape(1, heads, dh))
-            g_pre = np.matmul(g_logits, attn_mat.T, out=g_rows)
-            # act becomes the LeakyReLU derivative in place: 1 where act > 0,
-            # else slope
-            np.greater(act, 0.0, out=act, casting="unsafe")
-            np.maximum(act, slope, out=act)
-            g_pre *= act
-            del act
-            g_edge, g_self = g_pre[:n_edges], g_pre[n_edges:]
-            if s_edge:
-                _give(s_edge, g_edge @ w3c.T)
-            g_a = kernels.segment_sum(g_edge, dst, n_dst)  # of x_dst W3a, in-edges and self
+            # block by block, act becomes in place the gradient of the
+            # pre-activation: LeakyReLU derivative * logit gradient * attn
+            g_attn = np.zeros((f, heads))
+            g_a, g_b = np.zeros((n_dst, f)), np.zeros((n_src, f))  # of x_dst W3a, x_src W3b
+            dw3c = np.zeros((n_in, f))
+            g_edge = np.empty((n_edges, n_in)) if s_edge else None
+            attn_row = attn.data.reshape(1, heads, dh)
+            for lo, hi in _blocks(n_rows):
+                block, g_block = act[lo:hi], g_logits[lo:hi]
+                g_attn += block.T @ g_block
+                # the LeakyReLU derivative: 1 where act > 0 (exactly where
+                # pre > 0, for slope >= 0), else slope
+                np.greater(block, 0.0, out=block, casting="unsafe")
+                np.maximum(block, slope, out=block)
+                per_head = block.reshape(hi - lo, heads, dh)
+                per_head *= g_block[:, :, None]
+                per_head *= attn_row
+                cut = min(hi, n_edges)
+                if lo < cut:
+                    g_pre = act[lo:cut]
+                    if s_edge:
+                        np.matmul(g_pre, w3c.T, out=g_edge[lo:cut])
+                    if s3:
+                        dw3c += e[lo:cut].T @ g_pre
+                    kernels.add_rows_at(g_a, dst[lo:cut], g_pre)
+                    kernels.add_rows_at(g_b, src[lo:cut], g_pre)
+            g_self = act[n_edges:]
             g_a += g_self
-            g_b = kernels.segment_sum(g_edge, src, n_src)  # of x_src W3b
+            if s_attn:
+                _give(s_attn, (g_attn * head_of_column).sum(axis=1).reshape(1, heads, dh))
+            if s_edge:
+                _give(s_edge, g_edge)
             if s3:
-                dw3 = np.concatenate([xd.T @ g_a, xs.T @ g_b + xd.T @ g_self, e.T @ g_edge])
+                dw3 = np.concatenate([xd.T @ g_a, xs.T @ g_b + xd.T @ g_self, dw3c])
                 _give(s3, dw3.reshape(w3_shape))
             if s_src:
                 gx_src += g_b @ w3b.T
@@ -521,7 +704,7 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
 
 def gather_rows(a, idx):
     """out[i] = a[idx[i]]; duplicated indices sum their upstream gradients."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    idx = _index_array(idx, "gather index")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"gather index out of range [0, {a.data.shape[0]})")
     out, tape = _make_output(a.data[idx], (a,))

@@ -249,11 +249,12 @@ def test_gatv2_matches_per_head_oracle(heads, relation):
     expected = gatv2_per_head(h_src.data, h_dst.data, rel.src, rel.dst, e.data,
                               w1, w2, w3, attn, cfg.leaky_slope)
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
-    # and bitwise equal to the step-by-step composite
+    # weights bitwise equal to the step-by-step composite; the output within
+    # rounding, since dense value sums add in another order than edge order
     _, alpha = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg, return_attention=True)
     composite, composite_alpha = gatv2_composite(h_src.data, h_dst.data, rel.src, rel.dst,
                                                  e.data, w1, w2, w3, attn, cfg.leaky_slope)
-    assert out.data.tobytes() == composite.tobytes()
+    assert np.abs(out.data - composite).max() <= 1e-12 * np.abs(composite).max()
     assert alpha.tobytes() == composite_alpha.tobytes()
 
 
@@ -370,6 +371,48 @@ def test_track_permutation_permutes_predictions_bitwise():
         assert np.array_equal(out.trajectories.data[new_row],
                               base.trajectories.data[old_row])
         assert np.array_equal(out.scores.data[new_row], base.scores.data[old_row])
+
+
+@pytest.mark.parametrize("side", ["by-size", "dense", "blocked"])
+@pytest.mark.parametrize("n_tracks", range(1, 10))
+def test_track_permutation_permutes_trained_predictions_bitwise(n_tracks, side, monkeypatch):
+    """With nonzero head output layers, permuting the tracks permutes the
+    predictions bitwise, for each value path of the attention convs: chosen
+    by size (both occur), or forced dense or blocked. Before the head ran in
+    agent_id order, odd track counts failed here through the head's BLAS
+    row tiles."""
+    if side != "by-size":
+        monkeypatch.setattr(tg, "_dense_values", lambda *sizes: side == "dense")
+    cfg = ModelConfig(f=16, heads=4, modes=3, t_f=6, t_obs=4, dilation=2)
+    seed = 102 + 7 * n_tracks
+    spec = SyntheticSpec(scenes=1, agents=n_tracks, lanes=2, t_obs=cfg.t_obs, t_f=cfg.t_f,
+                         dt=0.1, noise=0.3, curved=True)
+    scene = normalize_scene(generate_synthetic(spec, seed=seed)[0])
+    params = init_parameters(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for name, t in params.items():
+        if name.startswith("head.") and ".l2." in name:
+            t.data = 0.05 * rng.normal(size=t.data.shape)
+    graph_cfg = GraphConfig(dilation=cfg.dilation)
+    base = forward(make_cache(build_graph(scene, graph_cfg), cfg), params, cfg)
+
+    perm = rng.permutation(n_tracks)
+    scene.tracks = [scene.tracks[p] for p in perm]
+    out = forward(make_cache(build_graph(scene, graph_cfg), cfg), params, cfg)
+    assert np.array_equal(out.trajectories.data, base.trajectories.data[perm])
+    assert np.array_equal(out.scores.data, base.scores.data[perm])
+
+
+def test_value_paths_both_occur_by_size():
+    """In the scenes above, the size rule sends the merge relation down the
+    blocked value path and, from two tracks on, the social one down the
+    dense path."""
+    cfg = ModelConfig(f=16, heads=4, modes=3, t_f=6, t_obs=4, dilation=2)
+    for agents in (2, 9):
+        _, _, cache = build_synthetic_cache(cfg, seed=5, agents=agents)
+        dense = {site: tg._dense_values(cfg.heads, rel.n_dst, rel.n_src, len(rel.src), cfg.f)
+                 for site, rel in cache.relations.items()}
+        assert not dense[REL_MERGE] and dense[REL_SOCIAL]
 
 
 # --- prediction head --------------------------------------------------------

@@ -1,10 +1,15 @@
 """Source checks: numpy calls that take slow internal paths stay out of
-the package.
+the package, and scatters stay in ``kernels``.
 
 A ufunc called with ``where=`` runs a masked inner loop that is several
 times slower than the plain one, and ``np.take(..., out=...)`` in its
 default ``mode="raise"`` copies its output through a buffer. Both sat in
 the attention op's hot path; this test keeps them out of every module.
+
+A weighted ``np.bincount`` or an ``np.<ufunc>.at`` is a scatter. Outside
+``kernels.py`` it would escape the benchmark's ``kernels.*`` spans, which
+time every scatter by wrapping the kernels by name, so only that module
+may call them. An unweighted ``np.bincount`` (a degree count) is allowed.
 """
 
 import ast
@@ -31,6 +36,43 @@ def _slow_calls(source, filename="<string>"):
         if name == "take" and "out" in keywords and "mode" not in keywords:
             found.append((node.lineno, "np.take(..., out=...) without mode="))
     return found
+
+
+def _scatters(source, filename="<string>"):
+    """(line, text) of each weighted np.bincount and each np.<ufunc>.at in
+    source."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if (func.attr == "bincount" and isinstance(func.value, ast.Name)
+                and func.value.id == "np"
+                and (len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))):
+            found.append((node.lineno, "weighted np.bincount"))
+        if (func.attr == "at" and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name) and func.value.value.id == "np"
+                and isinstance(getattr(np, func.value.attr, None), np.ufunc)):
+            found.append((node.lineno, f"np.{func.value.attr}.at"))
+    return found
+
+
+def test_guard_finds_each_scatter():
+    assert _scatters("np.bincount(i, weights=w, minlength=n)") == [(1, "weighted np.bincount")]
+    assert _scatters("np.bincount(i, w)") == [(1, "weighted np.bincount")]
+    assert _scatters("np.add.at(out, i, rows)\nnp.maximum.at(out, i, rows)") == [
+        (1, "np.add.at"), (2, "np.maximum.at")]
+    # a degree count, and names that are not numpy ufuncs
+    assert _scatters("np.bincount(i, minlength=n); np.bincount(i)\n"
+                     "cache.at(3); np.foo.at(1)") == []
+
+
+def test_scatters_only_in_kernels():
+    found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "kernels.py"
+             for line, what in _scatters(path.read_text(), str(path))]
+    assert not found, found
+    assert _scatters((SRC / "kernels.py").read_text())  # the guard sees the kernels' own
 
 
 def test_guard_finds_each_slow_call():

@@ -117,6 +117,70 @@ def test_layer_norm_gradients():
         lambda: tg.sum_all(tg.mul(tg.layer_norm(a, gain, offset), w)), [a, gain, offset])
 
 
+def _linear_relu_norm_case(rng, rows, n_in=3, f=6):
+    """[x, weight, bias, gain, offset], each taking a gradient; the bias is
+    negative and the first two rows of x are zero, so that the ReLU zeroes
+    those rows whole."""
+    x = tg.Tensor(rng.normal(size=(rows, n_in)), requires_grad=True)
+    params = [tg.Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((n_in, f), (1, f), (f,), (f,))]
+    params[1].data[:] = -0.1 * np.abs(params[1].data)
+    x.data[:2] = 0.0
+    return [x] + params
+
+
+def _linear_relu_norm_composite(x, weight, bias, gain, offset):
+    return tg.layer_norm(tg.relu(tg.add(tg.matmul(x, weight), bias)), gain, offset)
+
+
+@pytest.mark.parametrize("block", [4, 1024])
+def test_linear_relu_norm_matches_the_four_op_composite(block, monkeypatch):
+    """Forward bitwise equal to matmul -> add -> relu -> layer_norm; every
+    gradient equal within rounding, in blocks of 4 rows (three blocks, the
+    last one short) and of 1024; and a finite-difference check."""
+    monkeypatch.setattr(tg, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(109)
+    inputs = _linear_relu_norm_case(rng, rows=11)
+    mix = tg.Tensor(rng.normal(size=(11, 6)))
+    results = []
+    for op in (tg.linear_relu_norm, _linear_relu_norm_composite):
+        for t in inputs:
+            t.zero_grad()
+        with tg.Tape() as tape:
+            out = op(*inputs)
+            total = tg.sum_all(tg.mul(out, mix))
+        tape.backward(total)
+        results.append((out.data, [t.grad.copy() for t in inputs]))
+    (fused, fused_grads), (composite, composite_grads) = results
+    assert fused.tobytes() == composite.tobytes()
+    assert (fused[:2] == inputs[4].data).all()  # rows the ReLU zeroed: offset only
+    for got, want in zip(fused_grads, composite_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for t in inputs:
+        t.zero_grad()
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.linear_relu_norm(*inputs), mix)), inputs)
+
+
+def test_linear_relu_norm_holds_only_its_inputs():
+    """After the forward, the record holds no [rows, f] array beyond its
+    output: no normalized rows, no ReLU mask, no pre-activation."""
+    rng = np.random.default_rng(113)
+    x = tg.Tensor(rng.normal(size=(5000, 2)))
+    params = [tg.Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((2, 64), (1, 64), (64,), (64,))]
+    tracemalloc.start()
+    try:
+        with tg.Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tg.linear_relu_norm(x, *params)
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert len(tape._records) == 1
+    finally:
+        tracemalloc.stop()
+    # a bool mask of the rows alone would be 320,000 bytes
+    assert held <= out.data.nbytes + 8192, held
+
+
 def test_segment_sum_empty():
     out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64), 4)
     assert out.shape == (4, 3)
@@ -132,6 +196,27 @@ def test_segment_sum_values():
 def test_segment_sum_out_of_range():
     with pytest.raises(IndexError):
         tg.segment_sum(tg.Tensor([[1.0]]), [5], 2)
+
+
+@pytest.mark.parametrize("bad", [[0.7, 1.9], np.array([0.0, 1.0]), np.array([True, False])],
+                         ids=["fractions", "whole-floats", "bools"])
+def test_non_integer_indices_raise(bad):
+    """An index that is not of an integer dtype raises instead of being
+    truncated or read as a mask."""
+    with pytest.raises(IndexError, match="must be integers"):
+        tg.segment_sum(tg.Tensor(np.ones((2, 1))), bad, 2)
+    with pytest.raises(IndexError, match="must be integers"):
+        tg.gather_rows(tg.Tensor([[1.0], [2.0]]), bad)
+    inputs = _attention_inputs(np.random.default_rng(89), heads=2)
+    src = _ATT_SRC.astype(np.asarray(bad).dtype)
+    with pytest.raises(IndexError, match="must be integers"):
+        _attention(inputs, 0.2, src=src)
+
+
+def test_empty_python_list_is_an_empty_index():
+    out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), [], 2)
+    assert out.data.tolist() == [[0.0] * 3] * 2
+    assert tg.gather_rows(tg.Tensor(np.ones((2, 3))), []).shape == (0, 3)
 
 
 def test_segment_sum_gradient_is_gather():
@@ -176,10 +261,10 @@ def _attention(inputs, slope, src=_ATT_SRC, dst=_ATT_DST):
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
 def test_leaky_relu_equals_two_branch_form_bitwise(slope):
-    """edge_attention's outputs and weights equal the composite oracle's,
-    whose LeakyReLU is np.where(pre > 0, pre, slope * pre), bitwise, over
-    pre-activations of sizes 1e-9 to 1e9 and exact zeros; at pre == 0 the
-    derivative is slope."""
+    """edge_attention's weights equal the composite oracle's, whose
+    LeakyReLU is np.where(pre > 0, pre, slope * pre), bitwise, and its
+    outputs within rounding, over pre-activations of sizes 1e-9 to 1e9 and
+    exact zeros; at pre == 0 the derivative is slope."""
     rng = np.random.default_rng(59)
     inputs = _attention_inputs(rng, heads=2)
     inputs[1].data *= np.exp(rng.uniform(-20.0, 20.0, size=inputs[1].shape))
@@ -188,7 +273,7 @@ def test_leaky_relu_equals_two_branch_form_bitwise(slope):
     want_out, want_alpha = gatv2_composite(
         inputs[0].data, inputs[1].data, _ATT_SRC, _ATT_DST,
         *(t.data for t in inputs[2:]), slope)
-    assert out.data.tobytes() == want_out.tobytes()
+    assert np.abs(out.data - want_out).max() <= 1e-12 * np.abs(want_out).max()
     assert alpha.tobytes() == want_alpha.tobytes()
 
     # W3 = 0 puts every pre-activation at the kink; only the derivative
@@ -283,6 +368,76 @@ def test_edge_attention_holds_act_and_alpha_per_row():
     assert held <= 8 * (f + heads) * (n_edges + n_dst) + node_level + 8192, held
 
 
+# duplicate (dst, src) pairs (0, 1) and (1, 0); destination 3 has no in-edges.
+# With heads = 2, dh = 2, 5 sources and 4 destinations the weight matrices
+# hold 2 * 4 * 5 = 40 entries: the dense side up to 40 / 4 = 10 edges.
+_DUP_SRC = np.array([1, 3, 1, 0, 3, 1, 0, 4, 0, 2])
+_DUP_DST = np.array([0, 0, 0, 1, 2, 2, 2, 0, 1, 2])
+
+
+def _matches_composite(inputs, slope, src, dst):
+    out, alpha = _attention(inputs, slope, src, dst)
+    want_out, want_alpha = gatv2_composite(inputs[0].data, inputs[1].data, src, dst,
+                                           *(t.data for t in inputs[2:]), slope)
+    assert alpha.tobytes() == want_alpha.tobytes()
+    assert np.abs(out.data - want_out).max() <= 1e-12 * np.abs(want_out).max()
+
+
+def _check_attention_gradients(inputs, slope, src, dst, seed):
+    w = tg.Tensor(np.random.default_rng(seed).normal(size=(inputs[1].shape[0], 4)))
+    check_gradients(lambda: tg.sum_all(tg.mul(_attention(inputs, slope, src, dst)[0], w)),
+                    inputs)
+
+
+@pytest.mark.parametrize("block", [3, 1024])
+@pytest.mark.parametrize("side", ["dense", "blocked"])
+def test_edge_attention_value_paths_match_composite(side, block, monkeypatch):
+    """Each value path, forced, in row blocks of 3 (four blocks, the last
+    one mixing in-edges and self edges) and of 1024, with duplicate pairs
+    and a destination without in-edges."""
+    monkeypatch.setattr(tg, "_ROW_BLOCK", block)
+    monkeypatch.setattr(tg, "_dense_values", lambda *sizes: side == "dense")
+    inputs = _attention_inputs(np.random.default_rng(97), heads=2, n_edges=10)
+    _matches_composite(inputs, 0.2, _DUP_SRC, _DUP_DST)
+    _check_attention_gradients(inputs, 0.2, _DUP_SRC, _DUP_DST, 98)
+
+
+@pytest.mark.parametrize("n_edges, dense", [(10, True), (9, False)])
+def test_edge_attention_at_the_size_boundary(n_edges, dense):
+    """10 edges are exactly at the rule's boundary (dense), 9 one edge
+    below it (blocked); the rule alone picks the side."""
+    assert tg._dense_values(2, 4, 5, n_edges, 4) is dense
+    inputs = _attention_inputs(np.random.default_rng(101), heads=2, n_edges=n_edges)
+    src, dst = _DUP_SRC[:n_edges], _DUP_DST[:n_edges]
+    _matches_composite(inputs, 0.2, src, dst)
+    _check_attention_gradients(inputs, 0.2, src, dst, 102)
+
+
+def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
+    """On 3,000 edges (three row blocks) the two value paths give the
+    composite's weights bitwise, its output within rounding, and the same
+    gradients within rounding."""
+    rng = np.random.default_rng(103)
+    inputs, src, dst, ext = _large_attention_case(rng)
+    w = tg.Tensor(rng.normal(size=(_N_DST, _HEADS * _DH)))
+    want_out, want_alpha = gatv2_composite(inputs[0].data, inputs[1].data, src, dst,
+                                           *(t.data for t in inputs[2:]), 0.2)
+    grads = {}
+    for side in ("dense", "blocked"):
+        monkeypatch.setattr(tg, "_dense_values", lambda *sizes: side == "dense")
+        for t in inputs:
+            t.zero_grad()
+        with tg.Tape() as tape:
+            out, alpha = tg.edge_attention(*inputs, src, dst, ext, 0.2)
+            total = tg.sum_all(tg.mul(out, w))
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert np.abs(out.data - want_out).max() <= 1e-12 * np.abs(want_out).max()
+        tape.backward(total)
+        grads[side] = [t.grad.copy() for t in inputs]
+    for dense, blocked in zip(grads["dense"], grads["blocked"]):
+        assert np.abs(dense - blocked).max() <= 1e-12 * np.abs(blocked).max()
+
+
 @pytest.mark.parametrize("which", ["src", "dst", "ext_targets"])
 @pytest.mark.parametrize("bad", ["negative", "too-large"])
 def test_edge_attention_refuses_out_of_range_indices(which, bad):
@@ -296,6 +451,13 @@ def test_edge_attention_refuses_out_of_range_indices(which, bad):
     idx[which][-1] = -1 if bad == "negative" else limit
     with tg.Tape(), pytest.raises(IndexError, match="out of range"):
         tg.edge_attention(*inputs, idx["src"], idx["dst"], idx["ext_targets"], 0.2)
+
+
+def test_edge_attention_refuses_ext_targets_other_than_dst_then_self():
+    inputs = _attention_inputs(np.random.default_rng(107), heads=2)
+    ext = np.concatenate([_ATT_DST, np.arange(4)])[::-1].copy()
+    with pytest.raises(ValueError, match="ext_targets must be dst followed by"):
+        tg.edge_attention(*inputs, _ATT_SRC, _ATT_DST, ext, 0.2)
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan"), float("inf")])
