@@ -6,15 +6,16 @@ edges between tracks, dilated lane connectivity, left/right lane neighbors,
 and velocity-gated agent<->map fusion edges. Every edge carries the
 relative offset target minus source as its feature.
 
-Edges within a relation are sorted by (target key, source key), where a
-node's key is its stable identity (agent_id/timestep, lane_id/segment
-index), not its index. Each node type's keys are turned once into integer
-ranks, and every relation is ordered and deduplicated by one sort of
-rank-pair codes. Agent nodes are laid out in that same key order, track by
-track in agent_id order, so every node and edge array is the same under any
-permutation of the input track list; only agent_track and readout_index,
-which index the scene's tracks, follow it. This makes model outputs exactly
-equivariant under track reordering, also where a sum runs in node order.
+Both node types are laid out in the order of their stable keys: agent
+nodes track by track in agent_id order, each track in timestep order, and
+map nodes lane by lane in lane_id order, each lane in chord-index order. A
+node's index is then its key rank, so the edges of a relation, sorted and
+deduplicated by one sort of (target, source) index codes, run in (target
+key, source key) order. Every node and edge array is the same under any
+permutation of the input tracks or lanes; only agent_track and
+readout_index, which index the scene's tracks, follow the track order. This
+makes model outputs exactly equivariant under track reordering and
+invariant under lane reordering, also where a sum runs in node order.
 
 Edge construction is array code throughout: lane links come from a sorted
 sweep over chord start points, dilated lane links from joins of sorted pair
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .scene import Segments
 
 REL_AGENT_PRE = "agent.pre.agent"
 REL_AGENT_SUC = "agent.suc.agent"
@@ -76,7 +78,8 @@ class HeteroGraph:
     agent_feats: np.ndarray          # [N_A, 5] raw (x, y, vx, vy, heading)
     agent_track: np.ndarray          # [N_A] int64 index of each node's track in scene.tracks
     agent_step: np.ndarray           # [N_A] int64 timestep of each node
-    map_feats: np.ndarray            # [N_M, 4] raw (x, y, dx, dy), scene.segments.feats
+    # map nodes run lane by lane in lane_id order, each lane in chord-index order
+    map_feats: np.ndarray            # [N_M, 4] raw (x, y, dx, dy), scene.segments.feats rows
     dt: float                        # scene.dt: seconds per step, for the head's start points
     edges: dict = field(default_factory=dict)       # relation -> [E,2] int64 (src, dst)
     edge_feats: dict = field(default_factory=dict)  # relation -> [E,2] float64
@@ -91,15 +94,6 @@ class HeteroGraph:
     @property
     def n_map_nodes(self):
         return self.map_feats.shape[0]
-
-
-def _stable_rank(primary, secondary):
-    """Rank of every node in the lexicographic order of (primary, secondary)
-    codes, and the inverse permutation (rank -> node)."""
-    order = np.lexsort((secondary, primary))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return rank, order
 
 
 def _code_of(labels):
@@ -125,41 +119,30 @@ def _expand_ranges(lo, hi):
     return rows, pos
 
 
-@dataclass
-class _NodeIndex:
-    rank: np.ndarray    # [N] position of each node in stable-key order
-    order: np.ndarray   # [N] node at each rank
-    pos: np.ndarray     # [N, 2] node position
-
-
-def _finalize_relation(graph, name, pairs, nodes):
-    """Deduplicate edges, order them by (dst_key, src_key) and attach
+def _finalize_relation(graph, name, pairs, xy):
+    """Deduplicate edges, order them by (dst, src) and attach
     target-minus-source offsets.
 
-    The stable keys (agent_id/timestep, lane_id/segment index) enter only
-    through integer ranks: each edge is coded rank[dst] * n_src + rank[src],
-    so one sort of integer codes orders and deduplicates the relation.
+    Node indices are key ranks, so one sort of dst * n_src + src codes
+    orders the relation by (target key, source key) and deduplicates it.
     """
     src_type, dst_type = relation_endpoints(name)
-    src, dst = nodes[src_type], nodes[dst_type]
-    n_src = src.rank.shape[0]
-    codes = _sorted_unique(dst.rank[pairs[:, 1]] * n_src + src.rank[pairs[:, 0]])
-    s = src.order[codes % n_src]
-    d = dst.order[codes // n_src]
+    n_src = xy[src_type].shape[0]
+    codes = _sorted_unique(pairs[:, 1] * n_src + pairs[:, 0])
+    s, d = codes % n_src, codes // n_src
     graph.edges[name] = np.stack([s, d], axis=1)
-    graph.edge_feats[name] = dst.pos[d] - src.pos[s]
+    graph.edge_feats[name] = xy[dst_type][d] - xy[src_type][s]
 
 
 def _agent_nodes(scene):
-    """Agent-state nodes, track by track in agent_id order (the order the
-    edges are ranked by), each track in timestep order.
+    """Agent-state nodes, track by track in agent_id order, each track in
+    timestep order.
 
     Returns features, each node's track (its index in scene.tracks) and
-    timestep, the node index over the (agent_id, timestep) keys, the readout
-    node per track in scene order, the sorted distinct observed timesteps
-    and a dense [n_tracks, len(steps)] node table, one row per track in
-    agent_id order and one column per observed timestep, holding -1 where a
-    track is unobserved.
+    timestep, the readout node per track in scene order, the sorted distinct
+    observed timesteps and a dense [n_tracks, len(steps)] node table, one
+    row per track in agent_id order and one column per observed timestep,
+    holding -1 where a track is unobserved.
     """
     tracks = scene.tracks
     order = np.argsort(_code_of([tr.agent_id for tr in tracks]), kind="stable")
@@ -172,19 +155,19 @@ def _agent_nodes(scene):
     step = np.asarray([t for tr in laid for t, _ in tr.past], dtype=np.int64)
     readout = np.empty(len(tracks), dtype=np.int64)
     readout[order] = np.cumsum(counts) - 1
-    rank, node_order = _stable_rank(row_of, step)
     steps = _sorted_unique(step)
     table = np.full((len(tracks), steps.shape[0]), -1, dtype=np.int64)
     table[row_of, np.searchsorted(steps, step)] = np.arange(step.shape[0])
-    return arr, track_of, step, _NodeIndex(rank, node_order, arr[:, :2]), readout, steps, table
+    return arr, track_of, step, readout, steps, table
 
 
 def _map_nodes(scene):
-    """Node index of the map-segment nodes over the (lane_id, index) keys."""
+    """The scene's segments laid out as map nodes: lane by lane in lane_id
+    order, each lane in chord-index order."""
     segs = scene.segments
     lane_code = _code_of([lane.lane_id for lane in scene.lanes])
-    rank, order = _stable_rank(lane_code[segs.lane], segs.index)
-    return _NodeIndex(rank, order, segs.feats[:, :2])
+    order = np.lexsort((segs.index, lane_code[segs.lane]))
+    return Segments(segs.feats[order], segs.lane[order], segs.index[order])
 
 
 def build_agent_edges(track_of, readout):
@@ -246,18 +229,18 @@ def _lane_links(map_feats):
     return np.stack([i[keep], j[keep]], axis=1)
 
 
-def build_map_edges(scene, map_feats, dilation):
+def build_map_edges(lanes, segs, dilation):
     """Dilated pre-i/suc-i chains plus index-aligned left/right neighbors.
 
-    pre-i holds the pairs joined by a walk of exactly i pre-1 links, self
-    pairs excluded; each order joins the previous order's pairs (self pairs
-    included) with the pre-1 links on their middle node. A chord's left
-    (right) neighbour is the chord at its index on the left (right) lane.
+    segs: the map nodes, from _map_nodes. pre-i holds the pairs joined by a
+    walk of exactly i pre-1 links, self pairs excluded; each order joins the
+    previous order's pairs (self pairs included) with the pre-1 links on
+    their middle node. A chord's left (right) neighbour is the chord at its
+    index on the left (right) lane.
     """
-    segs, lanes = scene.segments, scene.lanes
-    n = map_feats.shape[0]
+    n = segs.feats.shape[0]
 
-    base = _lane_links(map_feats)
+    base = _lane_links(segs.feats)
     by_src = base[np.argsort(base[:, 0], kind="stable")]
     relations = {}
     reach = base
@@ -272,26 +255,30 @@ def build_map_edges(scene, map_feats, dilation):
         relations[map_pre_relation(i)] = pairs
         relations[map_suc_relation(i)] = pairs[:, ::-1]
 
-    # side[k]: left and right lane index of chord k's lane, -1 for none, -2 for unknown
-    lane_of = {lane.lane_id: i for i, lane in enumerate(lanes)}
-    lane_of[None] = -1
-    side = np.asarray([[lane_of.get(l.left_lane_id, -2), lane_of.get(l.right_lane_id, -2)]
+    # side[k]: the left and right lane of node k's lane, by their place in
+    # lane_id order, -1 for none, -2 for unknown
+    code = _code_of([lane.lane_id for lane in lanes])
+    code_of = {lane.lane_id: c for lane, c in zip(lanes, code.tolist())}
+    code_of[None] = -1
+    side = np.asarray([[code_of.get(l.left_lane_id, -2), code_of.get(l.right_lane_id, -2)]
                        for l in lanes], dtype=np.int64).reshape(len(lanes), 2)[segs.lane]
     dangling = np.flatnonzero((side == -2).any(axis=1))
     if dangling.size:
-        lane, index = lanes[segs.lane[dangling[0]]], segs.index[dangling[0]]
-        token = lane.left_lane_id if lane.left_lane_id not in lane_of else lane.right_lane_id
+        # named in scene order: the first such lane, at its first kept chord
+        k = dangling[np.argmin(segs.lane[dangling])]
+        lane, index = lanes[segs.lane[k]], segs.index[k]
+        token = lane.left_lane_id if lane.left_lane_id not in code_of else lane.right_lane_id
         raise ValidationError(
             f"segment {lane.lane_id!r}:{index} references unknown lane {token!r}")
-    # search sorted keys lane * width + index; a dense [lanes, width] table can be huge
+    # search the keys lane code * width + index, which ascend in node order;
+    # a dense [lanes, width] table can be huge
     width = int(segs.index.max()) + 1 if n else 0
-    order = np.argsort(segs.lane * width + segs.index)
-    keys = (segs.lane * width + segs.index)[order]
+    keys = code[segs.lane] * width + segs.index
     for name, column in ((REL_MAP_LEFT, 0), (REL_MAP_RIGHT, 1)):
         want = side[:, column] * width + segs.index
         pos = np.minimum(np.searchsorted(keys, want), n - 1)
         hit = np.flatnonzero((want >= 0) & (keys[pos] == want))
-        relations[name] = np.stack([order[pos[hit]], hit], axis=1)
+        relations[name] = np.stack([pos[hit], hit], axis=1)
     return relations
 
 
@@ -309,21 +296,21 @@ def build_fusion_edges(agent_feats, map_feats, t_th, d_min):
 
 def build_graph(scene, cfg):
     """Assemble the full heterogeneous graph for one normalized scene."""
-    agent_feats, track_of, step, agent_nodes, readout, steps, table = _agent_nodes(scene)
-    map_feats = scene.segments.feats
+    agent_feats, track_of, step, readout, steps, table = _agent_nodes(scene)
+    segs = _map_nodes(scene)
     graph = HeteroGraph(
         agent_feats=agent_feats, agent_track=track_of, agent_step=step,
-        map_feats=map_feats, dt=scene.dt,
+        map_feats=segs.feats, dt=scene.dt,
         readout_index=readout, track_ids=[t.agent_id for t in scene.tracks])
 
-    nodes = {"agent": agent_nodes, "map": _map_nodes(scene)}
     pre, suc, merge = build_agent_edges(track_of, readout)
     relations = {REL_AGENT_PRE: pre, REL_AGENT_SUC: suc,
                  REL_SOCIAL: build_social_edges(steps, table), REL_MERGE: merge}
-    relations.update(build_map_edges(scene, map_feats, cfg.dilation))
+    relations.update(build_map_edges(scene.lanes, segs, cfg.dilation))
     relations[REL_DRIVES_ON], relations[REL_TRAFFIC_INFO] = build_fusion_edges(
-        agent_feats, map_feats, cfg.t_th, cfg.d_min)
+        agent_feats, segs.feats, cfg.t_th, cfg.d_min)
+    xy = {"agent": agent_feats[:, :2], "map": segs.feats[:, :2]}
     for name, pairs in relations.items():
-        _finalize_relation(graph, name, pairs, nodes)
+        _finalize_relation(graph, name, pairs, xy)
     return graph
 

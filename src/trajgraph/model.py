@@ -268,7 +268,6 @@ class _RelationCache:
         coeff = 1.0 / np.sqrt(deg_dst[self.targets] * deg_src[sources])
         self.coeff = tg.Tensor(coeff.reshape(-1, 1))
         self.raw_edge = tg.Tensor(np.concatenate([graph.edge_feats[name] for name in names]))
-        self.ext_targets = np.concatenate([self.dst, np.arange(self.n_dst, dtype=np.int64)])
 
 
 def _start_positions(graph, cfg):
@@ -367,7 +366,7 @@ def gcn_edge_conv(h_src, rel, edge_h, weights, biases):
     return tg.add(out, bias)
 
 
-def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, return_attention=False):
+def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):
     """Multi-head attention conv with an implicit self edge per destination.
 
     Per head h: logits = LeakyReLU([x_dst | x_src | e] W3[:, h]) attn[:, h],
@@ -376,14 +375,11 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg, return_attention=
     In node-level form, W3's row blocks W3a, W3b, W3c act on their own
     inputs: edge pre-activations (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c,
     self ones x_dst (W3a + W3b), values (x_src W2)[src]. All heads run in
-    one `tg.edge_attention` record. With return_attention, also returns the
-    [in-edges + destinations, heads] weights.
+    one `tg.edge_attention` record.
     """
-    out, alpha = tg.edge_attention(
+    out, _ = tg.edge_attention(
         h_src, h_dst, edge_h, *(params[f"{prefix}.{w}"] for w in ("w1", "w2", "w3", "attn")),
-        rel.src, rel.dst, rel.ext_targets, cfg.leaky_slope)
-    if return_attention:
-        return out, alpha.copy()
+        rel.src, rel.dst, cfg.leaky_slope)
     return out
 
 

@@ -34,8 +34,9 @@ ops (attention, embedding) cut rows into fixed blocks of ``_ROW_BLOCK``:
 sums within a block run in ascending edge order and the blocks' sums are
 added in ascending block order. Attention's dense value sums are matrix
 products, whose sums run over the source nodes in node order. Graphs lay
-agent nodes out in agent_id order, so the encoder's inputs, and with them
-its outputs bit for bit, do not depend on the order of the scene's tracks.
+agent nodes out in agent_id order and map nodes in lane_id order, so the
+encoder's inputs, and with them its outputs bit for bit, do not depend on
+the order of the scene's tracks or lanes.
 """
 import numpy as np
 
@@ -502,16 +503,15 @@ def _pair_weights(alpha_edges, src, dst, n_src, n_dst):
     return np.ascontiguousarray(w.T).reshape(heads, n_dst, n_src)
 
 
-def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, slope):
+def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     """Multi-head GATv2 attention with an implicit self edge per destination,
     as one tape record with a hand-written backward.
 
     Weights are stacked per head: w1, w2 [n_in, heads, dh], w3 [3 n_in,
     heads, dh] in row blocks W3a, W3b, W3c, attn [1, heads, dh]; columns
     h*dh..(h+1)*dh belong to head h. The E in-edges (src -> dst, features
-    edge) come first, then one self edge per destination; ext_targets is
-    their destinations, dst followed by 0..n_dst-1 (anything else raises
-    ValueError). Per row and head:
+    edge) come first, then one self edge per destination, so the rows'
+    destinations are dst followed by 0..n_dst-1. Per row and head:
 
         pre   = (x_dst W3a)[dst] + (x_src W3b)[src] + e W3c   (in-edge)
                 x_dst (W3a + W3b)                              (self edge)
@@ -522,8 +522,8 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
                 being (x_src W2)[src] (in-edge) or x_dst W1 (self edge)
 
     max(pre, slope * pre) is LeakyReLU, bitwise, only for slope in [0, 1],
-    so any other slope raises ValueError. src, dst and ext_targets are
-    range-checked once on entry; the row gathers then run as
+    so any other slope raises ValueError. src and dst are range-checked
+    once on entry; the row gathers then run as
     ``np.take(..., mode="clip")``, which never clips a checked index and,
     unlike the default mode, does not buffer its ``out``.
 
@@ -561,10 +561,7 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
     n_rows = n_edges + n_dst
     src = _check_targets(src, n_src, n_edges)
     dst = _check_targets(dst, n_dst, n_edges)
-    ext = _check_targets(ext_targets, n_dst, n_rows)
-    if not (np.array_equal(ext[:n_edges], dst)
-            and np.array_equal(ext[n_edges:], np.arange(n_dst))):
-        raise ValueError("edge_attention ext_targets must be dst followed by 0..n_dst-1")
+    ext = np.concatenate([dst, np.arange(n_dst)])
     mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
     w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
@@ -644,6 +641,8 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, ext_targets, 
                     per_head *= alpha[lo:hi, :, None]
                     kernels.add_rows_at(g_vs, src[lo:hi], g_rows)
                 del rows, values
+            # rebuilt, so that the record holds no [E + n_dst] index array
+            ext = np.concatenate([dst, np.arange(n_dst)])
             g_logits = g_alpha
             g_logits -= kernels.segment_sum(alpha * g_alpha, ext, n_dst)[ext]
             g_logits *= alpha

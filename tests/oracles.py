@@ -124,11 +124,12 @@ def dilated_edges_by_matrix_power(base_pairs, n_nodes, order):
     return {(s, d) for s, d in zip(*np.nonzero(power)) if s != d}
 
 
-def lane_links_by_scan(segments):
-    """Base lane links by scanning every ordered segment pair: (i, j) when
-    segment i's chord ends within 1e-6 m of where segment j's starts."""
+def lane_links_by_scan(feats):
+    """Base lane links by scanning every ordered pair of [N, 4] chord rows
+    (x, y, dx, dy): (i, j) when chord i ends within 1e-6 m of where chord j
+    starts."""
     pairs = set()
-    rows = segments.feats.tolist()
+    rows = feats.tolist()
     for i, (x, y, dx, dy) in enumerate(rows):
         ax, ay = x + dx / 2, y + dy / 2
         for j, (bx, by, bdx, bdy) in enumerate(rows):

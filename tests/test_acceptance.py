@@ -119,10 +119,9 @@ def test_criterion_gradient_suite():
     att = [tg.Tensor(rng.normal(size=s), requires_grad=True)
            for s in ((4, 4), (3, 4), (5, 4), (4, 2, 2), (4, 2, 2), (12, 2, 2), (1, 2, 2))]
     a_src, a_dst = np.array([1, 3, 0, 2, 3]), np.array([0, 0, 1, 1, 1])
-    a_ext = np.concatenate([a_dst, np.arange(3)])
     wat = tg.Tensor(rng.normal(size=(3, 4)))
     track(checked(lambda: tg.sum_all(tg.mul(
-        tg.edge_attention(*att, a_src, a_dst, a_ext, 0.2)[0], wat)), att, OP_TOL))
+        tg.edge_attention(*att, a_src, a_dst, 0.2)[0], wat)), att, OP_TOL))
 
     idx = rng.integers(0, 5, size=6)
     wg = tg.Tensor(rng.normal(size=(6, 4)))
@@ -255,7 +254,7 @@ def test_criterion_graph_oracle():
         social_idx = {(node_of[s], node_of[d]) for s, d in social}
         assert got("agent.social.agent") == social_idx
 
-        base = lane_links_by_scan(scene.segments)
+        base = lane_links_by_scan(scene.segments.feats)
         n_map = graph.n_map_nodes
         for order in range(1, cfg.dilation + 1):
             expected = dilated_edges_by_matrix_power(base, n_map, order) if n_map else set()

@@ -10,7 +10,7 @@ from trajgraph.graph import (
     REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, GraphConfig, build_graph,
     map_pre_relation, map_suc_relation,
 )
-from trajgraph.scene import AgentState, AgentTrack, Lane, Scene, normalize_scene
+from trajgraph.scene import AgentState, AgentTrack, Lane, Scene, build_segments, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
@@ -249,8 +249,8 @@ def test_dilation_matches_matrix_power_oracle():
     scene = normalize_scene(generate_synthetic(spec, seed=41)[0])
     graph = build_graph(scene, GraphConfig(dilation=4))
     assert graph.n_map_nodes > 500
-    base = lane_links_by_scan(scene.segments)
-    lane = scene.segments.lane
+    base = lane_links_by_scan(graph.map_feats)
+    lane = [lane_id for lane_id, _ in sorted(segment_keys(scene))]  # in node order
     assert any(lane[s] != lane[d] for s, d in base)  # cross-lane links are exercised
     for i in range(1, 5):
         expected = dilated_edges_by_matrix_power(base, graph.n_map_nodes, i)
@@ -265,7 +265,7 @@ def test_dilation_walks_through_cycles():
     lanes = [Lane(f"r{k}", [corners[k], corners[(k + 1) % 3]]) for k in range(3)]
     scene = make_scene([], lanes, t_obs=1, t_f=0, segment_len=10.0)
     graph = build_graph(scene, GraphConfig(dilation=4))
-    base = lane_links_by_scan(scene.segments)
+    base = lane_links_by_scan(scene.segments.feats)
     assert base == {(0, 1), (1, 2), (2, 0)}
     for i in range(1, 5):
         assert edge_set(graph, map_pre_relation(i)) == dilated_edges_by_matrix_power(base, 3, i)
@@ -310,13 +310,13 @@ def test_lane_link_tolerance_boundary(ends, starts, gap, linked):
     scene, meeting = _junction(ends, starts, gap)
     graph = build_graph(scene, GraphConfig(dilation=1))
     assert edge_set(graph, map_pre_relation(1)) == (meeting if linked else set())
-    assert edge_set(graph, map_pre_relation(1)) == lane_links_by_scan(scene.segments)
+    assert edge_set(graph, map_pre_relation(1)) == lane_links_by_scan(scene.segments.feats)
 
 
 def test_edges_strictly_increasing_in_stable_keys():
     # (dst_key, src_key) strictly increasing means sorted by stable keys and
-    # free of duplicates; partial histories and shuffled tracks make node
-    # index order differ from key order, and lane ids l10.. sort before l2..
+    # free of duplicates; partial histories and shuffled tracks make scene
+    # order differ from key order, and lane ids l10.. sort before l2..
     rng = np.random.default_rng(19)
     cfg = GraphConfig(dilation=3)
     for i in range(12):
@@ -331,9 +331,13 @@ def test_edges_strictly_increasing_in_stable_keys():
             track.past = [p for p, k in zip(track.past, keep) if k]
         scene.tracks = [scene.tracks[j] for j in rng.permutation(len(scene.tracks))]
         graph = build_graph(scene, cfg)
+        # map nodes are the scene's segments in (lane_id, index) order
+        map_keys = segment_keys(scene)
+        laid = sorted(range(len(map_keys)), key=map_keys.__getitem__)
+        assert np.array_equal(graph.map_feats, scene.segments.feats[laid])
         keys = {
             "agent": [(graph.track_ids[tr], t) for tr, t in agent_keys(graph)],
-            "map": segment_keys(scene),
+            "map": [map_keys[k] for k in laid],
         }
         for name in relation_names(cfg.dilation):
             src_type, dst_type = name.split(".")[0], name.split(".")[2]
@@ -345,6 +349,14 @@ def test_dangling_lane_token():
     lanes = [straight_lane("a", 9.0, left="ghost")]
     with pytest.raises(ValidationError, match="ghost"):
         build_graph(make_scene([], lanes, t_obs=1, t_f=0), CFG)
+    # two dangling lanes out of lane_id order: the message names the first
+    # in scene order, at its first kept chord
+    lanes = [straight_lane("b", 9.0, y=3.5, right="phantom"),
+             straight_lane("a", 9.0, left="ghost")]
+    scene = make_scene([], lanes, t_obs=1, t_f=0)
+    with pytest.raises(ValidationError,
+                       match=r"^segment 'b':0 references unknown lane 'phantom'$"):
+        build_graph(scene, CFG)
 
 
 def test_fusion_threshold_floor():
@@ -462,6 +474,29 @@ def test_track_permutation_isomorphism():
             ms = mapping[s] if src_type == "agent" else int(s)
             md = mapping[d] if dst_type == "agent" else int(d)
             assert feats[(ms, md)] == tuple(f)
+
+
+def test_lane_permutation_leaves_graph_bitwise_equal():
+    # 16 lanes, so lane ids l10.. sort before l2..; segments are rebuilt
+    # from the permuted lane list before normalization, as loading would
+    spec = SyntheticSpec(scenes=1, agents=4, lanes=16, t_obs=5, t_f=3, dt=0.1, noise=0.2,
+                         curved=True)
+    raw = generate_synthetic(spec, seed=31)[0]
+    graph = build_graph(normalize_scene(raw), CFG)
+    assert graph.n_map_nodes > 0 and len(graph.edges[REL_MAP_LEFT]) > 0
+
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        lanes = [raw.lanes[p] for p in rng.permutation(len(raw.lanes))]
+        shuffled = Scene(raw.scene_id, raw.t_obs, raw.t_f, raw.dt, raw.origin_rule,
+                         tracks=raw.tracks, lanes=lanes)
+        shuffled.segments = build_segments(shuffled, spec.segment_len)
+        graph_p = build_graph(normalize_scene(shuffled), CFG)
+        assert graph_p.map_feats.tobytes() == graph.map_feats.tobytes()
+        assert sorted(graph_p.edges) == sorted(graph.edges)
+        for name in graph.edges:
+            assert graph_p.edges[name].tobytes() == graph.edges[name].tobytes(), name
+            assert graph_p.edge_feats[name].tobytes() == graph.edge_feats[name].tobytes(), name
 
 
 def test_dump_golden():

@@ -15,7 +15,7 @@ from trajgraph.model import (
     is_normalization_param, layer_merge, load_checkpoint, make_cache, predict_head,
     save_checkpoint, temporal_encoding,
 )
-from trajgraph.scene import AgentState, AgentTrack, normalize_scene
+from trajgraph.scene import AgentState, AgentTrack, build_segments, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
@@ -187,6 +187,13 @@ def test_gatv2_isolated_destination_is_self_projection():
     assert np.allclose(out.data, expected, atol=1e-14)
 
 
+def attention_weights(h_src, h_dst, rel, e, params, prefix, cfg):
+    """The [in-edges + destinations, heads] weights of gatv2_conv's
+    attention, from the op it runs."""
+    weights = (params[f"{prefix}.{w}"] for w in ("w1", "w2", "w3", "attn"))
+    return tg.edge_attention(h_src, h_dst, e, *weights, rel.src, rel.dst, cfg.leaky_slope)[1]
+
+
 def test_gatv2_identical_sources_share_attention():
     cfg = tiny_cfg(t_obs=1, use_map=False)
     tracks = [straight_track("a0", t_obs=1, t_f=3),
@@ -199,10 +206,10 @@ def test_gatv2_identical_sources_share_attention():
                              np.full((1, cfg.f), 2.0),
                              np.full((1, cfg.f), 2.0)]))
     e = tg.Tensor(np.zeros((len(rel.src), cfg.f)))
-    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg, return_attention=True)
+    attention = attention_weights(h, h, rel, e, params, "merge", cfg)
     into_a0 = [i for i, d in enumerate(rel.dst) if d == 0]
     assert len(into_a0) == 2
-    assert attention.shape == (len(rel.ext_targets), cfg.heads)
+    assert attention.shape == (len(rel.src) + rel.n_dst, cfg.heads)
     for head in range(cfg.heads):
         assert attention[into_a0[0], head] == attention[into_a0[1], head]
 
@@ -217,10 +224,10 @@ def test_gatv2_attention_sums_to_one():
     rel = cache.relations[REL_SOCIAL]
     h = tg.Tensor(np.random.default_rng(11).normal(size=(graph.n_agent_nodes, cfg.f)))
     e = tg.Tensor(np.random.default_rng(12).normal(size=(len(rel.src), cfg.f)))
-    _, attention = gatv2_conv(h, h, rel, e, params, "merge", cfg, return_attention=True)
-    assert attention.shape == (len(rel.ext_targets), cfg.heads)
+    attention = attention_weights(h, h, rel, e, params, "merge", cfg)
+    assert attention.shape == (len(rel.src) + rel.n_dst, cfg.heads)
     sums = np.zeros((rel.n_dst, cfg.heads))
-    np.add.at(sums, rel.ext_targets, attention)
+    np.add.at(sums, np.concatenate([rel.dst, np.arange(rel.n_dst)]), attention)
     assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
@@ -251,7 +258,7 @@ def test_gatv2_matches_per_head_oracle(heads, relation):
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
     # weights bitwise equal to the step-by-step composite; the output within
     # rounding, since dense value sums add in another order than edge order
-    _, alpha = gatv2_conv(h_src, h_dst, rel, e, params, prefix, cfg, return_attention=True)
+    alpha = attention_weights(h_src, h_dst, rel, e, params, prefix, cfg)
     composite, composite_alpha = gatv2_composite(h_src.data, h_dst.data, rel.src, rel.dst,
                                                  e.data, w1, w2, w3, attn, cfg.leaky_slope)
     assert np.abs(out.data - composite).max() <= 1e-12 * np.abs(composite).max()
@@ -401,6 +408,34 @@ def test_track_permutation_permutes_trained_predictions_bitwise(n_tracks, side, 
     out = forward(make_cache(build_graph(scene, graph_cfg), cfg), params, cfg)
     assert np.array_equal(out.trajectories.data, base.trajectories.data[perm])
     assert np.array_equal(out.scores.data, base.scores.data[perm])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lane_permutation_leaves_trained_predictions_bitwise(seed):
+    """With the default config and nonzero head output layers, permuting
+    the scene's lanes leaves the predictions bitwise equal. At 16 lanes the
+    lane ids l10.. sort before l2.., so scene order is not key order."""
+    cfg = ModelConfig()
+    spec = SyntheticSpec(scenes=1, agents=8, lanes=16, t_obs=cfg.t_obs, t_f=cfg.t_f,
+                         dt=0.1, noise=0.05, curved=True)
+    raw = generate_synthetic(spec, seed=300 + seed)[0]
+    params = init_parameters(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for name, t in params.items():
+        if name.startswith("head.") and ".l2." in name:
+            t.data = 0.05 * rng.normal(size=t.data.shape)
+    graph_cfg = GraphConfig(dilation=cfg.dilation)
+
+    def predict():
+        graph = build_graph(normalize_scene(raw), graph_cfg)
+        return forward(make_cache(graph, cfg), params, cfg)
+
+    base = predict()
+    raw.lanes = [raw.lanes[p] for p in rng.permutation(len(raw.lanes))]
+    raw.segments = build_segments(raw, spec.segment_len)
+    out = predict()
+    assert np.array_equal(out.trajectories.data, base.trajectories.data)
+    assert np.array_equal(out.scores.data, base.scores.data)
 
 
 def test_value_paths_both_occur_by_size():

@@ -255,8 +255,7 @@ def _attention_inputs(rng, heads, shared=False, scale=1.0, n_dst=4, n_edges=7, n
 
 
 def _attention(inputs, slope, src=_ATT_SRC, dst=_ATT_DST):
-    ext = np.concatenate([dst, np.arange(inputs[1].shape[0])])
-    return tg.edge_attention(*inputs, src, dst, ext, slope)
+    return tg.edge_attention(*inputs, src, dst, slope)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
@@ -341,7 +340,7 @@ _N_SRC, _N_DST, _N_EDGES, _HEADS, _DH = 30, 20, 3000, 4, 4
 
 
 def _large_attention_case(rng):
-    """(inputs, src, dst, ext) of a 3,000-edge conv, inputs as in
+    """(inputs, src, dst) of a 3,000-edge conv, inputs as in
     _attention_inputs."""
     f = _HEADS * _DH
     src = rng.integers(0, _N_SRC, size=_N_EDGES)
@@ -349,18 +348,18 @@ def _large_attention_case(rng):
     inputs = [tg.Tensor(rng.normal(size=s), requires_grad=True) for s in (
         (_N_SRC, f), (_N_DST, f), (_N_EDGES, f), (f, _HEADS, _DH), (f, _HEADS, _DH),
         (3 * f, _HEADS, _DH), (1, _HEADS, _DH))]
-    return inputs, src, dst, np.concatenate([dst, np.arange(_N_DST)])
+    return inputs, src, dst
 
 
 def test_edge_attention_holds_act_and_alpha_per_row():
     n_src, n_dst, n_edges, heads, dh = _N_SRC, _N_DST, _N_EDGES, _HEADS, _DH
     f = heads * dh
-    inputs, src, dst, ext = _large_attention_case(np.random.default_rng(73))
+    inputs, src, dst = _large_attention_case(np.random.default_rng(73))
     tracemalloc.start()
     try:
         with tg.Tape():
             before, _ = tracemalloc.get_traced_memory()
-            out, alpha = tg.edge_attention(*inputs, src, dst, ext, 0.2)
+            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
             held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -418,7 +417,7 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
     composite's weights bitwise, its output within rounding, and the same
     gradients within rounding."""
     rng = np.random.default_rng(103)
-    inputs, src, dst, ext = _large_attention_case(rng)
+    inputs, src, dst = _large_attention_case(rng)
     w = tg.Tensor(rng.normal(size=(_N_DST, _HEADS * _DH)))
     want_out, want_alpha = gatv2_composite(inputs[0].data, inputs[1].data, src, dst,
                                            *(t.data for t in inputs[2:]), 0.2)
@@ -428,7 +427,7 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
         for t in inputs:
             t.zero_grad()
         with tg.Tape() as tape:
-            out, alpha = tg.edge_attention(*inputs, src, dst, ext, 0.2)
+            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
             total = tg.sum_all(tg.mul(out, w))
         assert alpha.tobytes() == want_alpha.tobytes()
         assert np.abs(out.data - want_out).max() <= 1e-12 * np.abs(want_out).max()
@@ -438,26 +437,17 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
         assert np.abs(dense - blocked).max() <= 1e-12 * np.abs(blocked).max()
 
 
-@pytest.mark.parametrize("which", ["src", "dst", "ext_targets"])
+@pytest.mark.parametrize("which", ["src", "dst"])
 @pytest.mark.parametrize("bad", ["negative", "too-large"])
 def test_edge_attention_refuses_out_of_range_indices(which, bad):
     """The range check on entry is the only index guard: the gathers run in
     np.take's clip mode, so an index out of range must raise, never clip."""
     inputs = _attention_inputs(np.random.default_rng(79), heads=2)
-    n_dst = inputs[1].shape[0]
-    idx = {"src": _ATT_SRC.copy(), "dst": _ATT_DST.copy(),
-           "ext_targets": np.concatenate([_ATT_DST, np.arange(n_dst)])}
-    limit = {"src": inputs[0].shape[0], "dst": n_dst, "ext_targets": n_dst}[which]
+    idx = {"src": _ATT_SRC.copy(), "dst": _ATT_DST.copy()}
+    limit = {"src": inputs[0].shape[0], "dst": inputs[1].shape[0]}[which]
     idx[which][-1] = -1 if bad == "negative" else limit
     with tg.Tape(), pytest.raises(IndexError, match="out of range"):
-        tg.edge_attention(*inputs, idx["src"], idx["dst"], idx["ext_targets"], 0.2)
-
-
-def test_edge_attention_refuses_ext_targets_other_than_dst_then_self():
-    inputs = _attention_inputs(np.random.default_rng(107), heads=2)
-    ext = np.concatenate([_ATT_DST, np.arange(4)])[::-1].copy()
-    with pytest.raises(ValueError, match="ext_targets must be dst followed by"):
-        tg.edge_attention(*inputs, _ATT_SRC, _ATT_DST, ext, 0.2)
+        tg.edge_attention(*inputs, idx["src"], idx["dst"], 0.2)
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan"), float("inf")])
@@ -482,13 +472,13 @@ def test_edge_attention_peak_memory_not_above_parent():
     buffer of the weighted values, and backward turns act into the
     LeakyReLU derivative in place."""
     rng = np.random.default_rng(73)
-    inputs, src, dst, ext = _large_attention_case(rng)
+    inputs, src, dst = _large_attention_case(rng)
     w = tg.Tensor(rng.normal(size=(_N_DST, _HEADS * _DH)))
     tracemalloc.start()
     try:
         with tg.Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            out, alpha = tg.edge_attention(*inputs, src, dst, ext, 0.2)
+            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
             total = tg.sum_all(tg.mul(out, w))
             del out, alpha
         tape.backward(total)
