@@ -239,27 +239,62 @@ def temporal_encoding(timesteps, f):
 
 # --- per-graph constants ----------------------------------------------------
 
+def _run_ranks(keys):
+    """Each entry's place in its run of equal keys: position minus the
+    position where the run starts. Equal keys must be contiguous."""
+    pos = np.arange(keys.shape[0])
+    starts = np.ones(keys.shape[0], dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
+
+
+def _slot_table(keys, values, coeff, n_keys, empty):
+    """[D, n_keys] table whose slot d holds, per key, the value of the key's
+    d-th entry, and the [D, n_keys, 1] coefficients; D is at least 1, and
+    an empty slot holds `empty` with coefficient 0. Equal keys must be
+    contiguous, in the order their slots take."""
+    rank = _run_ranks(keys)
+    depth = int(rank.max()) + 1 if rank.size else 1
+    flat = rank * n_keys + keys
+    table = np.full(depth * n_keys, empty, dtype=np.int64)
+    table[flat] = values
+    table_coeff = np.zeros(depth * n_keys)
+    table_coeff[flat] = coeff
+    return table.reshape(depth, n_keys), table_coeff.reshape(depth, n_keys, 1)
+
+
 class _RelationCache:
     """One call-site's relations, which share endpoint types, as one edge list.
 
-    Edges and raw edge features are concatenated in the order of `names`;
-    edge i of relation r targets row dst*R + r of the per-(target, relation)
-    aggregate, and its coefficient uses degrees counted per relation.
+    Edges and raw edge features are concatenated in the order of `names`.
+    A grouped GCN's cache (`gcn`) also holds what `gcn_edge_term` and
+    `tg.edge_conv` read. Edge i of relation r targets row dst*R + r of the
+    per-(target, relation) aggregate, and its coefficient uses degrees
+    counted per relation. The in-table's slot d holds each aggregate row's
+    d-th in-edge (source and coefficient) in ascending edge order: the graph
+    orders each relation's edges by (dst, src), so a row's in-edges are
+    contiguous and rank by position in their run. The out-table's slot d
+    holds each source's d-th out-edge (aggregate row and coefficient) in
+    ascending edge order, by a stable sort of the sources.
     """
 
-    def __init__(self, graph, names):
+    def __init__(self, graph, names, gcn=False):
         src_type, dst_type = relation_endpoints(names[0])
         self.n_src = graph.n_agent_nodes if src_type == "agent" else graph.n_map_nodes
         self.n_dst = graph.n_agent_nodes if dst_type == "agent" else graph.n_map_nodes
         self.n_relations = r = len(names)
         self.shorts = [name.split(".")[1] for name in names]
         edges = np.concatenate([graph.edges[name] for name in names])
-        kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
         self.src = edges[:, 0].copy()
         self.dst = edges[:, 1].copy()
+        self.raw_edge = tg.Tensor(np.concatenate([graph.edge_feats[name] for name in names]))
+        if not gcn:
+            return
+        kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
         self.targets = self.dst * r + kind
         sources = self.src * r + kind
-        in_deg = np.bincount(self.targets, minlength=self.n_dst * r)
+        n_rows = self.n_dst * r
+        in_deg = np.bincount(self.targets, minlength=n_rows)
         out_deg = np.bincount(sources, minlength=self.n_src * r)
         # degree floored at one: a lone edge is passed through unscaled and
         # isolated endpoints never divide by zero
@@ -267,7 +302,11 @@ class _RelationCache:
         deg_src = np.maximum(out_deg, 1).astype(np.float64)
         coeff = 1.0 / np.sqrt(deg_dst[self.targets] * deg_src[sources])
         self.coeff = tg.Tensor(coeff.reshape(-1, 1))
-        self.raw_edge = tg.Tensor(np.concatenate([graph.edge_feats[name] for name in names]))
+        self.in_index, self.in_coeff = _slot_table(
+            self.targets, self.src, coeff, n_rows, self.n_src)
+        order = np.argsort(self.src, kind="stable")
+        self.out_index, self.out_coeff = _slot_table(
+            self.src[order], self.targets[order], coeff[order], self.n_src, n_rows)
 
 
 def _start_positions(graph, cfg):
@@ -290,13 +329,14 @@ class EncoderCache:
 
     def __init__(self, graph, cfg):
         self.graph = graph
-        # keyed by call-site: the grouped GCNs' "map" and "agent", and each
-        # attention relation on its own; only the call-sites the encoder reads
+        # keyed by call-site: the grouped GCNs' "map" and "agent", which
+        # also hold slot tables, and each attention relation on its own;
+        # only the call-sites the encoder reads
         groups = _gcn_groups(cfg)
         read = {site for layer in encoder_layers(cfg) for m in layer.merges for site in m.sites}
         self.relations = {
             site: _RelationCache(graph, [f"{site}.{s}.{site}" for s in groups[site]]
-                                 if site in groups else [site])
+                                 if site in groups else [site], gcn=site in groups)
             for site in _CALL_SITES if site in read}
         self.agent_in = tg.Tensor(graph.agent_feats)
         self.map_in = tg.Tensor(graph.map_feats)
@@ -324,46 +364,54 @@ def _embed_block(x, params, prefix):
         "linear.weight", "linear.bias", "norm.gain", "norm.offset")))
 
 
+def gcn_edge_term(rel, edge_h):
+    """A grouped GCN's edge term: per (target, relation) row, the sum over
+    its in-edges of coeff * e, in ascending edge order. It does not depend
+    on the node states, so every layer of the call-site shares it."""
+    return tg.segment_sum(tg.scale_rows(edge_h, rel.coeff), rel.targets,
+                          rel.n_dst * rel.n_relations)
+
+
 def embed(cache, params, cfg):
     """Embed node and edge inputs to width f.
 
-    Returns (agent_h, map_h, edge_h per call-site); map_h is None when the
-    map branch is disabled, edge embeddings are zero when relational
+    Returns (agent_h, map_h, edge term per call-site); map_h is None when
+    the map branch is disabled, edge embeddings are zero when relational
     features are disabled. The shared edge MLP runs once per call-site over
-    its concatenated relations. Each embedding MLP is one
-    `tg.linear_relu_norm` record.
+    its concatenated relations; an attention call-site takes the per-edge
+    embeddings, a grouped GCN its `gcn_edge_term`, computed here once per
+    forward. Each embedding MLP is one `tg.linear_relu_norm` record.
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
     if cfg.use_temporal:
         agent_h = tg.matmul(tg.concat([agent_h, cache.tau], 1), params["embed.temporal.weight"])
     map_h = _embed_block(cache.map_in, params, "embed.map") if cfg.use_map else None
 
+    groups = _gcn_groups(cfg)
     edge_h = {}
     for key, rel in cache.relations.items():
         if cfg.use_relational:
-            edge_h[key] = _embed_block(rel.raw_edge, params, "embed.edge")
+            e = _embed_block(rel.raw_edge, params, "embed.edge")
         else:
-            edge_h[key] = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
+            e = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
+        edge_h[key] = gcn_edge_term(rel, e) if key in groups else e
     return agent_h, map_h, edge_h
 
 
-def gcn_edge_conv(h_src, rel, edge_h, weights, biases):
+def gcn_edge_conv(h_src, rel, edge_agg, weights, biases):
     """Degree-normalized conv over a call-site's R relations: for each
     relation r, the sum over its in-edges of coeff * ((x_src + e) W_r), plus
     b_r every target receives, summed over r.
 
-    Evaluated as sum_e coeff * (x_src + e) per (target, relation) row, each
-    row summed in ascending edge order, then one matmul of the [n_dst, R*f]
+    Evaluated as sum_e coeff * x_src per (target, relation) row, gathered
+    slot by slot through the cache's in-table, plus the call-site's edge
+    term `edge_agg` (`gcn_edge_term`), then one matmul of the [n_dst, R*f]
     aggregate with the stacked [R*f, f] weights, so the sum over relations
-    runs inside the matmul. Degrees are counted per relation.
+    runs inside the matmul. Degrees are counted per relation. One
+    `tg.edge_conv` record, which scatters neither forward nor backward.
     """
-    r, f = rel.n_relations, h_src.data.shape[1]
-    msg = tg.scale_rows(tg.add(tg.gather_rows(h_src, rel.src), edge_h), rel.coeff)
-    agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
-    # explicit width: n_dst is 0 in a scene without map segments
-    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
-    bias = tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0))
-    return tg.add(out, bias)
+    return tg.edge_conv(h_src, edge_agg, weights, biases,
+                        rel.in_index, rel.in_coeff, rel.out_index, rel.out_coeff)
 
 
 def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):

@@ -4,39 +4,44 @@ Covers exactly the operations the prediction model needs: matrix products,
 elementwise arithmetic with single-row (bias) broadcasting, activations,
 layer normalization, one fused linear -> ReLU -> layer norm embedding,
 segment sum and gather for message passing, one fused multi-head attention
-conv, and a total sum. Everything is recorded on an explicit tape;
-replaying the tape in reverse order of recording accumulates gradients
-into ``.grad``.
+conv, one fused degree-normalized graph conv that gathers through slot
+tables instead of scattering, and a total sum. Everything is recorded on
+an explicit tape; replaying the tape in reverse order of recording
+accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
 and only the arrays its own backward reads (a product's factors, an
 activation's mask or sign, attention's activations and weights, layer
-norm's normalized rows); an intermediate that no backward reads is freed as
-soon as the forward drops it. The embedding record holds only its inputs:
-its backward recomputes the normalized rows block by block from the
-[rows, n_in] input. Backward consumes the tape: each record is popped as
-it runs, and each op takes and clears its output's gradient, so
-intermediate gradients die as backward goes. Pass-through ops (add, sub,
-add_scalar, reshape, concat) hand that buffer, or views of it, to an
-input instead of copying; add copies only when both inputs take a
-gradient and the second holds none yet. After backward only leaves hold
-``.grad``, which may be a view of a larger buffer (no two leaves' views
-overlap).
+norm's normalized rows, the graph conv's aggregate); an intermediate that
+no backward reads is freed as soon as the forward drops it. The embedding
+record holds only its inputs: its backward recomputes the normalized rows
+block by block from the [rows, n_in] input. Backward consumes the tape:
+each record is popped as it runs, and each op takes and clears its
+output's gradient, so intermediate gradients die as backward goes.
+Pass-through ops (add, sub, add_scalar, reshape, concat) hand that buffer,
+or views of it, to an input instead of copying; add copies only when both
+inputs take a gradient and the second holds none yet. After backward only
+leaves hold ``.grad``, which may be a view of a larger buffer (no two
+leaves' views overlap).
 
 Determinism contract: identical inputs and identical edge ordering produce
 bitwise-identical outputs and gradients. Segment aggregation and gather
 gradients go through the numpy kernels in ``kernels`` (there is no other
 backend), which always add in ascending edge-index order. A gather gradient
 sums the upstream rows of each index first and then adds that sum onto the
-gradient already held: g + (r1 + r2), not (g + r1) + r2. The row-blocked
-ops (attention, embedding) cut rows into fixed blocks of ``_ROW_BLOCK``:
-sums within a block run in ascending edge order and the blocks' sums are
-added in ascending block order. Attention's dense value sums are matrix
-products, whose sums run over the source nodes in node order. Graphs lay
-agent nodes out in agent_id order and map nodes in lane_id order, so the
-encoder's inputs, and with them its outputs bit for bit, do not depend on
-the order of the scene's tracks or lanes.
+gradient already held: g + (r1 + r2), not (g + r1) + r2. The graph conv
+scatters nothing: it sums each (target, relation) row slot by slot, from
+zero, in ascending edge order, and then adds the edge term; its source
+gradient is summed the same way through the out-table and then added onto
+the gradient already held, like a gather's. The row-blocked ops (attention,
+embedding) cut rows into fixed blocks of ``_ROW_BLOCK``: sums within a
+block run in ascending edge order and the blocks' sums are added in
+ascending block order. Attention's dense value sums are matrix products,
+whose sums run over the source nodes in node order. Graphs lay agent nodes
+out in agent_id order and map nodes in lane_id order, so the encoder's
+inputs, and with them its outputs bit for bit, do not depend on the order
+of the scene's tracks or lanes.
 """
 import numpy as np
 
@@ -699,6 +704,117 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
                 _give(s_dst, gx_dst)
         _on_backward(tape, out, bwd)
     return out, alpha
+
+
+def _slot_sum(rows, index, coeff):
+    """[n, f]: per entry i, the sum over slots d of coeff[d, i] * rows[index[d, i]],
+    slot by slot in ascending order. index is [D >= 1, n] and range-checked;
+    the first slot is gathered straight into the sum."""
+    out = np.take(rows, index[0], axis=0, out=np.empty((index.shape[1], rows.shape[1])),
+                  mode="clip")
+    out *= coeff[0]
+    if index.shape[0] > 1:
+        scratch = np.empty_like(out)
+        for d in range(1, index.shape[0]):
+            np.take(rows, index[d], axis=0, out=scratch, mode="clip")
+            scratch *= coeff[d]
+            out += scratch
+    return out
+
+
+def _checked_slots(table, coeff, n_rows, n_cols, what):
+    """table as a checked [D >= 1, n_cols] int64 array whose entries lie in
+    [0, n_rows]; coeff must be [D, n_cols, 1]."""
+    table = _index_array(table, what)
+    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != n_cols:
+        raise DimensionError(f"{what} must be [slots >= 1, {n_cols}], got {table.shape}")
+    if coeff.shape != table.shape + (1,):
+        raise DimensionError(f"{what} coefficients must be {table.shape + (1,)}, got {coeff.shape}")
+    if table.size and (table.min() < 0 or table.max() > n_rows):
+        raise IndexError(f"{what} entry out of range [0, {n_rows}]")
+    return table
+
+
+def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, out_coeff):
+    """Degree-normalized graph conv over R relations, as one tape record
+    with a hand-written backward and no scatter.
+
+    Row t*R + r of the [n_dst*R, n_in] aggregate belongs to target t and
+    relation r. Its in-edges sit in the slots of the in-table: slot d of
+    in_index [D, n_dst*R] holds the row's d-th in-edge's source, in
+    ascending edge order, and in_coeff [D, n_dst*R, 1] its coefficient. An
+    empty slot holds n_src, which picks a zero row. Then
+
+        agg = sum over slots of in_coeff * x_src[in_index] + edge_agg
+        out = agg.reshape(n_dst, R*n_in) @ [W_0; ...; W_R-1] + sum_r b_r
+
+    edge_agg [n_dst*R, n_in] is the edge term: the same sum over the
+    in-edges' embeddings, which does not depend on x_src. Each row sums its
+    slots in order, starting from the first slot's product (as a sum from
+    zero does, up to the sign of a zero), and adds edge_agg last.
+
+    Backward gives the weights agg^T g, each bias g's column sums, and
+    edge_agg the aggregate gradient g W^T. x_src's gradient runs through
+    the out-table: slot d of out_index [D', n_src] holds a source's d-th
+    out-edge's aggregate row, in ascending edge order, and out_coeff
+    [D', n_src, 1] its coefficient; an empty slot holds n_dst*R, a zero
+    row. It is summed slot by slot and then added onto any gradient x_src
+    already holds, as a gather's gradient is. Tables are range-checked on
+    every call; gathers run as ``np.take(..., mode="clip")``, which never
+    clips a checked index and does not buffer its ``out``.
+    """
+    r = len(weights)
+    if x_src.data.ndim != 2 or r == 0 or len(biases) != r:
+        raise DimensionError(
+            f"edge_conv needs [n, f] sources and one bias per weight: {x_src.data.shape}, "
+            f"{r} weights, {len(biases)} biases")
+    n_src, n_in = x_src.data.shape
+    n_out = weights[0].data.shape[-1]
+    if any(w.data.shape != (n_in, n_out) for w in weights) or any(
+            b.data.reshape(-1).shape != (n_out,) for b in biases):
+        raise DimensionError(f"edge_conv weights must be [{n_in}, {n_out}], biases {n_out} wide")
+    n_rows = edge_agg.data.shape[0]
+    if edge_agg.data.shape != (n_rows, n_in) or n_rows % r:
+        raise DimensionError(
+            f"edge_conv edge term must be [n_dst*{r}, {n_in}], got {edge_agg.data.shape}")
+    n_dst = n_rows // r
+    in_index = _checked_slots(in_index, in_coeff, n_src, n_rows, "edge_conv in-table")
+    out_index = _checked_slots(out_index, out_coeff, n_rows, n_src, "edge_conv out-table")
+
+    w_stack = np.concatenate([w.data for w in weights])
+    agg = _slot_sum(np.concatenate([x_src.data, np.zeros((1, n_in))]), in_index, in_coeff)
+    agg += edge_agg.data
+    out_data = agg.reshape(n_dst, r * n_in) @ w_stack
+    out_data += np.ones((1, r)) @ np.concatenate([b.data.reshape(1, n_out) for b in biases])
+    out, tape = _make_output(out_data, (x_src, edge_agg, *weights, *biases))
+    if tape:
+        s_x, s_edge = _slot_of(x_src), _slot_of(edge_agg)
+        s_w, s_b = [_slot_of(w) for w in weights], [_slot_of(b) for b in biases]
+        b_shapes = [b.data.shape for b in biases]
+        agg = agg if any(s_w) else None
+        w_stack = w_stack if s_x or s_edge else None
+        def bwd(g):
+            if any(s_w):
+                g_w = agg.reshape(n_dst, r * n_in).T @ g
+                for k, slot in enumerate(s_w):
+                    if slot:
+                        _give(slot, g_w[k * n_in:(k + 1) * n_in])
+            if any(s_b):
+                g_b = np.repeat(g.sum(axis=0).reshape(1, n_out), r, axis=0)
+                for k, (slot, shape) in enumerate(zip(s_b, b_shapes)):
+                    if slot:
+                        _give(slot, g_b[k].reshape(shape))
+            if s_x or s_edge:
+                # row n_rows: the zero row the out-table's empty slots pick
+                g_agg = np.empty((n_rows + 1, n_in))
+                g_agg[n_rows] = 0.0
+                np.matmul(g, w_stack.T, out=g_agg[:n_rows].reshape(n_dst, r * n_in))
+                if s_x:
+                    _give(s_x, _slot_sum(g_agg, out_index, out_coeff))
+                if s_edge:
+                    _give(s_edge, g_agg[:n_rows])
+        _on_backward(tape, out, bwd)
+    return out
 
 
 def gather_rows(a, idx):

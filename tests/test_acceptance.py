@@ -30,6 +30,7 @@ from oracles import (
     grad_rel_error, lane_links_by_scan, neighbour_edges_by_scan, node_position,
     numeric_gradient, relation_names, social_edges_by_enumeration,
 )
+from test_tensor import _CONV_TABLES, _conv_inputs
 
 OP_TOL = 1e-5
 E2E_TOL = 1e-4
@@ -122,6 +123,14 @@ def test_criterion_gradient_suite():
     wat = tg.Tensor(rng.normal(size=(3, 4)))
     track(checked(lambda: tg.sum_all(tg.mul(
         tg.edge_attention(*att, a_src, a_dst, 0.2)[0], wat)), att, OP_TOL))
+
+    # graph conv over slot tables, with its own generator so that the
+    # checks below keep their inputs
+    x_c, agg_c, w_c, b_c = _conv_inputs(np.random.default_rng(2025))
+    wcv = tg.Tensor(np.random.default_rng(2026).normal(size=(2, 5)))
+    track(checked(lambda: tg.sum_all(tg.mul(
+        tg.edge_conv(x_c, agg_c, w_c, b_c, *_CONV_TABLES), wcv)), [x_c, agg_c, *w_c, *b_c],
+        OP_TOL))
 
     idx = rng.integers(0, 5, size=6)
     wg = tg.Tensor(rng.normal(size=(6, 4)))

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from trajgraph import kernels
 from trajgraph import tensor as tg
 from trajgraph.errors import CheckpointError, ConfigError
 from trajgraph.graph import (
@@ -11,11 +12,11 @@ from trajgraph.graph import (
 )
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, _RelationCache, embed,
-    encode, expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, init_parameters,
-    is_normalization_param, layer_merge, load_checkpoint, make_cache, predict_head,
-    save_checkpoint, temporal_encoding,
+    encode, expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, gcn_edge_term,
+    init_parameters, is_normalization_param, layer_merge, load_checkpoint, make_cache,
+    predict_head, save_checkpoint, temporal_encoding,
 )
-from trajgraph.scene import AgentState, AgentTrack, build_segments, normalize_scene
+from trajgraph.scene import AgentState, AgentTrack, Lane, build_segments, normalize_scene
 from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
@@ -23,6 +24,7 @@ from oracles import (
     gatv2_composite, gatv2_per_head, gcn_per_relation, grad_rel_error, numeric_gradient,
 )
 from test_acceptance import OP_TOL
+from test_tensor import check_gradients
 
 GCFG = GraphConfig(dilation=2)
 
@@ -82,15 +84,16 @@ def test_embed_with_temporal_separates_timesteps():
 # --- conv blocks ------------------------------------------------------------
 
 def test_gcn_no_edges_outputs_bias():
-    cfg = tiny_cfg(use_map=False)
-    _, cache = scene_and_cache(cfg)
+    cfg = tiny_cfg(t_obs=1, use_map=False)
+    _, cache = scene_and_cache(cfg, tracks=[straight_track("a0", t_obs=1, t_f=3)])
     params = init_parameters(cfg, seed=1)
-    rel = cache.relations[REL_SOCIAL]  # single track: no social edges
+    rel = _RelationCache(cache.graph, [REL_AGENT_PRE], gcn=True)  # one node: no edges
+    assert rel.src.size == 0
     h = tg.Tensor(np.random.default_rng(0).normal(size=(cache.graph.n_agent_nodes, cfg.f)))
     e = tg.Tensor(np.zeros((0, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, [w], [b])
+    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
     assert np.array_equal(out.data, np.tile(b.data, (cache.graph.n_agent_nodes, 1)))
 
 
@@ -99,14 +102,14 @@ def test_gcn_single_edge_unscaled():
     track = straight_track("a0", t_obs=2, t_f=3)
     _, cache = scene_and_cache(cfg, tracks=[track])
     params = init_parameters(cfg, seed=2)
-    rel = _RelationCache(cache.graph, [REL_AGENT_PRE])  # exactly one edge 0 -> 1
+    rel = _RelationCache(cache.graph, [REL_AGENT_PRE], gcn=True)  # exactly one edge 0 -> 1
     assert rel.src.tolist() == [0] and rel.dst.tolist() == [1]
     rng = np.random.default_rng(3)
     h = tg.Tensor(rng.normal(size=(2, cfg.f)))
     e = tg.Tensor(rng.normal(size=(1, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, [w], [b])
+    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
     # the conv multiplies the whole [2, f] aggregate; a BLAS matrix product
     # may round a row differently from a vector product, so build it alike
     aggregate = np.stack([np.zeros(cfg.f), h.data[0] + e.data[0]])
@@ -118,13 +121,13 @@ def test_gcn_line_graph_matches_dense_oracle():
     cfg = tiny_cfg(t_obs=3, use_map=False)
     _, cache = scene_and_cache(cfg)
     params = init_parameters(cfg, seed=4)
-    rel = _RelationCache(cache.graph, [REL_AGENT_PRE])  # edges 0->1->2
+    rel = _RelationCache(cache.graph, [REL_AGENT_PRE], gcn=True)  # edges 0->1->2
     rng = np.random.default_rng(5)
     h = tg.Tensor(rng.normal(size=(3, cfg.f)))
     e = tg.Tensor(rng.normal(size=(2, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, e, [w], [b])
+    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
 
     # dense evaluation with degree-floored normalization
     adj = np.zeros((3, 3))
@@ -166,13 +169,120 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)))
     weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f))) for _ in names]
     biases = [tg.Tensor(rng.normal(size=(1, cfg.f))) for _ in names]
-    out = gcn_edge_conv(h, rel, e, weights, biases)
+    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
     expected = gcn_per_relation(h.data, rel.n_dst, per_relation,
                                 [w.data for w in weights], [b.data for b in biases])
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _gcn_composite(h, rel, e, weights, biases):
+    """The conv as separate ops, every sum a segment_sum or gather gradient:
+    the reference for the fused record's summation order."""
+    r, f = rel.n_relations, h.data.shape[1]
+    msg = tg.scale_rows(tg.add(tg.gather_rows(h, rel.src), e), rel.coeff)
+    agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
+    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
+    return tg.add(out, tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0)))
+
+
+@pytest.mark.parametrize("group", ["map", "agent"])
+def test_gcn_conv_sums_in_the_order_of_the_composite(group):
+    """Where every coefficient is one and a row has at most one in-edge, no
+    product rounds, so the fused conv's output and gradients equal the
+    composite's bit for bit only if both sum in ascending edge order, the
+    sources' gradients over several out-edges included."""
+    cfg = tiny_cfg()
+    lanes = [straight_lane("L0", 30.0, step=3.0, left="L1"),
+             straight_lane("L1", 30.0, y=3.0, step=3.0)]
+    tracks = [straight_track("a0"), straight_track("a1", y0=3.0)]
+    _, cache = scene_and_cache(cfg, tracks=tracks, lanes=lanes)
+    rel = cache.relations[group]
+    assert (rel.coeff.data == 1.0).all() and rel.in_index.shape[0] == 1
+    assert rel.out_index.shape[0] > 1
+    rng = np.random.default_rng(84)
+
+    def leaf(*shape):
+        return tg.Tensor(rng.normal(size=shape), requires_grad=True)
+    h, e = leaf(rel.n_src, cfg.f), leaf(len(rel.src), cfg.f)
+    weights = [leaf(cfg.f, cfg.f) for _ in rel.shorts]
+    biases = [leaf(1, cfg.f) for _ in rel.shorts]
+    inputs = [h, e, *weights, *biases]
+    mix = tg.Tensor(rng.normal(size=(rel.n_dst, cfg.f)))
+    results = []
+    for fused in (True, False):
+        for t in inputs:
+            t.zero_grad()
+        with tg.Tape() as tape:
+            out = (gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases) if fused
+                   else _gcn_composite(h, rel, e, weights, biases))
+            total = tg.sum_all(tg.mul(out, mix))
+        tape.backward(total)
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def _merge_and_fork_case(cfg, seed):
+    """The map GCN of lanes a and b ending at (10, 0), where c starts, and
+    d and e starting where c ends, so c's first segment has two
+    predecessors and its last two successors; random inputs that take
+    gradients."""
+    lanes = [Lane("a", [(0.0, 0.0), (10.0, 0.0)], None, None),
+             Lane("b", [(0.0, 6.0), (10.0, 0.0)], None, None),
+             Lane("c", [(10.0, 0.0), (20.0, 0.0)], None, None),
+             Lane("d", [(20.0, 0.0), (30.0, 0.0)], None, None),
+             Lane("e", [(20.0, 0.0), (30.0, 6.0)], None, None)]
+    _, cache = scene_and_cache(cfg, tracks=[straight_track("a0", x0=12.0)], lanes=lanes)
+    rel = cache.relations["map"]
+    rng = np.random.default_rng(seed)
+    h = tg.Tensor(rng.normal(size=(rel.n_src, cfg.f)), requires_grad=True)
+    e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)), requires_grad=True)
+    weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f)), requires_grad=True)
+               for _ in rel.shorts]
+    biases = [tg.Tensor(rng.normal(size=(1, cfg.f)), requires_grad=True) for _ in rel.shorts]
+    return cache, rel, h, e, weights, biases
+
+
+def test_gcn_merge_and_fork_fill_several_slots():
+    cfg = tiny_cfg()
+    cache, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 80)
+    assert rel.in_index.shape[0] >= 2
+    assert rel.coeff.data.min() < 1.0
+    names = [f"map.{short}.map" for short in cfg.map_rel_shorts()]
+    kind = np.repeat(np.arange(len(names)), [len(cache.graph.edges[n]) for n in names])
+    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases)
+
+    per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
+                    for r in range(len(names))]
+    expected = gcn_per_relation(h.data, rel.n_dst, per_relation,
+                                [w.data for w in weights], [b.data for b in biases])
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    mix = tg.Tensor(np.random.default_rng(81).normal(size=out.data.shape))
+    check_gradients(lambda: tg.sum_all(tg.mul(
+        gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases), mix)),
+        [h, e, *weights, *biases])
+
+
+def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
+    cfg = tiny_cfg()
+    _, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 82)
+    with tg.Tape() as tape:
+        edge_agg = gcn_edge_term(rel, e)
+        before = len(tape._records)
+
+        def refuse(*args):
+            raise AssertionError("the GCN conv called a scatter kernel")
+        for name in ("segment_sum", "segment_max", "add_rows_at"):
+            monkeypatch.setattr(kernels, name, refuse)
+        out = gcn_edge_conv(h, rel, edge_agg, weights, biases)
+        assert len(tape._records) == before + 1
+        loss = tg.sum_all(out)
+    tape.backward(loss)
+    assert all(t.grad is not None for t in (h, e, *weights, *biases))
 
 
 def test_gatv2_isolated_destination_is_self_projection():

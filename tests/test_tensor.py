@@ -489,6 +489,64 @@ def test_edge_attention_peak_memory_not_above_parent():
     assert peak <= _PARENT_ATTENTION_PEAK, peak
 
 
+# Graph conv over 3 sources, 2 targets and 2 relations: aggregate row
+# t*2 + r. Edges, in ascending order, (source -> row, coefficient):
+# 0 -> 0 (0.5), 1 -> 0 (0.25), 1 -> 1 (1.0), 0 -> 2 (2.0). Row 3 has no
+# in-edge and source 2 no out-edge; empty slots pick row 3 of the sources
+# and row 4 of the aggregate gradient, the zero rows.
+_CONV_EDGES = ((0, 0, 0.5), (1, 0, 0.25), (1, 1, 1.0), (0, 2, 2.0))
+_CONV_TABLES = (np.array([[0, 1, 0, 3], [1, 3, 3, 3]]),
+                np.array([[0.5, 1.0, 2.0, 0.0], [0.25, 0.0, 0.0, 0.0]]).reshape(2, 4, 1),
+                np.array([[0, 0, 4], [2, 1, 4]]),
+                np.array([[0.5, 0.25, 0.0], [2.0, 1.0, 0.0]]).reshape(2, 3, 1))
+
+
+def _conv_inputs(rng):
+    """(x_src, edge_agg, weights, biases) for the tables above, taking gradients."""
+    def t(*shape):
+        return tg.Tensor(rng.normal(size=shape), requires_grad=True)
+    return t(3, 4), t(4, 4), [t(4, 5), t(4, 5)], [t(1, 5), t(1, 5)]
+
+
+def test_edge_conv_matches_dense_form():
+    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(90))
+    out = tg.edge_conv(x, edge_agg, weights, biases, *_CONV_TABLES)
+    adjacency = np.zeros((4, 3))
+    for s, row, c in _CONV_EDGES:
+        adjacency[row, s] += c
+    agg = adjacency @ x.data + edge_agg.data
+    expected = (agg.reshape(2, 8) @ np.concatenate([w.data for w in weights])
+                + biases[0].data + biases[1].data)
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_edge_conv_adds_the_source_gradient_onto_the_held_one():
+    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(93))
+    with tg.Tape() as tape:
+        out = tg.sum_all(tg.add(tg.sum_all(tg.edge_conv(x, edge_agg, weights, biases,
+                                                        *_CONV_TABLES)), tg.sum_all(x)))
+    tape.backward(out)
+    # the aggregate's gradient, then per source its out-edges' share of it,
+    # plus one from sum(x)
+    g_agg = (np.ones((2, 5)) @ np.concatenate([w.data for w in weights]).T).reshape(4, 4)
+    expected = np.ones((3, 4))
+    for s, row, c in _CONV_EDGES:
+        expected[s] += c * g_agg[row]
+    assert np.abs(x.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(edge_agg.grad - g_agg).max() <= 1e-12 * np.abs(g_agg).max()
+
+
+@pytest.mark.parametrize("table, bad", [(0, -1), (0, 4), (2, -1), (2, 5)])
+def test_edge_conv_refuses_out_of_range_tables(table, bad):
+    """Empty slots pick the zero row just past the end; anything further
+    must raise, never clip."""
+    tables = [a.copy() for a in _CONV_TABLES]
+    tables[table][0, 0] = bad
+    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(94))
+    with pytest.raises(IndexError, match="out of range"):
+        tg.edge_conv(x, edge_agg, weights, biases, *tables)
+
+
 def test_concat_and_gather():
     parts = [tg.Tensor([[1.0]]), tg.Tensor([[2.0]])]
     assert tg.concat(parts, 1).data.tolist() == [[1.0, 2.0]]
@@ -705,11 +763,12 @@ def test_backward_memory_stays_near_the_forward_and_frees_the_tape():
 
 
 def test_default_scene_records_one_tape_record_per_attention_conv():
-    # one record per attention conv; with 30 single ops per conv a scene records 645
+    # one record per attention conv and per GCN conv; with 30 single ops per
+    # attention conv a scene recorded 645, with 10 per GCN conv 392
     cfg, (sample,), params = _default_model_scenes(1)
     with tg.Tape() as tape:
         total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
-    assert len(tape._records) <= 413
+    assert len(tape._records) <= 234
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
