@@ -24,9 +24,6 @@ from .train import (
     check_finite, evaluate_samples, format_log_row, prepare_samples, train,
 )
 
-ABLATION_FLAGS = ("no_map", "no_social", "no_relational", "no_residual", "no_temporal")
-
-
 class UsageError(Exception):
     pass
 
@@ -65,8 +62,6 @@ def build_parser():
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--report", required=True)
-    for flag in ABLATION_FLAGS:
-        ev.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
     ev.set_defaults(func=cmd_eval)
 
     pr = sub.add_parser("predict", help="predict one scene and export plot data")
@@ -144,12 +139,6 @@ def _config_for_checkpoint(checkpoint):
     return load_config(config_path)
 
 
-def _apply_ablation_flags(cfg, args):
-    for flag in ABLATION_FLAGS:
-        if getattr(args, flag, False):
-            setattr(cfg.model, "use_" + flag[3:], False)
-
-
 def _graph_stats(graph):
     """Node counts and edges per relation of one scene's graph."""
     return {"agent_nodes": graph.n_agent_nodes, "map_nodes": graph.n_map_nodes,
@@ -158,7 +147,6 @@ def _graph_stats(graph):
 
 def cmd_eval(args):
     cfg = _config_for_checkpoint(args.checkpoint)
-    _apply_ablation_flags(cfg, args)
     params = load_checkpoint(args.checkpoint, cfg.model)
     scenes = load_scenes(args.data, cfg.segment_len)
     samples = prepare_samples(scenes, cfg)

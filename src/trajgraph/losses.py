@@ -2,7 +2,8 @@
 
 Per agent only the mode with the smallest final displacement (k_min, ties
 to the lowest index) receives regression gradient; scores are trained so
-the winning mode beats every other mode by at least the margin.
+the winning mode beats every other mode by at least the margin. Both terms
+gather the winner: its trajectory row and its score.
 """
 
 from dataclasses import dataclass
@@ -57,40 +58,37 @@ def winner_modes(traj_data, gt, mask):
 
 
 def _smooth_l1(diff):
-    """0.5*d^2 for |d| < 1, |d| - 0.5 otherwise, built from primitives.
+    """0.5*d^2 for |d| < 1, |d| - 0.5 otherwise, as d*k - 0.5*k^2 with
+    k = clip(d, -1, 1) held constant.
 
-    The branch mask is a constant of the current values, which is exactly
-    the (almost-everywhere) derivative rule for the piecewise form.
+    k is the piecewise form's (almost-everywhere) derivative, so both the
+    values and the gradient k are the piecewise form's, bit for bit.
     """
-    quad = tg.Tensor((np.abs(diff.data) < 1.0).astype(np.float64))
-    lin = tg.Tensor((np.abs(diff.data) >= 1.0).astype(np.float64))
-    quad_term = tg.mul(tg.scale(tg.mul(diff, diff), 0.5), quad)
-    lin_term = tg.mul(tg.add_scalar(tg.absolute(diff), -0.5), lin)
-    return tg.add(quad_term, lin_term)
+    k = np.clip(diff.data, -1.0, 1.0)
+    return tg.sub(tg.mul(diff, tg.Tensor(k)), tg.Tensor(0.5 * k * k))
 
 
 def regression_loss(pred, gt, mask):
     """Mean smooth-L1 over masked agents, timesteps and both coordinates,
-    taken only on each agent's winning mode."""
+    taken only on each agent's winning mode, whose [t_f*2] row is gathered
+    from the [agents*modes, t_f*2] trajectories."""
     n_agents, n_modes, t_f, _ = pred.trajectories.data.shape
     n_masked = int(np.count_nonzero(mask))
     if n_masked == 0:
         raise ValidationError("regression loss undefined: no supervised agents")
     k_min = winner_modes(pred.trajectories.data, gt, mask)
 
-    flat = tg.reshape(pred.trajectories, (n_agents, n_modes * t_f * 2))
-    gt_tile = tg.Tensor(np.tile(gt.reshape(n_agents, t_f * 2), (1, n_modes)))
-    penalty = _smooth_l1(tg.sub(flat, gt_tile))
-
-    select = np.zeros((n_agents, n_modes, t_f * 2))
-    select[mask, k_min[mask]] = 1.0
-    select = select.reshape(n_agents, n_modes * t_f * 2) / (n_masked * t_f * 2)
-    return tg.sum_all(tg.mul(penalty, tg.Tensor(select)))
+    agents = np.flatnonzero(mask)
+    rows = tg.reshape(pred.trajectories, (n_agents * n_modes, t_f * 2))
+    winners = tg.gather_rows(rows, agents * n_modes + k_min[agents])
+    penalty = _smooth_l1(tg.sub(winners, tg.Tensor(gt[mask].reshape(n_masked, t_f * 2))))
+    return tg.scale(tg.sum_all(penalty), 1.0 / (n_masked * t_f * 2))
 
 
 def classification_loss(pred, gt, mask, margin):
     """Max-margin loss: mean over masked agents and non-winning modes of
-    max(0, s_k + margin - s_kmin)."""
+    max(0, s_k + margin - s_kmin), s_kmin gathered from the [agents*modes, 1]
+    scores and broadcast as a column."""
     n_agents, n_modes = pred.scores.data.shape
     if n_modes == 1:
         return tg.Tensor([0.0])
@@ -99,15 +97,14 @@ def classification_loss(pred, gt, mask, margin):
         raise ValidationError("classification loss undefined: no supervised agents")
     k_min = winner_modes(pred.trajectories.data, gt, mask)
 
-    onehot = np.zeros((n_agents, n_modes))
-    onehot[np.arange(n_agents), k_min] = 1.0
-    winner_col = tg.matmul(tg.mul(pred.scores, tg.Tensor(onehot)),
-                           tg.Tensor(np.ones((n_modes, 1))))
-    winner_tile = tg.matmul(winner_col, tg.Tensor(np.ones((1, n_modes))))
-    hinge = tg.relu(tg.add_scalar(tg.sub(pred.scores, winner_tile), margin))
+    agents = np.arange(n_agents)
+    winner_col = tg.gather_rows(tg.reshape(pred.scores, (n_agents * n_modes, 1)),
+                                agents * n_modes + k_min)
+    hinge = tg.relu(tg.add_scalar(tg.sub(pred.scores, winner_col), margin))
 
-    weights = (1.0 - onehot) * mask[:, None].astype(np.float64)
-    weights /= n_masked * (n_modes - 1)
+    weights = np.zeros((n_agents, n_modes))
+    weights[mask] = 1.0 / (n_masked * (n_modes - 1))
+    weights[agents, k_min] = 0.0
     return tg.sum_all(tg.mul(hinge, tg.Tensor(weights)))
 
 

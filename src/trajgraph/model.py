@@ -368,7 +368,7 @@ def gcn_edge_term(rel, edge_h):
     """A grouped GCN's edge term: per (target, relation) row, the sum over
     its in-edges of coeff * e, in ascending edge order. It does not depend
     on the node states, so every layer of the call-site shares it."""
-    return tg.segment_sum(tg.scale_rows(edge_h, rel.coeff), rel.targets,
+    return tg.segment_sum(tg.mul(edge_h, rel.coeff), rel.targets,
                           rel.n_dst * rel.n_relations)
 
 

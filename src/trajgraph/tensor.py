@@ -1,24 +1,26 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Covers exactly the operations the prediction model needs: matrix products,
-elementwise arithmetic with single-row (bias) broadcasting, activations,
-layer normalization, one fused linear -> ReLU -> layer norm embedding,
-segment sum and gather for message passing, one fused multi-head attention
-conv, one fused degree-normalized graph conv that gathers through slot
-tables instead of scattering, and a total sum. Everything is recorded on
-an explicit tape; replaying the tape in reverse order of recording
-accumulates gradients into ``.grad``.
+Covers exactly the operations the prediction model and its loss need:
+matrix products; add, sub and mul, whose second operand may also be a
+single row broadcast over the rows (a bias) or a single [n, 1] column
+broadcast over the columns (a per-row factor); scale and add_scalar by a
+python number; ReLU; layer normalization; one fused linear -> ReLU ->
+layer norm embedding; segment sum and gather for message passing; one
+fused multi-head attention conv; one fused degree-normalized graph conv
+that gathers through slot tables instead of scattering; concat, reshape
+and a total sum. Everything is recorded on an explicit tape; replaying the
+tape in reverse order of recording accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
-and only the arrays its own backward reads (a product's factors, an
-activation's mask or sign, attention's activations and weights, layer
-norm's normalized rows, the graph conv's aggregate); an intermediate that
-no backward reads is freed as soon as the forward drops it. The embedding
-record holds only its inputs: its backward recomputes the normalized rows
-block by block from the [rows, n_in] input. Backward consumes the tape:
-each record is popped as it runs, and each op takes and clears its
-output's gradient, so intermediate gradients die as backward goes.
+and only the arrays its own backward reads (a product's factors, ReLU's
+mask, attention's activations and weights, layer norm's normalized rows,
+the graph conv's aggregate); an intermediate that no backward reads is
+freed as soon as the forward drops it. The embedding record holds only
+its inputs: its backward recomputes the normalized rows block by block
+from the [rows, n_in] input. Backward consumes the tape: each record is
+popped as it runs, and each op takes and clears its output's gradient, so
+intermediate gradients die as backward goes.
 Pass-through ops (add, sub, add_scalar, reshape, concat) hand that buffer,
 or views of it, to an input instead of copying; add copies only when both
 inputs take a gradient and the second holds none yet. After backward only
@@ -42,6 +44,13 @@ whose sums run over the source nodes in node order. Graphs lay agent nodes
 out in agent_id order and map nodes in lane_id order, so the encoder's
 inputs, and with them its outputs bit for bit, do not depend on the order
 of the scene's tracks or lanes.
+
+The bits hold for a fixed BLAS thread count, since OpenBLAS may split a
+product's sums differently with more threads. On 16-agent scenes at 1 and
+2 threads (OpenBLAS 0.3.31, 2-CPU x86_64 host), outputs and 320 of 323
+parameter gradients were equal; three attention weight gradients differed
+by up to 3e-18 in their W3c block (``e.T @ g_pre``), and Adam steps carry
+that difference into the weights.
 """
 import numpy as np
 
@@ -217,17 +226,22 @@ def matmul(a, b):
 
 
 def _broadcast_check(a, b):
-    """Identical shapes, or b a single bias row over a's rows."""
+    """Identical shapes, or b a single row (a bias) over a's rows or a single
+    column (a per-row factor) over a's columns."""
     if a.data.shape == b.data.shape:
         return False
-    if a.data.ndim == 2 and b.data.shape in ((1, a.data.shape[1]), (a.data.shape[1],)):
+    n, f = a.data.shape if a.data.ndim == 2 else (None, None)
+    if b.data.shape in ((1, f), (f,), (n, 1)):
         return True
     raise DimensionError(f"elementwise shapes incompatible: {a.data.shape} vs {b.data.shape}")
 
 
 def _reduce_to(shape, g):
+    """g summed down to b's shape: over rows for a row, over columns for a column."""
     if g.shape == shape:
         return g
+    if shape == (g.shape[0], 1):
+        return g.sum(axis=1, keepdims=True)
     return g.sum(axis=0).reshape(shape)
 
 
@@ -304,24 +318,6 @@ def add_scalar(a, c):
     return out
 
 
-def scale_rows(a, s):
-    """Multiply each row of ``a`` [n,f] by the per-row scalar ``s`` [n,1]."""
-    if a.data.ndim != 2 or s.data.shape != (a.data.shape[0], 1):
-        raise DimensionError(f"scale_rows shapes incompatible: {a.data.shape} vs {s.data.shape}")
-    out, tape = _make_output(a.data * s.data, (a, s))
-    if tape:
-        sa, ss = _slot_of(a), _slot_of(s)
-        a_data = a.data if ss else None
-        s_data = s.data if sa else None
-        def bwd(g):
-            if sa:
-                _give(sa, g * s_data)
-            if ss:
-                _give(ss, (g * a_data).sum(axis=1, keepdims=True))
-        _on_backward(tape, out, bwd)
-    return out
-
-
 # --- activations ----------------------------------------------------------
 
 def relu(a):
@@ -331,16 +327,6 @@ def relu(a):
         sa = a._slot
         mask = a.data > 0.0
         _on_backward(tape, out, lambda g: _give(sa, g * mask))
-    return out
-
-
-def absolute(a):
-    """|x|; subgradient 0 at the kink."""
-    out, tape = _make_output(np.abs(a.data), (a,))
-    if tape:
-        sa = a._slot
-        sign = np.sign(a.data)
-        _on_backward(tape, out, lambda g: _give(sa, g * sign))
     return out
 
 

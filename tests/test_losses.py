@@ -24,6 +24,61 @@ def test_smooth_l1_branch_values():
     assert out.data.tolist() == [0.125, 1.5, 0.125, 1.5]
 
 
+def test_smooth_l1_values_and_gradients_equal_the_piecewise_form_bitwise():
+    d = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    diff = tg.Tensor(d, requires_grad=True)
+    with tg.Tape() as tape:
+        out = _smooth_l1(diff)
+        total = tg.sum_all(out)
+    tape.backward(total)
+    want = np.where(np.abs(d) < 1.0, 0.5 * d * d, np.abs(d) - 0.5)
+    assert out.data.tobytes() == want.tobytes()
+    assert diff.grad.tobytes() == np.clip(d, -1.0, 1.0).tobytes()
+
+
+def smooth_l1_scalar(d):
+    return 0.5 * d * d if abs(d) < 1.0 else abs(d) - 0.5
+
+
+def reg_loop_oracle(traj, gt, k_min, mask):
+    total, count = 0.0, 0
+    t_f = gt.shape[1]
+    for a in range(traj.shape[0]):
+        if not mask[a]:
+            continue
+        count += 1
+        for t in range(t_f):
+            for c in range(2):
+                total += smooth_l1_scalar(traj[a, k_min[a], t, c] - gt[a, t, c])
+    return total / (count * t_f * 2)
+
+
+def test_regression_matches_loop_oracle():
+    """Value against a per-agent loop; gradient clip(d) / (n*t_f*2) on each
+    supervised agent's winning mode and zero everywhere else."""
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        n_agents = rng.integers(1, 5)
+        n_modes = rng.integers(1, 7)
+        t_f = rng.integers(1, 6)
+        traj = rng.normal(size=(n_agents, n_modes, t_f, 2)) * 2.0
+        gt = rng.normal(size=(n_agents, t_f, 2))
+        mask = rng.random(n_agents) < 0.8
+        if not mask.any():
+            mask[0] = True
+        pred = make_prediction(traj, np.zeros((n_agents, n_modes)), requires_grad=True)
+        k_min = winner_modes(traj, gt, mask)
+        with tg.Tape() as tape:
+            loss = regression_loss(pred, gt, mask)
+        tape.backward(loss)
+        assert loss.item() == pytest.approx(reg_loop_oracle(traj, gt, k_min, mask), rel=1e-12)
+        want = np.zeros_like(traj)
+        n = int(mask.sum()) * t_f * 2
+        for a in np.flatnonzero(mask):
+            want[a, k_min[a]] = np.clip(traj[a, k_min[a]] - gt[a], -1.0, 1.0) * (1.0 / n)
+        assert np.array_equal(pred.trajectories.grad, want)
+
+
 def test_perfect_prediction_zero_loss():
     gt = np.array([[[1.0, 2.0], [3.0, 4.0]]])          # A=1, T=2
     traj = np.stack([gt[0], gt[0] + 10.0])[None]       # mode 0 perfect

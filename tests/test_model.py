@@ -182,7 +182,7 @@ def _gcn_composite(h, rel, e, weights, biases):
     """The conv as separate ops, every sum a segment_sum or gather gradient:
     the reference for the fused record's summation order."""
     r, f = rel.n_relations, h.data.shape[1]
-    msg = tg.scale_rows(tg.add(tg.gather_rows(h, rel.src), e), rel.coeff)
+    msg = tg.mul(tg.add(tg.gather_rows(h, rel.src), e), rel.coeff)
     agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
     out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
     return tg.add(out, tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0)))

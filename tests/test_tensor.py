@@ -91,8 +91,6 @@ def test_activation_gradients_away_from_kink():
     a = tg.Tensor(x, requires_grad=True)
     w = tg.Tensor(rng.normal(size=(4, 6)))
     check_gradients(lambda: tg.sum_all(tg.mul(tg.relu(a), w)), [a])
-    a.zero_grad()
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.absolute(a), w)), [a])
 
 
 def test_layer_norm_constant_row():
@@ -569,7 +567,23 @@ def test_scale_rows_gradients():
     a = tg.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     s = tg.Tensor(rng.normal(size=(5, 1)), requires_grad=True)
     w = tg.Tensor(rng.normal(size=(5, 3)))
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.scale_rows(a, s), w)), [a, s])
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.mul(a, s), w)), [a, s])
+
+
+@pytest.mark.parametrize("op", [tg.add, tg.sub, tg.mul])
+def test_column_broadcast_gradients(op):
+    """An [n, 1] column broadcasts over the columns, and its gradient is the
+    row sums; a column of another length, or two columns, still raise."""
+    rng = np.random.default_rng(38)
+    a = tg.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    col = tg.Tensor(rng.normal(size=(5, 1)), requires_grad=True)
+    w = tg.Tensor(rng.normal(size=(5, 3)))
+    numpy_op = {tg.add: np.add, tg.sub: np.subtract, tg.mul: np.multiply}[op]
+    assert np.array_equal(op(a, col).data, numpy_op(a.data, col.data))
+    check_gradients(lambda: tg.sum_all(tg.mul(op(a, col), w)), [a, col])
+    for shape in ((6, 1), (5, 2)):
+        with pytest.raises(DimensionError):
+            op(a, tg.Tensor(np.zeros(shape)))
 
 
 def test_reshape_and_concat_rows_gradients():
@@ -764,11 +778,12 @@ def test_backward_memory_stays_near_the_forward_and_frees_the_tape():
 
 def test_default_scene_records_one_tape_record_per_attention_conv():
     # one record per attention conv and per GCN conv; with 30 single ops per
-    # attention conv a scene recorded 645, with 10 per GCN conv 392
+    # attention conv a scene recorded 645, with 10 per GCN conv 392, and
+    # with the loss's masked smooth-L1 and one-hot winner score 234
     cfg, (sample,), params = _default_model_scenes(1)
     with tg.Tape() as tape:
         total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
-    assert len(tape._records) <= 234
+    assert len(tape._records) <= 229
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
