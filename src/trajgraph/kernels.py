@@ -1,19 +1,22 @@
 """Segment kernels: the three scatter primitives under message passing.
 
 One numpy implementation, and every kernel works on the flat 1-D index
-``idx * f + column`` of the rows' elements. ``segment_sum`` and
-``add_rows_at`` both sum rows per group by ``np.bincount`` in ascending row
-order, so equal inputs give bitwise-equal outputs. ``add_rows_at`` adds the
-group sums onto the values in place: g, then r1 and r2, ends at g + (r1 + r2).
-``segment_max`` runs ``np.maximum.at`` over the same flat index: numpy's
-``ufunc.at`` has a fast path only for 1-D operands, and a maximum is exact,
-so it gives the bits of the 2-D form.
+``idx * f + column`` of the rows' elements, which for width-1 rows is idx
+itself. ``segment_sum`` and ``add_rows_at`` both sum rows per group by
+``np.bincount`` in ascending row order, so equal inputs give bitwise-equal
+outputs. ``add_rows_at`` adds the group sums onto the values in place: g,
+then r1 and r2, ends at g + (r1 + r2). ``segment_max`` runs
+``np.maximum.at`` over the same flat index: numpy's ``ufunc.at`` has a fast
+path only for 1-D operands, and a maximum is exact, so it gives the bits of
+the 2-D form.
 """
 
 import numpy as np
 
 
 def _flat_index(idx, f):
+    if f == 1:
+        return idx
     return (idx[:, None] * f + np.arange(f)).ravel()
 
 

@@ -13,6 +13,7 @@ relation (`gatv2_conv`), and the merges that sum their updates
 are all read off it.
 """
 
+import functools
 import math
 import os
 import struct
@@ -250,17 +251,19 @@ def _run_ranks(keys):
 
 def _slot_table(keys, values, coeff, n_keys, empty):
     """[D, n_keys] table whose slot d holds, per key, the value of the key's
-    d-th entry, and the [D, n_keys, 1] coefficients; D is at least 1, and
-    an empty slot holds `empty` with coefficient 0. Equal keys must be
-    contiguous, in the order their slots take."""
+    d-th entry, and per slot the list `tg.edge_conv` reads: (keys, [k, 1]
+    coefficients) of the keys whose d-th entry's coefficient is not exactly
+    1, keys ascending. D is at least 1; an empty slot holds `empty` and is
+    not listed. Equal keys must be contiguous, in the order their slots
+    take."""
     rank = _run_ranks(keys)
     depth = int(rank.max()) + 1 if rank.size else 1
-    flat = rank * n_keys + keys
-    table = np.full(depth * n_keys, empty, dtype=np.int64)
-    table[flat] = values
-    table_coeff = np.zeros(depth * n_keys)
-    table_coeff[flat] = coeff
-    return table.reshape(depth, n_keys), table_coeff.reshape(depth, n_keys, 1)
+    table = np.full((depth, n_keys), empty, dtype=np.int64)
+    table[rank, keys] = values
+    table_coeff = np.ones((depth, n_keys))
+    table_coeff[rank, keys] = coeff
+    listed = [np.flatnonzero(c != 1.0) for c in table_coeff]
+    return table, [(rows, c[rows].reshape(-1, 1)) for rows, c in zip(listed, table_coeff)]
 
 
 class _RelationCache:
@@ -271,11 +274,14 @@ class _RelationCache:
     `tg.edge_conv` read. Edge i of relation r targets row dst*R + r of the
     per-(target, relation) aggregate, and its coefficient uses degrees
     counted per relation. The in-table's slot d holds each aggregate row's
-    d-th in-edge (source and coefficient) in ascending edge order: the graph
-    orders each relation's edges by (dst, src), so a row's in-edges are
-    contiguous and rank by position in their run. The out-table's slot d
-    holds each source's d-th out-edge (aggregate row and coefficient) in
-    ascending edge order, by a stable sort of the sources.
+    d-th in-edge's source in ascending edge order: the graph orders each
+    relation's edges by (dst, src), so a row's in-edges are contiguous and
+    rank by position in their run. The out-table's slot d holds each
+    source's d-th out-edge's aggregate row in ascending edge order, by a
+    stable sort of the sources. Beside each table, `in_coeff` and
+    `out_coeff` list per slot only the entries whose coefficient is not
+    exactly 1, built here once per graph; on a map without forks or merges
+    every coefficient is 1 and the lists are empty.
     """
 
     def __init__(self, graph, names, gcn=False):
@@ -324,16 +330,27 @@ def _start_positions(graph, cfg):
     return xy.reshape(len(t_last), 2 * cfg.t_f)
 
 
+@functools.lru_cache(maxsize=None)
+def _cumsum_matrix(t_f):
+    """Read-only [2 t_f, 2 t_f] constant, one per t_f: out[:, 2t+c] = the sum
+    of the (x, y) increments s <= t, coordinate c."""
+    data = np.kron(np.triu(np.ones((t_f, t_f))), np.eye(2))
+    data.flags.writeable = False
+    return tg.Tensor(data)
+
+
 class EncoderCache:
-    """Constants derived from one graph for repeated forward passes."""
+    """Constants derived from one graph for repeated forward passes, and the
+    configuration's layer table, which `encode` runs."""
 
     def __init__(self, graph, cfg):
         self.graph = graph
+        self.layers = encoder_layers(cfg)
         # keyed by call-site: the grouped GCNs' "map" and "agent", which
         # also hold slot tables, and each attention relation on its own;
         # only the call-sites the encoder reads
         groups = _gcn_groups(cfg)
-        read = {site for layer in encoder_layers(cfg) for m in layer.merges for site in m.sites}
+        read = {site for layer in self.layers for m in layer.merges for site in m.sites}
         self.relations = {
             site: _RelationCache(graph, [f"{site}.{s}.{site}" for s in groups[site]]
                                  if site in groups else [site], gcn=site in groups)
@@ -344,8 +361,7 @@ class EncoderCache:
             self.tau = tg.Tensor(temporal_encoding(graph.agent_step, cfg.f))
         else:
             self.tau = None
-        # out[:, 2t+c] = sum of the (x, y) increments s <= t, coordinate c
-        self.cumsum = tg.Tensor(np.kron(np.triu(np.ones((cfg.t_f, cfg.t_f))), np.eye(2)))
+        self.cumsum = _cumsum_matrix(cfg.t_f)
         self.start = tg.Tensor(_start_positions(graph, cfg))
         # the tracks in agent_id order, whose readout nodes ascend, and the
         # inverse permutation
@@ -473,8 +489,8 @@ def _site_update(site, h, cache, edge_h, params, layer_prefix, cfg):
 
 
 def encode(cache, params, cfg):
-    """Run the layers of `encoder_layers`; returns one latent row per track,
-    in scene track order.
+    """Run the cache's layers (`encoder_layers` of its configuration);
+    returns one latent row per track, in scene track order.
 
     The node states are in the graph's agent_id node layout throughout, so
     they do not depend on the order of the scene's tracks; only the final
@@ -482,7 +498,7 @@ def encode(cache, params, cfg):
     """
     agent_h, map_h, edge_h = embed(cache, params, cfg)
     h = {"agent": agent_h, "map": map_h}
-    for layer in encoder_layers(cfg):
+    for layer in cache.layers:
         updates = [[_site_update(site, h, cache, edge_h, params, layer.prefix, cfg)
                     for site in merge.sites] for merge in layer.merges]
         h.update({merge.node: layer_merge(u, h[merge.node], params,

@@ -16,9 +16,16 @@ apart from its data. Each recorded op keeps its inputs' and output's slots
 and only the arrays its own backward reads (a product's factors, ReLU's
 mask, attention's activations and weights, layer norm's normalized rows,
 the graph conv's aggregate); an intermediate that no backward reads is
-freed as soon as the forward drops it. The embedding record holds only
-its inputs: its backward recomputes the normalized rows block by block
-from the [rows, n_in] input. Backward consumes the tape: each record is
+freed as soon as the forward drops it. An op whose output no tape records
+(no active tape, or no input takes a gradient) keeps nothing for backward:
+an untaped attention call computes each row block's pre-activations in one
+block-sized buffer and holds no per-row activations, only the weights it
+returns. The embedding record holds only its inputs: its backward
+recomputes the normalized rows block by block from the [rows, n_in] input.
+The graph conv's coefficients come as per-slot lists of the rows whose
+coefficient is not exactly 1, and only those rows are multiplied; on a
+graph where every coefficient is 1 the lists are empty and the conv
+multiplies nothing. Backward consumes the tape: each record is
 popped as it runs, and each op takes and clears its output's gradient, so
 intermediate gradients die as backward goes.
 Pass-through ops (add, sub, add_scalar, reshape, concat) hand that buffer,
@@ -186,11 +193,18 @@ def _wrap(data, requires_grad):
     return out
 
 
-def _make_output(data, inputs):
+def _recording_tape(inputs):
+    """The tape that records an op on inputs: the active one if any input
+    takes a gradient, else None."""
     tape = active_tape()
-    track = tape is not None and any(t._slot.requires_grad for t in inputs)
-    out = _wrap(data, track)
-    return out, (tape if track else None)
+    if tape is not None and any(t._slot.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _make_output(data, inputs):
+    tape = _recording_tape(inputs)
+    return _wrap(data, tape is not None), tape
 
 
 def _on_backward(tape, out, bwd):
@@ -335,6 +349,13 @@ def relu(a):
 _LN_EPS = 1e-5
 
 
+def _row_means(a):
+    """[n, 1] means of a's rows: the bits of ``a.mean(axis=1, keepdims=True)``,
+    which sums by the same reduction and divides by the count, without its
+    Python-level dispatch."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm(a, gain, offset):
     """Per-row normalization over the feature axis, then affine gain/offset.
 
@@ -349,9 +370,9 @@ def layer_norm(a, gain, offset):
             f"layer_norm gain/offset must have {f} entries, got {gain.data.shape}/{offset.data.shape}")
     g_row = gain.data.reshape(1, f)
     b_row = offset.data.reshape(1, f)
-    mu = a.data.mean(axis=1, keepdims=True)
+    mu = _row_means(a.data)
     xc = a.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = _row_means(xc * xc)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out, tape = _make_output(xhat * g_row + b_row, (a, gain, offset))
@@ -365,23 +386,24 @@ def layer_norm(a, gain, offset):
                 _give(s_offset, g.sum(axis=0).reshape(offset_shape))
             if sa:
                 dxhat = g * g_row
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+                m1 = _row_means(dxhat)
+                m2 = _row_means(dxhat * xhat)
                 _give(sa, inv * (dxhat - m1 - xhat * m2))
         _on_backward(tape, out, bwd)
     return out
 
 
-def _relu_norm_block(x, weight, bias, lo, hi):
+def _relu_norm_block(x, weight, bias, lo, hi, masked=False):
     """(xhat, inv, relu mask) of rows lo..hi of layer_norm(relu(x W + b))
     before its gain and offset, by the ops of matmul, add, relu and
-    layer_norm in turn."""
+    layer_norm in turn; the mask, which only backward reads, is None unless
+    masked."""
     z = x[lo:hi] @ weight
     z += bias
-    mask = z > 0.0
+    mask = z > 0.0 if masked else None
     np.maximum(z, 0.0, out=z)
-    z -= z.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((z * z).mean(axis=1, keepdims=True) + _LN_EPS)
+    z -= _row_means(z)
+    inv = 1.0 / np.sqrt(_row_means(z * z) + _LN_EPS)
     z *= inv
     return z, inv, mask
 
@@ -419,14 +441,14 @@ def linear_relu_norm(x, weight, bias, gain, offset):
             g_w, g_b = np.zeros((xs.shape[1], f)), np.zeros(f)
             g_gain, g_offset = np.zeros(f), np.zeros(f)
             for lo, hi in _blocks(n):
-                xhat, inv, mask = _relu_norm_block(xs, w, b_row, lo, hi)
+                xhat, inv, mask = _relu_norm_block(xs, w, b_row, lo, hi, masked=True)
                 # g is this record's own: its block becomes, in place, the
                 # gradient of xhat, then of the pre-activation
                 d = g[lo:hi]
                 g_gain += np.einsum("ij,ij->j", d, xhat)
                 g_offset += d.sum(axis=0)
                 d *= g_row
-                m1 = d.mean(axis=1, keepdims=True)
+                m1 = _row_means(d)
                 m2 = np.einsum("ij,ij->i", d, xhat).reshape(-1, 1) / f
                 d -= m1
                 xhat *= m2
@@ -488,10 +510,16 @@ def _dense_values(heads, n_dst, n_src, n_edges, f):
 
 def _pair_weights(alpha_edges, src, dst, n_src, n_dst):
     """[heads, n_dst, n_src]: per head, the attention weights of the in-edges
-    summed per (dst, src) pair in ascending edge order."""
+    summed per (dst, src) pair in ascending edge order.
+
+    One width-1 scatter of the transposed weights: edge e's weight for head
+    h goes to slot h*P + dst*n_src + src of P = n_dst*n_src pairs per head,
+    so the sums land head-major and the reshape copies nothing."""
     heads = alpha_edges.shape[1]
-    w = kernels.segment_sum(alpha_edges, dst * n_src + src, n_dst * n_src)
-    return np.ascontiguousarray(w.T).reshape(heads, n_dst, n_src)
+    n_pairs = n_dst * n_src
+    slots = (np.arange(heads)[:, None] * n_pairs + (dst * n_src + src)).reshape(-1)
+    w = kernels.segment_sum(alpha_edges.T.reshape(-1, 1), slots, heads * n_pairs)
+    return w.reshape(heads, n_dst, n_src)
 
 
 def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
@@ -531,9 +559,13 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     Backward keeps per row only act and alpha (W is rebuilt from alpha),
     and the node-level x_src W2 and x_dst W1; block by block it turns act
     in place into the gradient of the pre-activation, through the LeakyReLU
-    derivative. Returns (out [n_dst, heads*dh], alpha
-    [E + n_dst, heads]); alpha is the array backward reads, so the caller
-    must not write to it.
+    derivative. A call no tape records (`_recording_tape`, as for every op)
+    keeps act one block at a time in a block-sized buffer, so it holds no
+    per-row activations; the self rows come from one x_dst (W3a + W3b)
+    product either way and are copied into their blocks, so out and alpha
+    have the same bits with or without a tape. Returns (out [n_dst,
+    heads*dh], alpha [E + n_dst, heads]); alpha is the array backward
+    reads, so the caller must not write to it.
     """
     slope = float(slope)
     if not 0.0 <= slope <= 1.0:
@@ -552,33 +584,43 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     n_rows = n_edges + n_dst
     src = _check_targets(src, n_src, n_edges)
     dst = _check_targets(dst, n_dst, n_edges)
-    ext = np.concatenate([dst, np.arange(n_dst)])
     mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
     w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
     attn_mat = head_of_column * attn.data.reshape(f, 1)  # block-diagonal [f, heads]
     dense = _dense_values(heads, n_dst, n_src, n_edges, f)
 
-    a_dst, b_src = xd @ w3a, xs @ w3b
-    act, alpha = np.empty((n_rows, f)), np.empty((n_rows, heads))
-    np.matmul(xd, w3a + w3b, out=act[n_edges:])
-    scratch = np.empty((min(_ROW_BLOCK, n_rows), f))
+    tape = _recording_tape((x_src, x_dst, edge, w1, w2, w3, attn))
+    a_dst, b_src, self_pre = xd @ w3a, xs @ w3b, xd @ (w3a + w3b)
+    n_block = min(_ROW_BLOCK, n_rows)
+    # backward reads every row's act; an untaped call keeps one block of it
+    act = np.empty((n_rows if tape else n_block, f))
+    alpha, scratch = np.empty((n_rows, heads)), np.empty((n_block, f))
     # blocks run over all rows, in-edges then self edges, so that the logits
     # matmul sees the rows in the row tiles of one [n_rows, f] product
     for lo, hi in _blocks(n_rows):
+        block = act[lo:hi] if tape else act[:hi - lo]
         cut = min(hi, n_edges)
         if lo < cut:
-            pre, tmp = act[lo:cut], scratch[:cut - lo]
+            pre, tmp = block[:cut - lo], scratch[:cut - lo]
             np.take(a_dst, dst[lo:cut], axis=0, out=pre, mode="clip")
             pre += np.take(b_src, src[lo:cut], axis=0, out=tmp, mode="clip")
             pre += np.matmul(e[lo:cut], w3c, out=tmp)
-        block = act[lo:hi]
+        if hi > n_edges:
+            first = max(lo, n_edges)
+            block[first - lo:] = self_pre[first - n_edges:hi - n_edges]
         np.maximum(block, np.multiply(block, slope, out=scratch[:hi - lo]), out=block)
         np.matmul(block, attn_mat, out=alpha[lo:hi])  # the logits, normalized below
-    del a_dst, b_src
+    # the block views too hold act and scratch: an untaped call frees both here
+    del a_dst, b_src, self_pre
+    block = pre = tmp = scratch = None
+    if not tape:
+        act = None
+    ext = np.concatenate([dst, np.arange(n_dst)])
     alpha -= kernels.segment_max(alpha, ext, n_dst)[ext]
     np.exp(alpha, out=alpha)
     alpha /= kernels.segment_sum(alpha, ext, n_dst)[ext]
+    del ext
 
     vs, vd = xs @ mat2, xd @ mat1
     if dense:
@@ -589,15 +631,16 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
         del per_head
     else:
         out_data = np.zeros((n_dst, f))
+        scratch = np.empty((min(_ROW_BLOCK, n_edges), f))
         for lo, hi in _blocks(n_edges):
             rows = np.take(vs, src[lo:hi], axis=0, out=scratch[:hi - lo], mode="clip")
             per_head = rows.reshape(hi - lo, heads, dh)
             per_head *= alpha[lo:hi, :, None]
             kernels.add_rows_at(out_data, dst[lo:hi], rows)
-    del scratch
+        del scratch
     per_head = out_data.reshape(n_dst, heads, dh)
     per_head += vd.reshape(n_dst, heads, dh) * alpha[n_edges:, :, None]
-    out, tape = _make_output(out_data, (x_src, x_dst, edge, w1, w2, w3, attn))
+    out = _wrap(out_data, tape is not None)
     if tape:
         s_src, s_dst, s_edge = _slot_of(x_src), _slot_of(x_dst), _slot_of(edge)
         s1, s2, s3, s_attn = (_slot_of(w) for w in (w1, w2, w3, attn))
@@ -692,33 +735,60 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     return out, alpha
 
 
-def _slot_sum(rows, index, coeff):
-    """[n, f]: per entry i, the sum over slots d of coeff[d, i] * rows[index[d, i]],
-    slot by slot in ascending order. index is [D >= 1, n] and range-checked;
-    the first slot is gathered straight into the sum."""
+def _scale_listed(part, listed):
+    """In place: part's listed rows times their coefficients."""
+    rows, coeff = listed
+    if rows.size:
+        part[rows] *= coeff
+
+
+def _slot_sum(rows, index, scaled):
+    """[n, f]: per entry i, the sum over slots d of c * rows[index[d, i]],
+    slot by slot in ascending order, c being the coefficient scaled[d] lists
+    for i, or 1 where it lists none. index is [D >= 1, n] and, like the
+    lists, range-checked; the first slot is gathered straight into the sum.
+    Only listed rows are multiplied: a product by exactly 1 keeps the bits."""
     out = np.take(rows, index[0], axis=0, out=np.empty((index.shape[1], rows.shape[1])),
                   mode="clip")
-    out *= coeff[0]
+    _scale_listed(out, scaled[0])
     if index.shape[0] > 1:
         scratch = np.empty_like(out)
         for d in range(1, index.shape[0]):
             np.take(rows, index[d], axis=0, out=scratch, mode="clip")
-            scratch *= coeff[d]
+            _scale_listed(scratch, scaled[d])
             out += scratch
     return out
 
 
-def _checked_slots(table, coeff, n_rows, n_cols, what):
-    """table as a checked [D >= 1, n_cols] int64 array whose entries lie in
-    [0, n_rows]; coeff must be [D, n_cols, 1]."""
+def _checked_slots(table, scaled, n_rows, n_cols, what):
+    """(table, scaled) checked: table a [D >= 1, n_cols] int64 array whose
+    entries lie in [0, n_rows], scaled D (rows, [k, 1] coefficients) pairs
+    whose rows ascend strictly in [0, n_cols)."""
     table = _index_array(table, what)
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != n_cols:
         raise DimensionError(f"{what} must be [slots >= 1, {n_cols}], got {table.shape}")
-    if coeff.shape != table.shape + (1,):
-        raise DimensionError(f"{what} coefficients must be {table.shape + (1,)}, got {coeff.shape}")
     if table.size and (table.min() < 0 or table.max() > n_rows):
         raise IndexError(f"{what} entry out of range [0, {n_rows}]")
-    return table
+    if len(scaled) != table.shape[0]:
+        raise DimensionError(
+            f"{what} needs one coefficient list per slot: {len(scaled)} for {table.shape[0]}")
+    checked = []
+    for listed in scaled:
+        if len(listed) != 2:
+            raise DimensionError(f"{what} coefficient list must be a (rows, coefficients) pair")
+        rows = _index_array(listed[0], f"{what} coefficient rows")
+        coeff = np.asarray(listed[1], dtype=np.float64)
+        if rows.ndim != 1 or coeff.shape != (rows.shape[0], 1):
+            raise DimensionError(
+                f"{what} coefficient list must be k rows and [k, 1] coefficients, "
+                f"got {rows.shape} and {coeff.shape}")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= n_cols:
+                raise IndexError(f"{what} coefficient row out of range [0, {n_cols})")
+            if (rows[1:] <= rows[:-1]).any():
+                raise IndexError(f"{what} coefficient rows must ascend strictly")
+        checked.append((rows, coeff))
+    return table, checked
 
 
 def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, out_coeff):
@@ -728,26 +798,31 @@ def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, o
     Row t*R + r of the [n_dst*R, n_in] aggregate belongs to target t and
     relation r. Its in-edges sit in the slots of the in-table: slot d of
     in_index [D, n_dst*R] holds the row's d-th in-edge's source, in
-    ascending edge order, and in_coeff [D, n_dst*R, 1] its coefficient. An
-    empty slot holds n_src, which picks a zero row. Then
+    ascending edge order. An empty slot holds n_src, which picks a zero row.
+    in_coeff lists the coefficients other than 1: per slot d, a pair (rows,
+    [k, 1] coefficients) of the aggregate rows whose d-th in-edge has a
+    coefficient other than exactly 1, rows strictly ascending; every other
+    in-edge has coefficient 1, and empty slots need no entry. Then
 
-        agg = sum over slots of in_coeff * x_src[in_index] + edge_agg
+        agg = sum over slots of coeff * x_src[in_index] + edge_agg
         out = agg.reshape(n_dst, R*n_in) @ [W_0; ...; W_R-1] + sum_r b_r
 
     edge_agg [n_dst*R, n_in] is the edge term: the same sum over the
     in-edges' embeddings, which does not depend on x_src. Each row sums its
     slots in order, starting from the first slot's product (as a sum from
-    zero does, up to the sign of a zero), and adds edge_agg last.
+    zero does, up to the sign of a zero), and adds edge_agg last. Only the
+    listed rows are multiplied; a product by exactly 1 would keep the bits.
 
     Backward gives the weights agg^T g, each bias g's column sums, and
     edge_agg the aggregate gradient g W^T. x_src's gradient runs through
     the out-table: slot d of out_index [D', n_src] holds a source's d-th
-    out-edge's aggregate row, in ascending edge order, and out_coeff
-    [D', n_src, 1] its coefficient; an empty slot holds n_dst*R, a zero
-    row. It is summed slot by slot and then added onto any gradient x_src
-    already holds, as a gather's gradient is. Tables are range-checked on
-    every call; gathers run as ``np.take(..., mode="clip")``, which never
-    clips a checked index and does not buffer its ``out``.
+    out-edge's aggregate row, in ascending edge order, and out_coeff lists
+    per slot the sources whose d-th out-edge has a coefficient other than 1,
+    as in_coeff does; an empty slot holds n_dst*R, a zero row. It is summed
+    slot by slot and then added onto any gradient x_src already holds, as a
+    gather's gradient is. Tables and lists are range-checked on every call;
+    gathers run as ``np.take(..., mode="clip")``, which never clips a
+    checked index and does not buffer its ``out``.
     """
     r = len(weights)
     if x_src.data.ndim != 2 or r == 0 or len(biases) != r:
@@ -764,8 +839,9 @@ def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, o
         raise DimensionError(
             f"edge_conv edge term must be [n_dst*{r}, {n_in}], got {edge_agg.data.shape}")
     n_dst = n_rows // r
-    in_index = _checked_slots(in_index, in_coeff, n_src, n_rows, "edge_conv in-table")
-    out_index = _checked_slots(out_index, out_coeff, n_rows, n_src, "edge_conv out-table")
+    in_index, in_coeff = _checked_slots(in_index, in_coeff, n_src, n_rows, "edge_conv in-table")
+    out_index, out_coeff = _checked_slots(out_index, out_coeff, n_rows, n_src,
+                                          "edge_conv out-table")
 
     w_stack = np.concatenate([w.data for w in weights])
     agg = _slot_sum(np.concatenate([x_src.data, np.zeros((1, n_in))]), in_index, in_coeff)

@@ -285,6 +285,42 @@ def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
     assert all(t.grad is not None for t in (h, e, *weights, *biases))
 
 
+def _non_unit_by_loop(keys, coeff, depth):
+    """Per slot d, the ascending (key, coefficient) pairs of the entries that
+    are their key's d-th in edge order and whose coefficient is not 1."""
+    seen = {}
+    slots = [[] for _ in range(depth)]
+    for key, c in zip(keys.tolist(), coeff.tolist()):
+        d = seen.get(key, 0)
+        seen[key] = d + 1
+        if c != 1.0:
+            slots[d].append((key, c))
+    return [sorted(slot) for slot in slots]
+
+
+def test_coefficient_lists_hold_exactly_the_non_unit_entries():
+    cfg = tiny_cfg()
+    _, rel, *_ = _merge_and_fork_case(cfg, 83)
+    coeff = rel.coeff.data.reshape(-1)
+    assert (coeff != 1.0).any()
+    for keys, index, lists in ((rel.targets, rel.in_index, rel.in_coeff),
+                               (rel.src, rel.out_index, rel.out_coeff)):
+        assert len(lists) == index.shape[0]
+        got = [list(zip(rows.tolist(), c.reshape(-1).tolist())) for rows, c in lists]
+        assert got == _non_unit_by_loop(keys, coeff, index.shape[0])
+
+
+def test_unit_coefficient_graph_lists_no_rows():
+    """Lanes without forks or merges and tracks without gaps: every
+    coefficient is exactly 1, so the lists name no row."""
+    cfg = tiny_cfg()
+    _, _, cache = build_synthetic_cache(cfg, seed=50, agents=4, lanes=3)
+    for site in ("map", "agent"):
+        rel = cache.relations[site]
+        assert rel.src.size and (rel.coeff.data == 1.0).all()
+        assert all(rows.size == 0 for rows, _ in rel.in_coeff + rel.out_coeff)
+
+
 def test_gatv2_isolated_destination_is_self_projection():
     cfg = tiny_cfg(t_obs=1, use_map=False)
     _, cache = scene_and_cache(cfg, tracks=[straight_track("a0", t_obs=1, t_f=3)])

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from trajgraph import tensor as tg
+from trajgraph import kernels, tensor as tg
 from trajgraph.config import RunConfig
 from trajgraph.errors import DimensionError, TapeError
 from trajgraph.losses import total_loss
@@ -365,6 +365,62 @@ def test_edge_attention_holds_act_and_alpha_per_row():
     assert held <= 8 * (f + heads) * (n_edges + n_dst) + node_level + 8192, held
 
 
+def test_untaped_edge_attention_keeps_no_per_row_activations():
+    """Without a tape the pre-activations live in one row block: the peak
+    stays below one [E + n_dst, f] array plus the node-level terms (x_dst W3a,
+    x_src W3b and the self rows' x_dst (W3a + W3b)). A taped call's act
+    alone is that array."""
+    f = _HEADS * _DH
+    inputs, src, dst = _large_attention_case(np.random.default_rng(73))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    node_level = 8 * f * (_N_SRC + 2 * _N_DST)
+    assert peak <= 8 * f * (_N_EDGES + _N_DST) + node_level, peak
+
+
+@pytest.mark.parametrize("block", [4, 1024])
+@pytest.mark.parametrize("side", ["dense", "blocked"])
+def test_untaped_edge_attention_equals_taped_bitwise(side, block, monkeypatch):
+    """out and alpha are the same bits with and without a tape, on each
+    value path. In blocks of 4 the 10 in-edges and 4 self rows make blocks
+    [0, 4), [4, 8), [8, 12), [12, 14): the self rows start mid-block and
+    span a block boundary."""
+    monkeypatch.setattr(tg, "_ROW_BLOCK", block)
+    monkeypatch.setattr(tg, "_dense_values", lambda *sizes: side == "dense")
+    inputs = _attention_inputs(np.random.default_rng(107), heads=2, n_edges=10)
+    with tg.Tape() as tape:
+        taped = _attention(inputs, 0.2, _DUP_SRC, _DUP_DST)
+    assert len(tape._records) == 1
+    untaped = _attention(inputs, 0.2, _DUP_SRC, _DUP_DST)
+    frozen = [tg.Tensor(t.data) for t in inputs]
+    with tg.Tape() as tape:  # a tape, but no input takes a gradient
+        no_grads = _attention(frozen, 0.2, _DUP_SRC, _DUP_DST)
+    assert not tape._records
+    for out, alpha in (untaped, no_grads):
+        assert not out.requires_grad
+        assert out.data.tobytes() == taped[0].data.tobytes()
+        assert alpha.tobytes() == taped[1].tobytes()
+
+
+def test_pair_weights_head_major_equal_the_flat_scatter_transposed():
+    """The head-major scatter gives the bits of a [n_dst*n_src, heads]
+    scatter transposed, duplicate pairs and a pair-free destination
+    included."""
+    rng = np.random.default_rng(109)
+    alpha_edges = rng.uniform(size=(_DUP_SRC.shape[0], 3))
+    got = tg._pair_weights(alpha_edges, _DUP_SRC, _DUP_DST, 5, 4)
+    flat = kernels.segment_sum(alpha_edges, _DUP_DST * 5 + _DUP_SRC, 20)
+    want = np.ascontiguousarray(flat.T).reshape(3, 4, 5)
+    assert got.shape == (3, 4, 5)
+    assert got.tobytes() == want.tobytes()
+    assert got[:, 0, 1].tobytes() == (alpha_edges[0] + alpha_edges[2]).tobytes()
+
+
 # duplicate (dst, src) pairs (0, 1) and (1, 0); destination 3 has no in-edges.
 # With heads = 2, dh = 2, 5 sources and 4 destinations the weight matrices
 # hold 2 * 4 * 5 = 40 entries: the dense side up to 40 / 4 = 10 edges.
@@ -491,12 +547,15 @@ def test_edge_attention_peak_memory_not_above_parent():
 # t*2 + r. Edges, in ascending order, (source -> row, coefficient):
 # 0 -> 0 (0.5), 1 -> 0 (0.25), 1 -> 1 (1.0), 0 -> 2 (2.0). Row 3 has no
 # in-edge and source 2 no out-edge; empty slots pick row 3 of the sources
-# and row 4 of the aggregate gradient, the zero rows.
+# and row 4 of the aggregate gradient, the zero rows. Each table's slot d
+# lists the (rows, coefficients) of its entries whose coefficient is not 1.
 _CONV_EDGES = ((0, 0, 0.5), (1, 0, 0.25), (1, 1, 1.0), (0, 2, 2.0))
 _CONV_TABLES = (np.array([[0, 1, 0, 3], [1, 3, 3, 3]]),
-                np.array([[0.5, 1.0, 2.0, 0.0], [0.25, 0.0, 0.0, 0.0]]).reshape(2, 4, 1),
+                [(np.array([0, 2]), np.array([[0.5], [2.0]])),
+                 (np.array([0]), np.array([[0.25]]))],
                 np.array([[0, 0, 4], [2, 1, 4]]),
-                np.array([[0.5, 0.25, 0.0], [2.0, 1.0, 0.0]]).reshape(2, 3, 1))
+                [(np.array([0, 1]), np.array([[0.5], [0.25]])),
+                 (np.array([0]), np.array([[2.0]]))])
 
 
 def _conv_inputs(rng):
@@ -542,6 +601,48 @@ def test_edge_conv_refuses_out_of_range_tables(table, bad):
     tables[table][0, 0] = bad
     x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(94))
     with pytest.raises(IndexError, match="out of range"):
+        tg.edge_conv(x, edge_agg, weights, biases, *tables)
+
+
+def _dense_coefficients(index, scaled, empty):
+    """[D, n, 1] coefficients of a table and its lists, in the dense form the
+    lists replace: listed ones, 0 in empty slots and 1 elsewhere."""
+    coeff = np.where(index == empty, 0.0, 1.0)[:, :, None]
+    for d, (rows, c) in enumerate(scaled):
+        coeff[d, rows] = c
+    return coeff
+
+
+@pytest.mark.parametrize("table", [0, 2])
+def test_slot_sums_equal_the_dense_coefficient_form_bitwise(table):
+    """Multiplying only the listed rows gives the bits of multiplying every
+    row by its dense coefficient, for the in- and the out-table, a negative
+    zero included."""
+    index, scaled = _CONV_TABLES[table], _CONV_TABLES[table + 1]
+    empty = index.max()  # the zero row each table's empty slots pick
+    rows = np.random.default_rng(91).normal(size=(empty + 1, 4))
+    rows[0, 0] = -0.0
+    rows[empty] = 0.0
+    coeff = _dense_coefficients(index, scaled, empty)
+    want = coeff[0] * rows[index[0]]
+    for d in range(1, index.shape[0]):
+        want += coeff[d] * rows[index[d]]
+    assert tg._slot_sum(rows, index, scaled).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("table, bad", [(1, -1), (1, 4), (3, -1), (3, 3), (1, "repeat")])
+def test_edge_conv_refuses_bad_coefficient_rows(table, bad):
+    """A listed row outside the table's columns raises, as does a list whose
+    rows do not ascend strictly (a repeated row would be scaled once)."""
+    tables = list(_CONV_TABLES)
+    listed = list(tables[table])
+    rows, coeff = listed[0]
+    rows = np.array([rows[0], rows[0]]) if bad == "repeat" else np.array([bad])
+    listed[0] = (rows, np.full((rows.shape[0], 1), 0.5))
+    tables[table] = listed
+    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(95))
+    match = "ascend strictly" if bad == "repeat" else "out of range"
+    with pytest.raises(IndexError, match=match):
         tg.edge_conv(x, edge_agg, weights, biases, *tables)
 
 
@@ -774,6 +875,35 @@ def test_backward_memory_stays_near_the_forward_and_frees_the_tape():
     assert peak <= 1.25 * end_of_forward, (peak, end_of_forward)
     # the tape and the loss are still alive: only the leaves' gradients remain
     assert after <= 1.5 * param_bytes, (after, param_bytes)
+
+
+# Peak traced memory, in bytes, of the untaped forward below at the commit
+# before untaped attention calls kept one row block of pre-activations and
+# pair weights were scattered head-major: 18,980,241 when this file runs
+# whole and when this test runs alone (numpy 2.4.6, Python 3.11.7), about
+# 2 [E, f] float64 arrays of the 18,568-edge scene. The change reads
+# 15,043,424.
+_PARENT_FORWARD_PEAK = 18_980_241
+
+
+def test_untaped_forward_peak_memory_not_above_parent():
+    """Inference on an 8-agent/16-lane scene, the predict workload's size:
+    one untaped forward (after a first one) peaks no higher than before."""
+    cfg = RunConfig()
+    spec = SyntheticSpec(scenes=1, agents=8, lanes=16, t_obs=cfg.model.t_obs,
+                         t_f=cfg.model.t_f, dt=0.1, noise=0.05, curved=True)
+    (sample,) = prepare_samples(generate_synthetic(spec, 5), cfg)
+    params = init_parameters(cfg.model, 1)
+    forward(sample.cache, params, cfg.model)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pred = forward(sample.cache, params, cfg.model)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not pred.trajectories.requires_grad
+    assert peak <= _PARENT_FORWARD_PEAK, peak
 
 
 def test_default_scene_records_one_tape_record_per_attention_conv():
