@@ -1,4 +1,8 @@
-"""Segment kernels: the three scatter primitives under message passing.
+"""Segment kernels: the three scatter primitives under attention and
+gather gradients.
+
+The graph conv and its edge term do not use them: they gather through a
+``tensor.ConvPlan`` in both directions.
 
 One numpy implementation, and every kernel works on the flat 1-D index
 ``idx * f + column`` of the rows' elements, which for width-1 rows is idx

@@ -240,48 +240,15 @@ def temporal_encoding(timesteps, f):
 
 # --- per-graph constants ----------------------------------------------------
 
-def _run_ranks(keys):
-    """Each entry's place in its run of equal keys: position minus the
-    position where the run starts. Equal keys must be contiguous."""
-    pos = np.arange(keys.shape[0])
-    starts = np.ones(keys.shape[0], dtype=bool)
-    starts[1:] = keys[1:] != keys[:-1]
-    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
-
-
-def _slot_table(keys, values, coeff, n_keys, empty):
-    """[D, n_keys] table whose slot d holds, per key, the value of the key's
-    d-th entry, and per slot the list `tg.edge_conv` reads: (keys, [k, 1]
-    coefficients) of the keys whose d-th entry's coefficient is not exactly
-    1, keys ascending. D is at least 1; an empty slot holds `empty` and is
-    not listed. Equal keys must be contiguous, in the order their slots
-    take."""
-    rank = _run_ranks(keys)
-    depth = int(rank.max()) + 1 if rank.size else 1
-    table = np.full((depth, n_keys), empty, dtype=np.int64)
-    table[rank, keys] = values
-    table_coeff = np.ones((depth, n_keys))
-    table_coeff[rank, keys] = coeff
-    listed = [np.flatnonzero(c != 1.0) for c in table_coeff]
-    return table, [(rows, c[rows].reshape(-1, 1)) for rows, c in zip(listed, table_coeff)]
-
-
 class _RelationCache:
     """One call-site's relations, which share endpoint types, as one edge list.
 
     Edges and raw edge features are concatenated in the order of `names`.
-    A grouped GCN's cache (`gcn`) also holds what `gcn_edge_term` and
-    `tg.edge_conv` read. Edge i of relation r targets row dst*R + r of the
-    per-(target, relation) aggregate, and its coefficient uses degrees
-    counted per relation. The in-table's slot d holds each aggregate row's
-    d-th in-edge's source in ascending edge order: the graph orders each
-    relation's edges by (dst, src), so a row's in-edges are contiguous and
-    rank by position in their run. The out-table's slot d holds each
-    source's d-th out-edge's aggregate row in ascending edge order, by a
-    stable sort of the sources. Beside each table, `in_coeff` and
-    `out_coeff` list per slot only the entries whose coefficient is not
-    exactly 1, built here once per graph; on a map without forks or merges
-    every coefficient is 1 and the lists are empty.
+    A grouped GCN's cache (`gcn`) also holds the `tg.ConvPlan` that
+    `tg.edge_sum` and `tg.edge_conv` read: edge i of relation r targets row
+    dst*R + r of the per-(target, relation) aggregate, and its coefficient
+    uses degrees counted per relation. On a map without forks or merges
+    every coefficient is 1.
     """
 
     def __init__(self, graph, names, gcn=False):
@@ -297,22 +264,12 @@ class _RelationCache:
         if not gcn:
             return
         kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
-        self.targets = self.dst * r + kind
-        sources = self.src * r + kind
-        n_rows = self.n_dst * r
-        in_deg = np.bincount(self.targets, minlength=n_rows)
-        out_deg = np.bincount(sources, minlength=self.n_src * r)
-        # degree floored at one: a lone edge is passed through unscaled and
-        # isolated endpoints never divide by zero
-        deg_dst = np.maximum(in_deg, 1).astype(np.float64)
-        deg_src = np.maximum(out_deg, 1).astype(np.float64)
-        coeff = 1.0 / np.sqrt(deg_dst[self.targets] * deg_src[sources])
-        self.coeff = tg.Tensor(coeff.reshape(-1, 1))
-        self.in_index, self.in_coeff = _slot_table(
-            self.targets, self.src, coeff, n_rows, self.n_src)
-        order = np.argsort(self.src, kind="stable")
-        self.out_index, self.out_coeff = _slot_table(
-            self.src[order], self.targets[order], coeff[order], self.n_src, n_rows)
+        targets = self.dst * r + kind
+        src_keys = self.src * r + kind
+        # read at its own edges, a degree is at least one: a lone edge is
+        # passed through unscaled
+        coeff = 1.0 / np.sqrt(np.bincount(targets)[targets] * np.bincount(src_keys)[src_keys])
+        self.plan = tg.ConvPlan(targets, self.src, coeff, self.n_dst * r, self.n_src)
 
 
 def _start_positions(graph, cfg):
@@ -347,7 +304,7 @@ class EncoderCache:
         self.graph = graph
         self.layers = encoder_layers(cfg)
         # keyed by call-site: the grouped GCNs' "map" and "agent", which
-        # also hold slot tables, and each attention relation on its own;
+        # also hold a conv plan, and each attention relation on its own;
         # only the call-sites the encoder reads
         groups = _gcn_groups(cfg)
         read = {site for layer in self.layers for m in layer.merges for site in m.sites}
@@ -380,14 +337,6 @@ def _embed_block(x, params, prefix):
         "linear.weight", "linear.bias", "norm.gain", "norm.offset")))
 
 
-def gcn_edge_term(rel, edge_h):
-    """A grouped GCN's edge term: per (target, relation) row, the sum over
-    its in-edges of coeff * e, in ascending edge order. It does not depend
-    on the node states, so every layer of the call-site shares it."""
-    return tg.segment_sum(tg.mul(edge_h, rel.coeff), rel.targets,
-                          rel.n_dst * rel.n_relations)
-
-
 def embed(cache, params, cfg):
     """Embed node and edge inputs to width f.
 
@@ -395,8 +344,11 @@ def embed(cache, params, cfg):
     the map branch is disabled, edge embeddings are zero when relational
     features are disabled. The shared edge MLP runs once per call-site over
     its concatenated relations; an attention call-site takes the per-edge
-    embeddings, a grouped GCN its `gcn_edge_term`, computed here once per
-    forward. Each embedding MLP is one `tg.linear_relu_norm` record.
+    embeddings, a grouped GCN its edge term: per (target, relation) row, the
+    coefficient-weighted sum of its in-edges' embeddings (`tg.edge_sum`). The
+    term does not depend on the node states, so it is computed here once per
+    forward and every layer of the call-site shares it. Each embedding MLP
+    is one `tg.linear_relu_norm` record.
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
     if cfg.use_temporal:
@@ -410,7 +362,7 @@ def embed(cache, params, cfg):
             e = _embed_block(rel.raw_edge, params, "embed.edge")
         else:
             e = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
-        edge_h[key] = gcn_edge_term(rel, e) if key in groups else e
+        edge_h[key] = tg.edge_sum(e, rel.plan) if key in groups else e
     return agent_h, map_h, edge_h
 
 
@@ -420,14 +372,13 @@ def gcn_edge_conv(h_src, rel, edge_agg, weights, biases):
     b_r every target receives, summed over r.
 
     Evaluated as sum_e coeff * x_src per (target, relation) row, gathered
-    slot by slot through the cache's in-table, plus the call-site's edge
-    term `edge_agg` (`gcn_edge_term`), then one matmul of the [n_dst, R*f]
-    aggregate with the stacked [R*f, f] weights, so the sum over relations
-    runs inside the matmul. Degrees are counted per relation. One
-    `tg.edge_conv` record, which scatters neither forward nor backward.
+    slot by slot through the cache's plan, plus the call-site's edge term
+    `edge_agg` (see `embed`), then one matmul of the [n_dst, R*f] aggregate
+    with the stacked [R*f, f] weights, so the sum over relations runs inside
+    the matmul. Degrees are counted per relation. One `tg.edge_conv`
+    record, which scatters neither forward nor backward.
     """
-    return tg.edge_conv(h_src, edge_agg, weights, biases,
-                        rel.in_index, rel.in_coeff, rel.out_index, rel.out_coeff)
+    return tg.edge_conv(h_src, edge_agg, weights, biases, rel.plan)
 
 
 def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):

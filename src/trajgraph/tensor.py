@@ -5,11 +5,12 @@ matrix products; add, sub and mul, whose second operand may also be a
 single row broadcast over the rows (a bias) or a single [n, 1] column
 broadcast over the columns (a per-row factor); scale and add_scalar by a
 python number; ReLU; layer normalization; one fused linear -> ReLU ->
-layer norm embedding; segment sum and gather for message passing; one
-fused multi-head attention conv; one fused degree-normalized graph conv
-that gathers through slot tables instead of scattering; concat, reshape
-and a total sum. Everything is recorded on an explicit tape; replaying the
-tape in reverse order of recording accumulates gradients into ``.grad``.
+layer norm embedding; gather for message passing; one fused multi-head
+attention conv; a degree-normalized graph conv and its edge term, both of
+which read one per-graph ``ConvPlan`` and gather instead of scattering;
+concat, reshape and a total sum. Everything is recorded on an explicit
+tape; replaying the tape in reverse order of recording accumulates
+gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
@@ -22,12 +23,13 @@ an untaped attention call computes each row block's pre-activations in one
 block-sized buffer and holds no per-row activations, only the weights it
 returns. The embedding record holds only its inputs: its backward
 recomputes the normalized rows block by block from the [rows, n_in] input.
-The graph conv's coefficients come as per-slot lists of the rows whose
-coefficient is not exactly 1, and only those rows are multiplied; on a
-graph where every coefficient is 1 the lists are empty and the conv
-multiplies nothing. Backward consumes the tape: each record is
-popped as it runs, and each op takes and clears its output's gradient, so
-intermediate gradients die as backward goes.
+A ``ConvPlan`` is the only place that knows the graph conv's table
+format. It checks its edge list once, when it is built, and lists the
+coefficients that are not exactly 1 per slot of its tables; ``edge_sum``
+and ``edge_conv`` multiply only those rows, so on a graph where every
+coefficient is 1 they multiply nothing. Backward consumes the tape: each
+record is popped as it runs, and each op takes and clears its output's
+gradient, so intermediate gradients die as backward goes.
 Pass-through ops (add, sub, add_scalar, reshape, concat) hand that buffer,
 or views of it, to an input instead of copying; add copies only when both
 inputs take a gradient and the second holds none yet. After backward only
@@ -35,22 +37,24 @@ leaves hold ``.grad``, which may be a view of a larger buffer (no two
 leaves' views overlap).
 
 Determinism contract: identical inputs and identical edge ordering produce
-bitwise-identical outputs and gradients. Segment aggregation and gather
-gradients go through the numpy kernels in ``kernels`` (there is no other
-backend), which always add in ascending edge-index order. A gather gradient
-sums the upstream rows of each index first and then adds that sum onto the
-gradient already held: g + (r1 + r2), not (g + r1) + r2. The graph conv
-scatters nothing: it sums each (target, relation) row slot by slot, from
-zero, in ascending edge order, and then adds the edge term; its source
+bitwise-identical outputs and gradients. Attention's segment sums and
+maxima and gather gradients go through the numpy kernels in ``kernels``
+(there is no other backend), which always add in ascending edge-index
+order. A gather gradient sums the upstream rows of each index first and
+then adds that sum onto the gradient already held: g + (r1 + r2), not
+(g + r1) + r2. The graph conv and its edge term scatter nothing: each
+sums every (target, relation) row slot by slot, from zero, in ascending
+edge order, the conv then adding the edge term; the conv's source
 gradient is summed the same way through the out-table and then added onto
-the gradient already held, like a gather's. The row-blocked ops (attention,
-embedding) cut rows into fixed blocks of ``_ROW_BLOCK``: sums within a
-block run in ascending edge order and the blocks' sums are added in
-ascending block order. Attention's dense value sums are matrix products,
-whose sums run over the source nodes in node order. Graphs lay agent nodes
-out in agent_id order and map nodes in lane_id order, so the encoder's
-inputs, and with them its outputs bit for bit, do not depend on the order
-of the scene's tracks or lanes.
+the gradient already held, like a gather's, and the edge term's gradient
+is a gather by target. The row-blocked ops (attention, embedding) cut rows
+into fixed blocks of ``_ROW_BLOCK``: sums within a block run in ascending
+edge order and the blocks' sums are added in ascending block order.
+Attention's dense value sums are matrix products, whose sums run over the
+source nodes in node order. Graphs lay agent nodes out in agent_id order
+and map nodes in lane_id order, so the encoder's inputs, and with them its
+outputs bit for bit, do not depend on the order of the scene's tracks or
+lanes.
 
 The bits hold for a fixed BLAS thread count, since OpenBLAS may split a
 product's sums differently with more threads. On 16-agent scenes at 1 and
@@ -167,7 +171,7 @@ class Tape:
             records.pop()()
 
 
-def active_tape():
+def _active_tape():
     return _tape_stack[-1] if _tape_stack else None
 
 
@@ -196,7 +200,7 @@ def _wrap(data, requires_grad):
 def _recording_tape(inputs):
     """The tape that records an op on inputs: the active one if any input
     takes a gradient, else None."""
-    tape = active_tape()
+    tape = _active_tape()
     if tape is not None and any(t._slot.requires_grad for t in inputs):
         return tape
     return None
@@ -488,19 +492,6 @@ def _check_targets(targets, n, n_rows):
     return targets
 
 
-def segment_sum(messages, targets, n):
-    """Sum message rows into their target rows; empty targets are zero.
-
-    Summation runs in ascending edge-index order (determinism contract).
-    """
-    targets = _check_targets(targets, n, messages.data.shape[0])
-    out, tape = _make_output(kernels.segment_sum(messages.data, targets, n), (messages,))
-    if tape:
-        sm = messages._slot
-        _on_backward(tape, out, lambda g: _give(sm, g[targets]))
-    return out
-
-
 def _dense_values(heads, n_dst, n_src, n_edges, f):
     """Whether edge attention sums its in-edge values as dense per-head
     products: when the [heads, n_dst, n_src] weight matrices are no larger
@@ -735,6 +726,68 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     return out, alpha
 
 
+# --- graph conv -----------------------------------------------------------
+
+def _slot_table(keys, values, coeff, n_keys, empty):
+    """[D, n_keys] table whose slot d holds, per key, the value of the key's
+    d-th entry, and per slot the (keys, [k, 1] coefficients) of the entries
+    whose coefficient is not exactly 1, keys strictly ascending. keys must
+    be sorted, each key's entries in the order its slots take. D is at
+    least 1; an empty slot holds `empty` and is not listed."""
+    rank = np.arange(keys.shape[0]) - np.searchsorted(keys, keys)
+    depth = int(rank.max()) + 1 if rank.size else 1
+    table = np.full((depth, n_keys), empty, dtype=np.int64)
+    table[rank, keys] = values
+    table.flags.writeable = False
+    scaled = np.flatnonzero(coeff != 1.0)
+    listed = [scaled[rank[scaled] == d] for d in range(depth)]
+    return table, [(keys[at], coeff[at].reshape(-1, 1)) for at in listed]
+
+
+class ConvPlan:
+    """One graph's sparse [n_rows, E] matrix S, S[targets[i], i] = coeff[i]
+    for edge i from source row sources[i], laid out for gathers: what
+    `edge_sum` and `edge_conv` read.
+
+    The edge list is checked here, once; the ops that read the plan check
+    nothing per call, and its tables are read-only. A row's in-edges need
+    not be contiguous. One stable sort by target gives the in-table
+    `in_edges`: slot d holds each row's d-th in-edge in ascending edge
+    order, E in an empty slot. `in_sources` holds those edges' sources
+    (n_src in an empty slot). One stable sort by source gives the out-table
+    `out_rows`: slot d holds each source's d-th out-edge's row in ascending
+    edge order, n_rows in an empty slot. Beside each table, `in_coeff` and
+    `out_coeff` list per slot only the entries whose coefficient is not
+    exactly 1, as (rows, [k, 1] coefficients) pairs, rows strictly
+    ascending, and `edge_coeff` is that pair for the edges themselves. On a
+    graph whose coefficients are all 1 every list is empty.
+    """
+
+    def __init__(self, targets, sources, coeff, n_rows, n_src):
+        self.n_rows, self.n_src = int(n_rows), int(n_src)
+        targets = _index_array(targets, "conv targets")
+        if targets.ndim != 1:
+            raise DimensionError(f"conv targets must be one index per edge, got {targets.shape}")
+        self.n_edges = targets.shape[0]
+        self.targets = _check_targets(targets, self.n_rows, self.n_edges)
+        sources = _check_targets(sources, self.n_src, self.n_edges)
+        coeff = np.asarray(coeff, dtype=np.float64)
+        if coeff.shape != (self.n_edges,):
+            raise DimensionError(
+                f"need one conv coefficient per edge: {coeff.shape} vs {self.n_edges} edges")
+        by_target = np.argsort(self.targets, kind="stable")
+        self.in_edges, self.in_coeff = _slot_table(
+            self.targets[by_target], by_target, coeff[by_target], self.n_rows, self.n_edges)
+        self.in_sources = np.append(sources, self.n_src)[self.in_edges]
+        by_source = np.argsort(sources, kind="stable")
+        self.out_rows, self.out_coeff = _slot_table(
+            sources[by_source], self.targets[by_source], coeff[by_source], self.n_src,
+            self.n_rows)
+        scaled = np.flatnonzero(coeff != 1.0)
+        self.edge_coeff = (scaled, coeff[scaled].reshape(-1, 1))
+        self.in_sources.flags.writeable = False
+
+
 def _scale_listed(part, listed):
     """In place: part's listed rows times their coefficients."""
     rows, coeff = listed
@@ -745,9 +798,10 @@ def _scale_listed(part, listed):
 def _slot_sum(rows, index, scaled):
     """[n, f]: per entry i, the sum over slots d of c * rows[index[d, i]],
     slot by slot in ascending order, c being the coefficient scaled[d] lists
-    for i, or 1 where it lists none. index is [D >= 1, n] and, like the
-    lists, range-checked; the first slot is gathered straight into the sum.
-    Only listed rows are multiplied: a product by exactly 1 keeps the bits."""
+    for i, or 1 where it lists none. index is a [D >= 1, n] table of a
+    `ConvPlan`, which checked it; the first slot is gathered straight into
+    the sum. Only listed rows are multiplied: a product by exactly 1 keeps
+    the bits."""
     out = np.take(rows, index[0], axis=0, out=np.empty((index.shape[1], rows.shape[1])),
                   mode="clip")
     _scale_listed(out, scaled[0])
@@ -760,69 +814,57 @@ def _slot_sum(rows, index, scaled):
     return out
 
 
-def _checked_slots(table, scaled, n_rows, n_cols, what):
-    """(table, scaled) checked: table a [D >= 1, n_cols] int64 array whose
-    entries lie in [0, n_rows], scaled D (rows, [k, 1] coefficients) pairs
-    whose rows ascend strictly in [0, n_cols)."""
-    table = _index_array(table, what)
-    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != n_cols:
-        raise DimensionError(f"{what} must be [slots >= 1, {n_cols}], got {table.shape}")
-    if table.size and (table.min() < 0 or table.max() > n_rows):
-        raise IndexError(f"{what} entry out of range [0, {n_rows}]")
-    if len(scaled) != table.shape[0]:
+def _with_zero_row(a):
+    """a and one zero row after it: the row an empty slot picks."""
+    return np.concatenate([a, np.zeros((1, a.shape[1]))])
+
+
+def edge_sum(edge, plan):
+    """S edge for the plan's matrix S, as one tape record that scatters in
+    neither direction: row t is the sum over t's in-edges i of coeff_i *
+    edge[i], gathered slot by slot through the in-table in ascending edge
+    order, starting from the first one's product (as a sum from zero does,
+    up to the sign of a zero); a row without in-edges is zero. Backward
+    gathers the gradient by target: edge i's is coeff_i * g[targets[i]].
+    Only coefficients other than exactly 1 are multiplied."""
+    if edge.data.ndim != 2 or edge.data.shape[0] != plan.n_edges:
         raise DimensionError(
-            f"{what} needs one coefficient list per slot: {len(scaled)} for {table.shape[0]}")
-    checked = []
-    for listed in scaled:
-        if len(listed) != 2:
-            raise DimensionError(f"{what} coefficient list must be a (rows, coefficients) pair")
-        rows = _index_array(listed[0], f"{what} coefficient rows")
-        coeff = np.asarray(listed[1], dtype=np.float64)
-        if rows.ndim != 1 or coeff.shape != (rows.shape[0], 1):
-            raise DimensionError(
-                f"{what} coefficient list must be k rows and [k, 1] coefficients, "
-                f"got {rows.shape} and {coeff.shape}")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_cols:
-                raise IndexError(f"{what} coefficient row out of range [0, {n_cols})")
-            if (rows[1:] <= rows[:-1]).any():
-                raise IndexError(f"{what} coefficient rows must ascend strictly")
-        checked.append((rows, coeff))
-    return table, checked
+            f"edge_sum needs one row per edge: {edge.data.shape} vs {plan.n_edges} edges")
+    out, tape = _make_output(
+        _slot_sum(_with_zero_row(edge.data), plan.in_edges, plan.in_coeff), (edge,))
+    if tape:
+        se = edge._slot
+        def bwd(g):
+            g_edge = np.take(g, plan.targets, axis=0)
+            _scale_listed(g_edge, plan.edge_coeff)
+            _give(se, g_edge)
+        _on_backward(tape, out, bwd)
+    return out
 
 
-def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, out_coeff):
+def edge_conv(x_src, edge_agg, weights, biases, plan):
     """Degree-normalized graph conv over R relations, as one tape record
     with a hand-written backward and no scatter.
 
     Row t*R + r of the [n_dst*R, n_in] aggregate belongs to target t and
-    relation r. Its in-edges sit in the slots of the in-table: slot d of
-    in_index [D, n_dst*R] holds the row's d-th in-edge's source, in
-    ascending edge order. An empty slot holds n_src, which picks a zero row.
-    in_coeff lists the coefficients other than 1: per slot d, a pair (rows,
-    [k, 1] coefficients) of the aggregate rows whose d-th in-edge has a
-    coefficient other than exactly 1, rows strictly ascending; every other
-    in-edge has coefficient 1, and empty slots need no entry. Then
+    relation r; plan, a `ConvPlan` from x_src's rows to the aggregate's, is
+    the sparse matrix S of in-edge coefficients. Then
 
-        agg = sum over slots of coeff * x_src[in_index] + edge_agg
+        agg = S x_src + edge_agg
         out = agg.reshape(n_dst, R*n_in) @ [W_0; ...; W_R-1] + sum_r b_r
 
-    edge_agg [n_dst*R, n_in] is the edge term: the same sum over the
-    in-edges' embeddings, which does not depend on x_src. Each row sums its
-    slots in order, starting from the first slot's product (as a sum from
-    zero does, up to the sign of a zero), and adds edge_agg last. Only the
-    listed rows are multiplied; a product by exactly 1 would keep the bits.
+    edge_agg [n_dst*R, n_in] is the edge term, S applied to the in-edges'
+    embeddings (`edge_sum`), which does not depend on x_src. S x_src is
+    gathered slot by slot through the plan's source table, as `edge_sum`
+    gathers, and edge_agg is added last.
 
     Backward gives the weights agg^T g, each bias g's column sums, and
-    edge_agg the aggregate gradient g W^T. x_src's gradient runs through
-    the out-table: slot d of out_index [D', n_src] holds a source's d-th
-    out-edge's aggregate row, in ascending edge order, and out_coeff lists
-    per slot the sources whose d-th out-edge has a coefficient other than 1,
-    as in_coeff does; an empty slot holds n_dst*R, a zero row. It is summed
-    slot by slot and then added onto any gradient x_src already holds, as a
-    gather's gradient is. Tables and lists are range-checked on every call;
-    gathers run as ``np.take(..., mode="clip")``, which never clips a
-    checked index and does not buffer its ``out``.
+    edge_agg the aggregate gradient g W^T. x_src's gradient, S^T g W^T,
+    runs through the plan's out-table, summed slot by slot in ascending
+    edge order and then added onto any gradient x_src already holds, as a
+    gather's gradient is. Gathers run as ``np.take(..., mode="clip")``,
+    which never clips an index the plan checked and does not buffer its
+    ``out``.
     """
     r = len(weights)
     if x_src.data.ndim != 2 or r == 0 or len(biases) != r:
@@ -834,17 +876,16 @@ def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, o
     if any(w.data.shape != (n_in, n_out) for w in weights) or any(
             b.data.reshape(-1).shape != (n_out,) for b in biases):
         raise DimensionError(f"edge_conv weights must be [{n_in}, {n_out}], biases {n_out} wide")
-    n_rows = edge_agg.data.shape[0]
-    if edge_agg.data.shape != (n_rows, n_in) or n_rows % r:
+    n_rows = plan.n_rows
+    if n_src != plan.n_src or edge_agg.data.shape != (n_rows, n_in) or n_rows % r:
         raise DimensionError(
-            f"edge_conv edge term must be [n_dst*{r}, {n_in}], got {edge_agg.data.shape}")
+            f"edge_conv over a plan of {plan.n_src} sources and {n_rows} rows needs "
+            f"[{plan.n_src}, f] sources and an [n_dst*{r}, {n_in}] edge term, got "
+            f"{x_src.data.shape} and {edge_agg.data.shape}")
     n_dst = n_rows // r
-    in_index, in_coeff = _checked_slots(in_index, in_coeff, n_src, n_rows, "edge_conv in-table")
-    out_index, out_coeff = _checked_slots(out_index, out_coeff, n_rows, n_src,
-                                          "edge_conv out-table")
 
     w_stack = np.concatenate([w.data for w in weights])
-    agg = _slot_sum(np.concatenate([x_src.data, np.zeros((1, n_in))]), in_index, in_coeff)
+    agg = _slot_sum(_with_zero_row(x_src.data), plan.in_sources, plan.in_coeff)
     agg += edge_agg.data
     out_data = agg.reshape(n_dst, r * n_in) @ w_stack
     out_data += np.ones((1, r)) @ np.concatenate([b.data.reshape(1, n_out) for b in biases])
@@ -872,7 +913,7 @@ def edge_conv(x_src, edge_agg, weights, biases, in_index, in_coeff, out_index, o
                 g_agg[n_rows] = 0.0
                 np.matmul(g, w_stack.T, out=g_agg[:n_rows].reshape(n_dst, r * n_in))
                 if s_x:
-                    _give(s_x, _slot_sum(g_agg, out_index, out_coeff))
+                    _give(s_x, _slot_sum(g_agg, plan.out_rows, plan.out_coeff))
                 if s_edge:
                     _give(s_edge, g_agg[:n_rows])
         _on_backward(tape, out, bwd)

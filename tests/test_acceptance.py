@@ -30,7 +30,7 @@ from oracles import (
     grad_rel_error, lane_links_by_scan, neighbour_edges_by_scan, node_position,
     numeric_gradient, relation_names, social_edges_by_enumeration,
 )
-from test_tensor import _CONV_TABLES, _conv_inputs
+from test_tensor import _CONV_PLAN, _conv_inputs
 
 OP_TOL = 1e-5
 E2E_TOL = 1e-4
@@ -111,8 +111,11 @@ def test_criterion_gradient_suite():
     msgs = tg.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     targets = rng.integers(0, 3, size=7)
     wm = tg.Tensor(rng.normal(size=(3, 3)))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.segment_sum(msgs, targets, 3), wm)),
-                  [msgs], OP_TOL))
+    # coefficients from their own generator, so that the checks below keep
+    # their inputs
+    plan = tg.ConvPlan(targets, np.zeros(7, dtype=np.int64),
+                       np.random.default_rng(2027).choice([1.0, 0.5, -1.5], size=7), 3, 1)
+    track(checked(lambda: tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), wm)), [msgs], OP_TOL))
 
     # attention conv: 4 sources, 3 destinations (the last without in-edges),
     # 5 edges, 2 heads of width 2
@@ -123,12 +126,12 @@ def test_criterion_gradient_suite():
     track(checked(lambda: tg.sum_all(tg.mul(
         tg.edge_attention(*att, a_src, a_dst, 0.2)[0], wat)), att, OP_TOL))
 
-    # graph conv over slot tables, with its own generator so that the
-    # checks below keep their inputs
+    # graph conv through a plan, with its own generator so that the checks
+    # below keep their inputs
     x_c, agg_c, w_c, b_c = _conv_inputs(np.random.default_rng(2025))
     wcv = tg.Tensor(np.random.default_rng(2026).normal(size=(2, 5)))
     track(checked(lambda: tg.sum_all(tg.mul(
-        tg.edge_conv(x_c, agg_c, w_c, b_c, *_CONV_TABLES), wcv)), [x_c, agg_c, *w_c, *b_c],
+        tg.edge_conv(x_c, agg_c, w_c, b_c, _CONV_PLAN), wcv)), [x_c, agg_c, *w_c, *b_c],
         OP_TOL))
 
     idx = rng.integers(0, 5, size=6)

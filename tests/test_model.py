@@ -12,7 +12,7 @@ from trajgraph.graph import (
 )
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, Prediction, _RelationCache, embed,
-    encode, expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv, gcn_edge_term,
+    encode, expected_parameter_specs, forward, gatv2_conv, gcn_edge_conv,
     init_parameters, is_normalization_param, layer_merge, load_checkpoint, make_cache,
     predict_head, save_checkpoint, temporal_encoding,
 )
@@ -93,7 +93,7 @@ def test_gcn_no_edges_outputs_bias():
     e = tg.Tensor(np.zeros((0, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
+    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
     assert np.array_equal(out.data, np.tile(b.data, (cache.graph.n_agent_nodes, 1)))
 
 
@@ -109,7 +109,7 @@ def test_gcn_single_edge_unscaled():
     e = tg.Tensor(rng.normal(size=(1, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
+    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
     # the conv multiplies the whole [2, f] aggregate; a BLAS matrix product
     # may round a row differently from a vector product, so build it alike
     aggregate = np.stack([np.zeros(cfg.f), h.data[0] + e.data[0]])
@@ -127,7 +127,7 @@ def test_gcn_line_graph_matches_dense_oracle():
     e = tg.Tensor(rng.normal(size=(2, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), [w], [b])
+    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
 
     # dense evaluation with degree-floored normalization
     adj = np.zeros((3, 3))
@@ -157,8 +157,7 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     tracks = [straight_track("a0"), straight_track("a1", y0=3.0)]
     _, cache = scene_and_cache(cfg, tracks=tracks, lanes=lanes)
     rel = cache.relations[group]
-    names = ([f"map.{short}.map" for short in cfg.map_rel_shorts()] if group == "map"
-             else [REL_AGENT_PRE, REL_AGENT_SUC])
+    names = _group_names(cfg, group)
     counts = [len(cache.graph.edges[name]) for name in names]
     assert (0 in counts) == (group == "map")
     kind = np.repeat(np.arange(len(names)), counts)
@@ -169,7 +168,7 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)))
     weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f))) for _ in names]
     biases = [tg.Tensor(rng.normal(size=(1, cfg.f))) for _ in names]
-    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases)
+    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
@@ -178,12 +177,35 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _gcn_composite(h, rel, e, weights, biases):
-    """The conv as separate ops, every sum a segment_sum or gather gradient:
-    the reference for the fused record's summation order."""
+def _group_names(cfg, group):
+    return ([f"map.{short}.map" for short in cfg.map_rel_shorts()] if group == "map"
+            else [REL_AGENT_PRE, REL_AGENT_SUC])
+
+
+def _conv_matrix(graph, rel, names):
+    """The call-site's dense [n_dst*R, E] matrix S, by a loop over edges:
+    S[dst*R + r, i] = 1/sqrt(in-degree * out-degree) for edge i of relation
+    r, degrees counted per relation."""
+    r = len(names)
+    s = np.zeros((rel.n_dst * r, len(rel.src)))
+    i = 0
+    for k, name in enumerate(names):
+        pairs = graph.edges[name].tolist()
+        in_deg = {d: sum(1 for _, e in pairs if e == d) for _, d in pairs}
+        out_deg = {a: sum(1 for e, _ in pairs if e == a) for a, _ in pairs}
+        for a, d in pairs:
+            s[d * r + k, i] = 1.0 / np.sqrt(float(in_deg[d]) * float(out_deg[a]))
+            i += 1
+    return s
+
+
+def _gcn_composite(h, rel, s, e, weights, biases):
+    """The conv as separate ops, S applied as a dense constant by a matmul
+    and the source gradient summed by a gather gradient: the reference for
+    the fused record's summation order."""
     r, f = rel.n_relations, h.data.shape[1]
-    msg = tg.mul(tg.add(tg.gather_rows(h, rel.src), e), rel.coeff)
-    agg = tg.segment_sum(msg, rel.targets, rel.n_dst * r)
+    msg = tg.add(tg.gather_rows(h, rel.src), e)
+    agg = tg.matmul(tg.Tensor(s), msg)
     out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
     return tg.add(out, tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0)))
 
@@ -200,8 +222,9 @@ def test_gcn_conv_sums_in_the_order_of_the_composite(group):
     tracks = [straight_track("a0"), straight_track("a1", y0=3.0)]
     _, cache = scene_and_cache(cfg, tracks=tracks, lanes=lanes)
     rel = cache.relations[group]
-    assert (rel.coeff.data == 1.0).all() and rel.in_index.shape[0] == 1
-    assert rel.out_index.shape[0] > 1
+    s = _conv_matrix(cache.graph, rel, _group_names(cfg, group))
+    assert set(s[s != 0.0].tolist()) == {1.0} and rel.plan.edge_coeff[0].size == 0
+    assert rel.plan.in_edges.shape[0] == 1 and rel.plan.out_rows.shape[0] > 1
     rng = np.random.default_rng(84)
 
     def leaf(*shape):
@@ -216,8 +239,8 @@ def test_gcn_conv_sums_in_the_order_of_the_composite(group):
         for t in inputs:
             t.zero_grad()
         with tg.Tape() as tape:
-            out = (gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases) if fused
-                   else _gcn_composite(h, rel, e, weights, biases))
+            out = (gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases) if fused
+                   else _gcn_composite(h, rel, s, e, weights, biases))
             total = tg.sum_all(tg.mul(out, mix))
         tape.backward(total)
         results.append([out.data] + [t.grad for t in inputs])
@@ -249,11 +272,11 @@ def _merge_and_fork_case(cfg, seed):
 def test_gcn_merge_and_fork_fill_several_slots():
     cfg = tiny_cfg()
     cache, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 80)
-    assert rel.in_index.shape[0] >= 2
-    assert rel.coeff.data.min() < 1.0
-    names = [f"map.{short}.map" for short in cfg.map_rel_shorts()]
+    assert rel.plan.in_edges.shape[0] >= 2
+    assert rel.plan.edge_coeff[1].min() < 1.0
+    names = _group_names(cfg, "map")
     kind = np.repeat(np.arange(len(names)), [len(cache.graph.edges[n]) for n in names])
-    out = gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases)
+    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
@@ -263,23 +286,25 @@ def test_gcn_merge_and_fork_fill_several_slots():
 
     mix = tg.Tensor(np.random.default_rng(81).normal(size=out.data.shape))
     check_gradients(lambda: tg.sum_all(tg.mul(
-        gcn_edge_conv(h, rel, gcn_edge_term(rel, e), weights, biases), mix)),
+        gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases), mix)),
         [h, e, *weights, *biases])
 
 
 def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
+    """The whole call-site, edge term included, is two records that call
+    no scatter kernel, forward or backward."""
     cfg = tiny_cfg()
     _, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 82)
-    with tg.Tape() as tape:
-        edge_agg = gcn_edge_term(rel, e)
-        before = len(tape._records)
 
-        def refuse(*args):
-            raise AssertionError("the GCN conv called a scatter kernel")
-        for name in ("segment_sum", "segment_max", "add_rows_at"):
-            monkeypatch.setattr(kernels, name, refuse)
+    def refuse(*args):
+        raise AssertionError("the GCN call-site called a scatter kernel")
+    for name in ("segment_sum", "segment_max", "add_rows_at"):
+        monkeypatch.setattr(kernels, name, refuse)
+    with tg.Tape() as tape:
+        edge_agg = tg.edge_sum(e, rel.plan)
+        assert len(tape._records) == 1
         out = gcn_edge_conv(h, rel, edge_agg, weights, biases)
-        assert len(tape._records) == before + 1
+        assert len(tape._records) == 2
         loss = tg.sum_all(out)
     tape.backward(loss)
     assert all(t.grad is not None for t in (h, e, *weights, *biases))
@@ -300,14 +325,19 @@ def _non_unit_by_loop(keys, coeff, depth):
 
 def test_coefficient_lists_hold_exactly_the_non_unit_entries():
     cfg = tiny_cfg()
-    _, rel, *_ = _merge_and_fork_case(cfg, 83)
-    coeff = rel.coeff.data.reshape(-1)
+    cache, rel, *_ = _merge_and_fork_case(cfg, 83)
+    plan = rel.plan
+    coeff = _conv_matrix(cache.graph, rel, _group_names(cfg, "map"))[
+        plan.targets, np.arange(len(rel.src))]
     assert (coeff != 1.0).any()
-    for keys, index, lists in ((rel.targets, rel.in_index, rel.in_coeff),
-                               (rel.src, rel.out_index, rel.out_coeff)):
+    for keys, index, lists in ((plan.targets, plan.in_edges, plan.in_coeff),
+                               (rel.src, plan.out_rows, plan.out_coeff)):
         assert len(lists) == index.shape[0]
         got = [list(zip(rows.tolist(), c.reshape(-1).tolist())) for rows, c in lists]
         assert got == _non_unit_by_loop(keys, coeff, index.shape[0])
+    edges, c = plan.edge_coeff
+    assert edges.tolist() == np.flatnonzero(coeff != 1.0).tolist()
+    assert c.reshape(-1).tolist() == coeff[coeff != 1.0].tolist()
 
 
 def test_unit_coefficient_graph_lists_no_rows():
@@ -317,8 +347,11 @@ def test_unit_coefficient_graph_lists_no_rows():
     _, _, cache = build_synthetic_cache(cfg, seed=50, agents=4, lanes=3)
     for site in ("map", "agent"):
         rel = cache.relations[site]
-        assert rel.src.size and (rel.coeff.data == 1.0).all()
-        assert all(rows.size == 0 for rows, _ in rel.in_coeff + rel.out_coeff)
+        s = _conv_matrix(cache.graph, rel, _group_names(cfg, site))
+        assert rel.src.size and set(s[s != 0.0].tolist()) == {1.0}
+        plan = rel.plan
+        assert all(rows.size == 0 for rows, _ in
+                   plan.in_coeff + plan.out_coeff + [plan.edge_coeff])
 
 
 def test_gatv2_isolated_destination_is_self_projection():

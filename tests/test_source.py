@@ -91,3 +91,18 @@ def test_package_has_no_masked_ufunc_or_buffered_take():
     found = [f"{path.name}:{line}: {what}" for path in paths
              for line, what in _slow_calls(path.read_text(), str(path))]
     assert not found, found
+
+
+def test_every_public_tensor_function_is_called_from_the_package():
+    """Each public top-level function of ``tensor.py`` is called as
+    ``tg.<name>`` from another module of the package: an op nothing calls
+    is deleted, and a helper only ``tensor.py`` calls is private."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = {node.func.attr for path in SRC.glob("*.py") if path.name != "tensor.py"
+              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "tg"}
+    assert public
+    assert not public - called, sorted(public - called)

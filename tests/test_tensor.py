@@ -179,21 +179,33 @@ def test_linear_relu_norm_holds_only_its_inputs():
     assert held <= out.data.nbytes + 8192, held
 
 
+# --- edge sum -----------------------------------------------------------------
+# tg.edge_sum applies a ConvPlan's sparse matrix to edge rows. The
+# segment_sum tests keep their names: each pins its property on the
+# segment sum it runs, through a plan whose sources are all row 0.
+
+def _sum_plan(targets, n, coeff=None):
+    """A plan summing edge rows into n target rows, coefficients 1 unless given."""
+    targets = np.asarray(targets, dtype=np.int64)
+    coeff = np.ones(targets.shape[0]) if coeff is None else coeff
+    return tg.ConvPlan(targets, np.zeros_like(targets), coeff, n, 1)
+
+
 def test_segment_sum_empty():
-    out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64), 4)
+    out = tg.edge_sum(tg.Tensor(np.zeros((0, 3))), _sum_plan(np.zeros(0, dtype=np.int64), 4))
     assert out.shape == (4, 3)
     assert np.all(out.data == 0.0)
 
 
 def test_segment_sum_values():
     msgs = tg.Tensor([[1.0], [2.0], [3.0]])
-    out = tg.segment_sum(msgs, [0, 0, 1], 2)
+    out = tg.edge_sum(msgs, _sum_plan([0, 0, 1], 2))
     assert out.data.tolist() == [[3.0], [3.0]]
 
 
 def test_segment_sum_out_of_range():
     with pytest.raises(IndexError):
-        tg.segment_sum(tg.Tensor([[1.0]]), [5], 2)
+        _sum_plan([5], 2)
 
 
 @pytest.mark.parametrize("bad", [[0.7, 1.9], np.array([0.0, 1.0]), np.array([True, False])],
@@ -202,7 +214,9 @@ def test_non_integer_indices_raise(bad):
     """An index that is not of an integer dtype raises instead of being
     truncated or read as a mask."""
     with pytest.raises(IndexError, match="must be integers"):
-        tg.segment_sum(tg.Tensor(np.ones((2, 1))), bad, 2)
+        tg.ConvPlan(bad, [0, 0], [1.0, 1.0], 2, 1)
+    with pytest.raises(IndexError, match="must be integers"):
+        tg.ConvPlan([0, 1], bad, [1.0, 1.0], 2, 2)
     with pytest.raises(IndexError, match="must be integers"):
         tg.gather_rows(tg.Tensor([[1.0], [2.0]]), bad)
     inputs = _attention_inputs(np.random.default_rng(89), heads=2)
@@ -212,7 +226,7 @@ def test_non_integer_indices_raise(bad):
 
 
 def test_empty_python_list_is_an_empty_index():
-    out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), [], 2)
+    out = tg.edge_sum(tg.Tensor(np.zeros((0, 3))), tg.ConvPlan([], [], [], 2, 0))
     assert out.data.tolist() == [[0.0] * 3] * 2
     assert tg.gather_rows(tg.Tensor(np.ones((2, 3))), []).shape == (0, 3)
 
@@ -220,15 +234,21 @@ def test_empty_python_list_is_an_empty_index():
 def test_segment_sum_gradient_is_gather():
     rng = np.random.default_rng(17)
     msgs = tg.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    targets = [0, 2, 2, 1, 0, 2]
+    plan = _sum_plan([0, 2, 2, 1, 0, 2], 3, coeff=np.array([0.5, 1.0, -2.0, 1.0, 1.0, 3.0]))
     w = tg.Tensor(rng.normal(size=(3, 3)))
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.segment_sum(msgs, targets, 3), w)), [msgs])
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), w)), [msgs])
+    msgs.zero_grad()
+    with tg.Tape() as tape:
+        out = tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), w))
+    tape.backward(out)
+    want = w.data[plan.targets] * np.array([[0.5], [1.0], [-2.0], [1.0], [1.0], [3.0]])
+    assert msgs.grad.tobytes() == want.tobytes()
 
 
 def test_segment_sum_ones_upstream_gives_unit_edge_gradient():
     msgs = tg.Tensor(np.random.default_rng(19).normal(size=(5, 2)), requires_grad=True)
     with tg.Tape() as tape:
-        out = tg.sum_all(tg.segment_sum(msgs, [0, 1, 1, 2, 0], 3))
+        out = tg.sum_all(tg.edge_sum(msgs, _sum_plan([0, 1, 1, 2, 0], 3)))
     tape.backward(out)
     assert np.array_equal(msgs.grad, np.ones((5, 2)))
 
@@ -547,41 +567,76 @@ def test_edge_attention_peak_memory_not_above_parent():
 # t*2 + r. Edges, in ascending order, (source -> row, coefficient):
 # 0 -> 0 (0.5), 1 -> 0 (0.25), 1 -> 1 (1.0), 0 -> 2 (2.0). Row 3 has no
 # in-edge and source 2 no out-edge; empty slots pick row 3 of the sources
-# and row 4 of the aggregate gradient, the zero rows. Each table's slot d
-# lists the (rows, coefficients) of its entries whose coefficient is not 1.
+# and row 4 of the aggregate gradient, the zero rows.
 _CONV_EDGES = ((0, 0, 0.5), (1, 0, 0.25), (1, 1, 1.0), (0, 2, 2.0))
-_CONV_TABLES = (np.array([[0, 1, 0, 3], [1, 3, 3, 3]]),
-                [(np.array([0, 2]), np.array([[0.5], [2.0]])),
-                 (np.array([0]), np.array([[0.25]]))],
-                np.array([[0, 0, 4], [2, 1, 4]]),
-                [(np.array([0, 1]), np.array([[0.5], [0.25]])),
-                 (np.array([0]), np.array([[2.0]]))])
+# the same edges with row 0's two in-edges apart
+_PERMUTED_CONV_EDGES = tuple(_CONV_EDGES[i] for i in (0, 2, 3, 1))
+
+
+def _conv_plan(edges):
+    sources, rows, coeff = (np.array(column) for column in zip(*edges))
+    return tg.ConvPlan(rows, sources, coeff, 4, 3)
+
+
+_CONV_PLAN = _conv_plan(_CONV_EDGES)
 
 
 def _conv_inputs(rng):
-    """(x_src, edge_agg, weights, biases) for the tables above, taking gradients."""
+    """(x_src, edge_agg, weights, biases) for the plans above, taking gradients."""
     def t(*shape):
         return tg.Tensor(rng.normal(size=shape), requires_grad=True)
     return t(3, 4), t(4, 4), [t(4, 5), t(4, 5)], [t(1, 5), t(1, 5)]
 
 
+def _conv_matrix(edges):
+    """The dense [4, 3] matrix S of the edges' coefficients."""
+    s = np.zeros((4, 3))
+    for source, row, c in edges:
+        s[row, source] += c
+    return s
+
+
 def test_edge_conv_matches_dense_form():
     x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(90))
-    out = tg.edge_conv(x, edge_agg, weights, biases, *_CONV_TABLES)
-    adjacency = np.zeros((4, 3))
-    for s, row, c in _CONV_EDGES:
-        adjacency[row, s] += c
-    agg = adjacency @ x.data + edge_agg.data
+    out = tg.edge_conv(x, edge_agg, weights, biases, _CONV_PLAN)
+    agg = _conv_matrix(_CONV_EDGES) @ x.data + edge_agg.data
     expected = (agg.reshape(2, 8) @ np.concatenate([w.data for w in weights])
                 + biases[0].data + biases[1].data)
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_plan_of_non_contiguous_in_edges_matches_dense_form():
+    """Built from edges whose rows' in-edges are not contiguous, the plan
+    still gives S: the edge term S e and the conv over it match the dense
+    form and pass the gradient check."""
+    edges = _PERMUTED_CONV_EDGES
+    plan = _conv_plan(edges)
+    rng = np.random.default_rng(96)
+    x, _, weights, biases = _conv_inputs(rng)
+    e = tg.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    s = _conv_matrix(edges)
+    s_edges = np.zeros((4, 4))  # S over the edges: [rows, E]
+    for i, (_, row, c) in enumerate(edges):
+        s_edges[row, i] = c
+    term = tg.edge_sum(e, plan)
+    want_term = s_edges @ e.data
+    assert np.abs(term.data - want_term).max() <= 1e-12 * np.abs(want_term).max()
+    out = tg.edge_conv(x, term, weights, biases, plan)
+    agg = s @ x.data + want_term
+    expected = (agg.reshape(2, 8) @ np.concatenate([w.data for w in weights])
+                + biases[0].data + biases[1].data)
+    assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
+    mix = tg.Tensor(np.random.default_rng(97).normal(size=(2, 5)))
+    check_gradients(lambda: tg.sum_all(tg.mul(
+        tg.edge_conv(x, tg.edge_sum(e, plan), weights, biases, plan), mix)),
+        [x, e, *weights, *biases])
 
 
 def test_edge_conv_adds_the_source_gradient_onto_the_held_one():
     x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(93))
     with tg.Tape() as tape:
         out = tg.sum_all(tg.add(tg.sum_all(tg.edge_conv(x, edge_agg, weights, biases,
-                                                        *_CONV_TABLES)), tg.sum_all(x)))
+                                                        _CONV_PLAN)), tg.sum_all(x)))
     tape.backward(out)
     # the aggregate's gradient, then per source its out-edges' share of it,
     # plus one from sum(x)
@@ -593,15 +648,22 @@ def test_edge_conv_adds_the_source_gradient_onto_the_held_one():
     assert np.abs(edge_agg.grad - g_agg).max() <= 1e-12 * np.abs(g_agg).max()
 
 
-@pytest.mark.parametrize("table, bad", [(0, -1), (0, 4), (2, -1), (2, 5)])
-def test_edge_conv_refuses_out_of_range_tables(table, bad):
-    """Empty slots pick the zero row just past the end; anything further
-    must raise, never clip."""
-    tables = [a.copy() for a in _CONV_TABLES]
-    tables[table][0, 0] = bad
-    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(94))
+@pytest.mark.parametrize("column, bad", [(1, -1), (1, 4), (0, -1), (0, 3)],
+                         ids=["target--1", "target-4", "source--1", "source-3"])
+def test_conv_plan_refuses_out_of_range_indices(column, bad):
+    """Empty slots pick the zero row just past the end, so an index there
+    or further must raise when the plan is built, never clip."""
+    edges = [list(edge) for edge in _CONV_EDGES]
+    edges[0][column] = bad
     with pytest.raises(IndexError, match="out of range"):
-        tg.edge_conv(x, edge_agg, weights, biases, *tables)
+        _conv_plan(edges)
+
+
+@pytest.mark.parametrize("coeff", [np.ones(3), np.ones(5), np.ones((4, 1))],
+                         ids=["short", "long", "column"])
+def test_conv_plan_refuses_bad_coefficients(coeff):
+    with pytest.raises(DimensionError, match="coefficient"):
+        tg.ConvPlan([0, 0, 1, 2], [0, 1, 1, 0], coeff, 4, 3)
 
 
 def _dense_coefficients(index, scaled, empty):
@@ -618,7 +680,9 @@ def test_slot_sums_equal_the_dense_coefficient_form_bitwise(table):
     """Multiplying only the listed rows gives the bits of multiplying every
     row by its dense coefficient, for the in- and the out-table, a negative
     zero included."""
-    index, scaled = _CONV_TABLES[table], _CONV_TABLES[table + 1]
+    tables = (_CONV_PLAN.in_sources, _CONV_PLAN.in_coeff,
+              _CONV_PLAN.out_rows, _CONV_PLAN.out_coeff)
+    index, scaled = tables[table], tables[table + 1]
     empty = index.max()  # the zero row each table's empty slots pick
     rows = np.random.default_rng(91).normal(size=(empty + 1, 4))
     rows[0, 0] = -0.0
@@ -628,22 +692,6 @@ def test_slot_sums_equal_the_dense_coefficient_form_bitwise(table):
     for d in range(1, index.shape[0]):
         want += coeff[d] * rows[index[d]]
     assert tg._slot_sum(rows, index, scaled).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("table, bad", [(1, -1), (1, 4), (3, -1), (3, 3), (1, "repeat")])
-def test_edge_conv_refuses_bad_coefficient_rows(table, bad):
-    """A listed row outside the table's columns raises, as does a list whose
-    rows do not ascend strictly (a repeated row would be scaled once)."""
-    tables = list(_CONV_TABLES)
-    listed = list(tables[table])
-    rows, coeff = listed[0]
-    rows = np.array([rows[0], rows[0]]) if bad == "repeat" else np.array([bad])
-    listed[0] = (rows, np.full((rows.shape[0], 1), 0.5))
-    tables[table] = listed
-    x, edge_agg, weights, biases = _conv_inputs(np.random.default_rng(95))
-    match = "ascend strictly" if bad == "repeat" else "out of range"
-    with pytest.raises(IndexError, match=match):
-        tg.edge_conv(x, edge_agg, weights, biases, *tables)
 
 
 def test_concat_and_gather():
@@ -699,20 +747,20 @@ def test_reshape_and_concat_rows_gradients():
 
 
 def test_composite_expression_gradcheck():
-    # small linear -> relu -> layer_norm -> segment_sum block, checked end to end
+    # small linear -> relu -> layer_norm -> edge sum block, checked end to end
     rng = np.random.default_rng(47)
     x = tg.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     w = tg.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     bias = tg.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     gain = tg.Tensor(np.ones(4), requires_grad=True)
     offset = tg.Tensor(np.zeros(4), requires_grad=True)
-    targets = [0, 1, 1, 2, 0, 2]
+    plan = _sum_plan([0, 1, 1, 2, 0, 2], 3)
     mixer = tg.Tensor(rng.normal(size=(3, 4)))
 
     def build():
         h = tg.relu(tg.add(tg.matmul(x, w), bias))
         h = tg.layer_norm(h, gain, offset)
-        pooled = tg.segment_sum(h, targets, 3)
+        pooled = tg.edge_sum(h, plan)
         return tg.sum_all(tg.mul(pooled, mixer))
 
     check_gradients(build, [x, w, bias, gain, offset], tol=1e-4)
@@ -760,7 +808,7 @@ def test_determinism_bitwise():
         wt = tg.Tensor(w, requires_grad=True)
         with tg.Tape() as tape:
             h = tg.relu(tg.matmul(a, wt))
-            out = tg.sum_all(tg.segment_sum(h, targets, 5))
+            out = tg.sum_all(tg.edge_sum(h, _sum_plan(targets, 5)))
         tape.backward(out)
         return out.data.copy(), a.grad.copy(), wt.grad.copy()
 
@@ -908,12 +956,13 @@ def test_untaped_forward_peak_memory_not_above_parent():
 
 def test_default_scene_records_one_tape_record_per_attention_conv():
     # one record per attention conv and per GCN conv; with 30 single ops per
-    # attention conv a scene recorded 645, with 10 per GCN conv 392, and
-    # with the loss's masked smooth-L1 and one-hot winner score 234
+    # attention conv a scene recorded 645, with 10 per GCN conv 392, with
+    # the loss's masked smooth-L1 and one-hot winner score 234, and with a
+    # multiply and a scatter for each GCN call-site's edge term 229
     cfg, (sample,), params = _default_model_scenes(1)
     with tg.Tape() as tape:
         total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
-    assert len(tape._records) <= 229
+    assert len(tape._records) <= 227
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
