@@ -245,7 +245,7 @@ class _RelationCache:
 
     Edges and raw edge features are concatenated in the order of `names`.
     A grouped GCN's cache (`gcn`) also holds the `tg.ConvPlan` that
-    `tg.edge_sum` and `tg.edge_conv` read: edge i of relation r targets row
+    `tg.segment_sum` and `tg.edge_conv` read: edge i of relation r targets row
     dst*R + r of the per-(target, relation) aggregate, and its coefficient
     uses degrees counted per relation. On a map without forks or merges
     every coefficient is 1.
@@ -344,10 +344,11 @@ def embed(cache, params, cfg):
     the map branch is disabled, edge embeddings are zero when relational
     features are disabled. The shared edge MLP runs once per call-site over
     its concatenated relations; an attention call-site takes the per-edge
-    embeddings, a grouped GCN its edge term: per (target, relation) row, the
-    coefficient-weighted sum of its in-edges' embeddings (`tg.edge_sum`). The
-    term does not depend on the node states, so it is computed here once per
-    forward and every layer of the call-site shares it. Each embedding MLP
+    embeddings, a grouped GCN its edge term: per (target, relation) row,
+    the coefficient-weighted sum of its in-edges' embeddings
+    (`tg.segment_sum`). The term does not depend on the node states, so it
+    is computed here once per forward and every layer of the call-site
+    shares it. Each embedding MLP
     is one `tg.linear_relu_norm` record.
     """
     agent_h = _embed_block(cache.agent_in, params, "embed.agent")
@@ -362,7 +363,7 @@ def embed(cache, params, cfg):
             e = _embed_block(rel.raw_edge, params, "embed.edge")
         else:
             e = tg.Tensor(np.zeros((rel.src.shape[0], cfg.f)))
-        edge_h[key] = tg.edge_sum(e, rel.plan) if key in groups else e
+        edge_h[key] = tg.segment_sum(e, rel.plan, rel.plan.n_rows) if key in groups else e
     return agent_h, map_h, edge_h
 
 

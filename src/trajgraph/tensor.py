@@ -6,11 +6,11 @@ single row broadcast over the rows (a bias) or a single [n, 1] column
 broadcast over the columns (a per-row factor); scale and add_scalar by a
 python number; ReLU; layer normalization; one fused linear -> ReLU ->
 layer norm embedding; gather for message passing; one fused multi-head
-attention conv; a degree-normalized graph conv and its edge term, both of
-which read one per-graph ``ConvPlan`` and gather instead of scattering;
-concat, reshape and a total sum. Everything is recorded on an explicit
-tape; replaying the tape in reverse order of recording accumulates
-gradients into ``.grad``.
+attention conv; a degree-normalized graph conv and its edge term (a
+coefficient-weighted segment sum), both of which read one per-graph
+``ConvPlan`` and gather instead of scattering; concat, reshape and a total
+sum. Everything is recorded on an explicit tape; replaying the tape in
+reverse order of recording accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
@@ -25,7 +25,7 @@ returns. The embedding record holds only its inputs: its backward
 recomputes the normalized rows block by block from the [rows, n_in] input.
 A ``ConvPlan`` is the only place that knows the graph conv's table
 format. It checks its edge list once, when it is built, and lists the
-coefficients that are not exactly 1 per slot of its tables; ``edge_sum``
+coefficients that are not exactly 1 per slot of its tables; ``segment_sum``
 and ``edge_conv`` multiply only those rows, so on a graph where every
 coefficient is 1 they multiply nothing. Backward consumes the tape: each
 record is popped as it runs, and each op takes and clears its output's
@@ -483,12 +483,14 @@ def _index_array(idx, what):
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-def _check_targets(targets, n, n_rows):
-    targets = _index_array(targets, "segment targets")
-    if targets.ndim != 1 or targets.shape[0] != n_rows:
-        raise DimensionError(f"need one target per row: {targets.shape} vs {n_rows} rows")
-    if n_rows and (targets.min() < 0 or targets.max() >= n):
-        raise IndexError(f"segment target out of range [0, {n})")
+def _check_targets(targets, n, n_edges, what):
+    """targets as int64, one index in [0, n) per edge; errors name them `what`."""
+    targets = _index_array(targets, what)
+    if targets.ndim != 1 or targets.shape[0] != n_edges:
+        raise DimensionError(
+            f"need one of the {what} per edge: {targets.shape} vs {n_edges} edges")
+    if n_edges and (targets.min() < 0 or targets.max() >= n):
+        raise IndexError(f"{what} out of range [0, {n})")
     return targets
 
 
@@ -573,8 +575,8 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     xs, xd, e = x_src.data, x_dst.data, edge.data
     n_src, n_dst, n_edges = xs.shape[0], xd.shape[0], e.shape[0]
     n_rows = n_edges + n_dst
-    src = _check_targets(src, n_src, n_edges)
-    dst = _check_targets(dst, n_dst, n_edges)
+    src = _check_targets(src, n_src, n_edges, "attention sources")
+    dst = _check_targets(dst, n_dst, n_edges, "attention targets")
     mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
     w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
@@ -747,34 +749,31 @@ def _slot_table(keys, values, coeff, n_keys, empty):
 class ConvPlan:
     """One graph's sparse [n_rows, E] matrix S, S[targets[i], i] = coeff[i]
     for edge i from source row sources[i], laid out for gathers: what
-    `edge_sum` and `edge_conv` read.
+    `segment_sum` and `edge_conv` read.
 
-    The edge list is checked here, once; the ops that read the plan check
-    nothing per call, and its tables are read-only. A row's in-edges need
-    not be contiguous. One stable sort by target gives the in-table
-    `in_edges`: slot d holds each row's d-th in-edge in ascending edge
-    order, E in an empty slot. `in_sources` holds those edges' sources
-    (n_src in an empty slot). One stable sort by source gives the out-table
-    `out_rows`: slot d holds each source's d-th out-edge's row in ascending
-    edge order, n_rows in an empty slot. Beside each table, `in_coeff` and
-    `out_coeff` list per slot only the entries whose coefficient is not
-    exactly 1, as (rows, [k, 1] coefficients) pairs, rows strictly
-    ascending, and `edge_coeff` is that pair for the edges themselves. On a
-    graph whose coefficients are all 1 every list is empty.
+    The edge list is checked here, once, against E, the length of coeff;
+    the ops that read the plan check nothing per call, and its tables are
+    read-only. A row's in-edges need not be contiguous. One stable sort by
+    target gives the in-table `in_edges`: slot d holds each row's d-th
+    in-edge in ascending edge order, E in an empty slot. `in_sources` holds
+    those edges' sources (n_src in an empty slot). One stable sort by source
+    gives the out-table `out_rows`: slot d holds each source's d-th
+    out-edge's row in ascending edge order, n_rows in an empty slot. Beside
+    each table, `in_coeff` and `out_coeff` list per slot only the entries
+    whose coefficient is not exactly 1, as (rows, [k, 1] coefficients)
+    pairs, rows strictly ascending, and `edge_coeff` is that pair for the
+    edges themselves. On a graph whose coefficients are all 1 every list is
+    empty.
     """
 
     def __init__(self, targets, sources, coeff, n_rows, n_src):
         self.n_rows, self.n_src = int(n_rows), int(n_src)
-        targets = _index_array(targets, "conv targets")
-        if targets.ndim != 1:
-            raise DimensionError(f"conv targets must be one index per edge, got {targets.shape}")
-        self.n_edges = targets.shape[0]
-        self.targets = _check_targets(targets, self.n_rows, self.n_edges)
-        sources = _check_targets(sources, self.n_src, self.n_edges)
         coeff = np.asarray(coeff, dtype=np.float64)
-        if coeff.shape != (self.n_edges,):
-            raise DimensionError(
-                f"need one conv coefficient per edge: {coeff.shape} vs {self.n_edges} edges")
+        if coeff.ndim != 1:
+            raise DimensionError(f"need one conv coefficient per edge, got {coeff.shape}")
+        self.n_edges = coeff.shape[0]
+        self.targets = _check_targets(targets, self.n_rows, self.n_edges, "conv targets")
+        sources = _check_targets(sources, self.n_src, self.n_edges, "conv sources")
         by_target = np.argsort(self.targets, kind="stable")
         self.in_edges, self.in_coeff = _slot_table(
             self.targets[by_target], by_target, coeff[by_target], self.n_rows, self.n_edges)
@@ -819,21 +818,23 @@ def _with_zero_row(a):
     return np.concatenate([a, np.zeros((1, a.shape[1]))])
 
 
-def edge_sum(edge, plan):
-    """S edge for the plan's matrix S, as one tape record that scatters in
-    neither direction: row t is the sum over t's in-edges i of coeff_i *
-    edge[i], gathered slot by slot through the in-table in ascending edge
-    order, starting from the first one's product (as a sum from zero does,
-    up to the sign of a zero); a row without in-edges is zero. Backward
-    gathers the gradient by target: edge i's is coeff_i * g[targets[i]].
-    Only coefficients other than exactly 1 are multiplied."""
-    if edge.data.ndim != 2 or edge.data.shape[0] != plan.n_edges:
+def segment_sum(messages, plan, n):
+    """S messages [n, f] for the plan's matrix S of n rows, as one tape
+    record that scatters in neither direction: row t is the sum over t's
+    in-edges i of coeff_i * messages[i], gathered slot by slot through the
+    in-table in ascending edge order, starting from the first one's product
+    (as a sum from zero does, up to the sign of a zero); a row without
+    in-edges is zero. Backward gathers the gradient by target: edge i's is
+    coeff_i * g[targets[i]]. Only coefficients other than exactly 1 are
+    multiplied."""
+    if messages.data.ndim != 2 or messages.data.shape[0] != plan.n_edges or n != plan.n_rows:
         raise DimensionError(
-            f"edge_sum needs one row per edge: {edge.data.shape} vs {plan.n_edges} edges")
+            f"segment_sum over a plan of {plan.n_edges} edges into {plan.n_rows} rows needs "
+            f"one message per edge and n = {plan.n_rows}: {messages.data.shape}, n = {n}")
     out, tape = _make_output(
-        _slot_sum(_with_zero_row(edge.data), plan.in_edges, plan.in_coeff), (edge,))
+        _slot_sum(_with_zero_row(messages.data), plan.in_edges, plan.in_coeff), (messages,))
     if tape:
-        se = edge._slot
+        se = messages._slot
         def bwd(g):
             g_edge = np.take(g, plan.targets, axis=0)
             _scale_listed(g_edge, plan.edge_coeff)
@@ -854,8 +855,8 @@ def edge_conv(x_src, edge_agg, weights, biases, plan):
         out = agg.reshape(n_dst, R*n_in) @ [W_0; ...; W_R-1] + sum_r b_r
 
     edge_agg [n_dst*R, n_in] is the edge term, S applied to the in-edges'
-    embeddings (`edge_sum`), which does not depend on x_src. S x_src is
-    gathered slot by slot through the plan's source table, as `edge_sum`
+    embeddings (`segment_sum`), which does not depend on x_src. S x_src is
+    gathered slot by slot through the plan's source table, as `segment_sum`
     gathers, and edge_agg is added last.
 
     Backward gives the weights agg^T g, each bias g's column sums, and

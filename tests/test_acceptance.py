@@ -115,7 +115,7 @@ def test_criterion_gradient_suite():
     # their inputs
     plan = tg.ConvPlan(targets, np.zeros(7, dtype=np.int64),
                        np.random.default_rng(2027).choice([1.0, 0.5, -1.5], size=7), 3, 1)
-    track(checked(lambda: tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), wm)), [msgs], OP_TOL))
+    track(checked(lambda: tg.sum_all(tg.mul(tg.segment_sum(msgs, plan, 3), wm)), [msgs], OP_TOL))
 
     # attention conv: 4 sources, 3 destinations (the last without in-edges),
     # 5 edges, 2 heads of width 2

@@ -83,6 +83,11 @@ def test_embed_with_temporal_separates_timesteps():
 
 # --- conv blocks ------------------------------------------------------------
 
+def _edge_term(e, rel):
+    """A GCN call-site's edge term, as `embed` computes it."""
+    return tg.segment_sum(e, rel.plan, rel.plan.n_rows)
+
+
 def test_gcn_no_edges_outputs_bias():
     cfg = tiny_cfg(t_obs=1, use_map=False)
     _, cache = scene_and_cache(cfg, tracks=[straight_track("a0", t_obs=1, t_f=3)])
@@ -93,7 +98,7 @@ def test_gcn_no_edges_outputs_bias():
     e = tg.Tensor(np.zeros((0, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
     assert np.array_equal(out.data, np.tile(b.data, (cache.graph.n_agent_nodes, 1)))
 
 
@@ -109,7 +114,7 @@ def test_gcn_single_edge_unscaled():
     e = tg.Tensor(rng.normal(size=(1, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
     # the conv multiplies the whole [2, f] aggregate; a BLAS matrix product
     # may round a row differently from a vector product, so build it alike
     aggregate = np.stack([np.zeros(cfg.f), h.data[0] + e.data[0]])
@@ -127,7 +132,7 @@ def test_gcn_line_graph_matches_dense_oracle():
     e = tg.Tensor(rng.normal(size=(2, cfg.f)))
     w = params["agent_layer.0.rel.pre.weight"]
     b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), [w], [b])
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
 
     # dense evaluation with degree-floored normalization
     adj = np.zeros((3, 3))
@@ -168,7 +173,7 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)))
     weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f))) for _ in names]
     biases = [tg.Tensor(rng.normal(size=(1, cfg.f))) for _ in names]
-    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
@@ -239,7 +244,7 @@ def test_gcn_conv_sums_in_the_order_of_the_composite(group):
         for t in inputs:
             t.zero_grad()
         with tg.Tape() as tape:
-            out = (gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases) if fused
+            out = (gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases) if fused
                    else _gcn_composite(h, rel, s, e, weights, biases))
             total = tg.sum_all(tg.mul(out, mix))
         tape.backward(total)
@@ -276,7 +281,7 @@ def test_gcn_merge_and_fork_fill_several_slots():
     assert rel.plan.edge_coeff[1].min() < 1.0
     names = _group_names(cfg, "map")
     kind = np.repeat(np.arange(len(names)), [len(cache.graph.edges[n]) for n in names])
-    out = gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
@@ -286,7 +291,7 @@ def test_gcn_merge_and_fork_fill_several_slots():
 
     mix = tg.Tensor(np.random.default_rng(81).normal(size=out.data.shape))
     check_gradients(lambda: tg.sum_all(tg.mul(
-        gcn_edge_conv(h, rel, tg.edge_sum(e, rel.plan), weights, biases), mix)),
+        gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases), mix)),
         [h, e, *weights, *biases])
 
 
@@ -301,7 +306,7 @@ def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
     for name in ("segment_sum", "segment_max", "add_rows_at"):
         monkeypatch.setattr(kernels, name, refuse)
     with tg.Tape() as tape:
-        edge_agg = tg.edge_sum(e, rel.plan)
+        edge_agg = _edge_term(e, rel)
         assert len(tape._records) == 1
         out = gcn_edge_conv(h, rel, edge_agg, weights, biases)
         assert len(tape._records) == 2

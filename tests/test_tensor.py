@@ -179,10 +179,9 @@ def test_linear_relu_norm_holds_only_its_inputs():
     assert held <= out.data.nbytes + 8192, held
 
 
-# --- edge sum -----------------------------------------------------------------
-# tg.edge_sum applies a ConvPlan's sparse matrix to edge rows. The
-# segment_sum tests keep their names: each pins its property on the
-# segment sum it runs, through a plan whose sources are all row 0.
+# --- segment sum --------------------------------------------------------------
+# tg.segment_sum applies a ConvPlan's sparse matrix to message rows. Each
+# test runs it through a plan whose sources are all row 0.
 
 def _sum_plan(targets, n, coeff=None):
     """A plan summing edge rows into n target rows, coefficients 1 unless given."""
@@ -192,15 +191,22 @@ def _sum_plan(targets, n, coeff=None):
 
 
 def test_segment_sum_empty():
-    out = tg.edge_sum(tg.Tensor(np.zeros((0, 3))), _sum_plan(np.zeros(0, dtype=np.int64), 4))
+    plan = _sum_plan(np.zeros(0, dtype=np.int64), 4)
+    out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), plan, 4)
     assert out.shape == (4, 3)
     assert np.all(out.data == 0.0)
 
 
 def test_segment_sum_values():
     msgs = tg.Tensor([[1.0], [2.0], [3.0]])
-    out = tg.edge_sum(msgs, _sum_plan([0, 0, 1], 2))
+    out = tg.segment_sum(msgs, _sum_plan([0, 0, 1], 2), 2)
     assert out.data.tolist() == [[3.0], [3.0]]
+
+
+@pytest.mark.parametrize("rows, n", [(2, 2), (3, 3)], ids=["messages", "n"])
+def test_segment_sum_refuses_a_shape_other_than_the_plans(rows, n):
+    with pytest.raises(DimensionError, match="segment_sum"):
+        tg.segment_sum(tg.Tensor(np.ones((rows, 1))), _sum_plan([0, 0, 1], 2), n)
 
 
 def test_segment_sum_out_of_range():
@@ -226,7 +232,7 @@ def test_non_integer_indices_raise(bad):
 
 
 def test_empty_python_list_is_an_empty_index():
-    out = tg.edge_sum(tg.Tensor(np.zeros((0, 3))), tg.ConvPlan([], [], [], 2, 0))
+    out = tg.segment_sum(tg.Tensor(np.zeros((0, 3))), tg.ConvPlan([], [], [], 2, 0), 2)
     assert out.data.tolist() == [[0.0] * 3] * 2
     assert tg.gather_rows(tg.Tensor(np.ones((2, 3))), []).shape == (0, 3)
 
@@ -236,10 +242,10 @@ def test_segment_sum_gradient_is_gather():
     msgs = tg.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     plan = _sum_plan([0, 2, 2, 1, 0, 2], 3, coeff=np.array([0.5, 1.0, -2.0, 1.0, 1.0, 3.0]))
     w = tg.Tensor(rng.normal(size=(3, 3)))
-    check_gradients(lambda: tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), w)), [msgs])
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.segment_sum(msgs, plan, 3), w)), [msgs])
     msgs.zero_grad()
     with tg.Tape() as tape:
-        out = tg.sum_all(tg.mul(tg.edge_sum(msgs, plan), w))
+        out = tg.sum_all(tg.mul(tg.segment_sum(msgs, plan, 3), w))
     tape.backward(out)
     want = w.data[plan.targets] * np.array([[0.5], [1.0], [-2.0], [1.0], [1.0], [3.0]])
     assert msgs.grad.tobytes() == want.tobytes()
@@ -248,7 +254,7 @@ def test_segment_sum_gradient_is_gather():
 def test_segment_sum_ones_upstream_gives_unit_edge_gradient():
     msgs = tg.Tensor(np.random.default_rng(19).normal(size=(5, 2)), requires_grad=True)
     with tg.Tape() as tape:
-        out = tg.sum_all(tg.edge_sum(msgs, _sum_plan([0, 1, 1, 2, 0], 3)))
+        out = tg.sum_all(tg.segment_sum(msgs, _sum_plan([0, 1, 1, 2, 0], 3), 3))
     tape.backward(out)
     assert np.array_equal(msgs.grad, np.ones((5, 2)))
 
@@ -618,7 +624,7 @@ def test_plan_of_non_contiguous_in_edges_matches_dense_form():
     s_edges = np.zeros((4, 4))  # S over the edges: [rows, E]
     for i, (_, row, c) in enumerate(edges):
         s_edges[row, i] = c
-    term = tg.edge_sum(e, plan)
+    term = tg.segment_sum(e, plan, plan.n_rows)
     want_term = s_edges @ e.data
     assert np.abs(term.data - want_term).max() <= 1e-12 * np.abs(want_term).max()
     out = tg.edge_conv(x, term, weights, biases, plan)
@@ -628,7 +634,7 @@ def test_plan_of_non_contiguous_in_edges_matches_dense_form():
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
     mix = tg.Tensor(np.random.default_rng(97).normal(size=(2, 5)))
     check_gradients(lambda: tg.sum_all(tg.mul(
-        tg.edge_conv(x, tg.edge_sum(e, plan), weights, biases, plan), mix)),
+        tg.edge_conv(x, tg.segment_sum(e, plan, plan.n_rows), weights, biases, plan), mix)),
         [x, e, *weights, *biases])
 
 
@@ -662,7 +668,9 @@ def test_conv_plan_refuses_out_of_range_indices(column, bad):
 @pytest.mark.parametrize("coeff", [np.ones(3), np.ones(5), np.ones((4, 1))],
                          ids=["short", "long", "column"])
 def test_conv_plan_refuses_bad_coefficients(coeff):
-    with pytest.raises(DimensionError, match="coefficient"):
+    """The coefficients count the edges: targets and sources of another
+    length are refused against them."""
+    with pytest.raises(DimensionError, match="per edge"):
         tg.ConvPlan([0, 0, 1, 2], [0, 1, 1, 0], coeff, 4, 3)
 
 
@@ -760,7 +768,7 @@ def test_composite_expression_gradcheck():
     def build():
         h = tg.relu(tg.add(tg.matmul(x, w), bias))
         h = tg.layer_norm(h, gain, offset)
-        pooled = tg.edge_sum(h, plan)
+        pooled = tg.segment_sum(h, plan, 3)
         return tg.sum_all(tg.mul(pooled, mixer))
 
     check_gradients(build, [x, w, bias, gain, offset], tol=1e-4)
@@ -808,7 +816,7 @@ def test_determinism_bitwise():
         wt = tg.Tensor(w, requires_grad=True)
         with tg.Tape() as tape:
             h = tg.relu(tg.matmul(a, wt))
-            out = tg.sum_all(tg.edge_sum(h, _sum_plan(targets, 5)))
+            out = tg.sum_all(tg.segment_sum(h, _sum_plan(targets, 5), 5))
         tape.backward(out)
         return out.data.copy(), a.grad.copy(), wt.grad.copy()
 
