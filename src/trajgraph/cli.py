@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, train, eval, predict. Exit codes: 0 success,
-1 usage error, 2 data/validation error, 3 numeric failure.
+1 usage error, 2 data/validation error or a file that cannot be written
+(one `error: <reason>: <path>` line), 3 numeric failure.
 """
 
 import argparse
@@ -151,9 +152,10 @@ def cmd_eval(args):
     scenes = load_scenes(args.data, cfg.segment_len)
     samples = prepare_samples(scenes, cfg)
     reports, aggregate = evaluate_samples(samples, params, cfg.model)
-    # beside each report, the constant-velocity start every mode adds to, as one mode
-    cv = [compute_metrics(s.cache.start.data.reshape(-1, 1, cfg.model.t_f, 2), s.gt, s.mask)
-          for s in samples]
+    # beside each report, the constant-velocity start every mode adds to, as
+    # one mode; the cache holds it in agent_id order, the reports are in scene order
+    cv = [compute_metrics(s.cache.start.data[s.cache.track_rank].reshape(
+        -1, 1, cfg.model.t_f, 2), s.gt, s.mask) for s in samples]
     lines = [{"scene_id": scene_id, **rep.as_dict(), "cv": cv_rep.as_dict(),
               "graph": _graph_stats(s.cache.graph)}
              for (scene_id, rep), cv_rep, s in zip(reports, cv, samples) if rep is not None]
@@ -179,37 +181,28 @@ def cmd_predict(args):
     sample = prepare_samples(matches, cfg)[0]
     pred = forward(sample.cache, params, cfg.model)
     check_finite(pred, sample.scene_id)
-    traj = pred.trajectories.data
-    scores = pred.scores.data
+    traj = pred.trajectories.data.tolist()
+    scores = pred.scores.data.tolist()
+    best = pred.scores.data.argmax(axis=1).tolist()
 
     agents_payload = []
     lines = []
     graph = sample.cache.graph
     for row, track_id in enumerate(sample.track_ids):
-        history = [[float(x), float(y)]
-                   for (x, y) in graph.agent_feats[graph.agent_track == row, :2]]
+        history = graph.agent_feats[graph.agent_track == row, :2].tolist()
         lines.append({"role": "history", "agent_id": track_id, "points": history})
         if sample.mask[row]:
-            lines.append({"role": "gt", "agent_id": track_id,
-                          "points": [[float(x), float(y)] for x, y in sample.gt[row]]})
-        best = int(np.argmax(scores[row]))
-        for k in range(traj.shape[1]):
-            pts = [[float(x), float(y)] for x, y in traj[row, k]]
+            lines.append({"role": "gt", "agent_id": track_id, "points": sample.gt[row].tolist()})
+        for k, (pts, score) in enumerate(zip(traj[row], scores[row])):
             lines.append({"role": f"mode-{k}", "agent_id": track_id,
-                          "score": float(scores[row, k]), "points": pts})
+                          "score": score, "points": pts})
         lines.append({"role": "best-mode", "agent_id": track_id,
-                      "points": [[float(x), float(y)] for x, y in traj[row, best]]})
-        agents_payload.append({
-            "agent_id": track_id,
-            "scores": [float(v) for v in scores[row]],
-            "best_mode": best,
-            "modes": [[[float(x), float(y)] for x, y in traj[row, k]]
-                      for k in range(traj.shape[1])]})
-    for seg in zip(graph.map_feats[:, 0], graph.map_feats[:, 1],
-                   graph.map_feats[:, 2], graph.map_feats[:, 3]):
-        x, y, dx, dy = (float(v) for v in seg)
-        lines.append({"role": "map-node",
-                      "points": [[x - dx / 2, y - dy / 2], [x + dx / 2, y + dy / 2]]})
+                      "points": traj[row][best[row]]})
+        agents_payload.append({"agent_id": track_id, "scores": scores[row],
+                               "best_mode": best[row], "modes": traj[row]})
+    mid, half = graph.map_feats[:, 0:2], graph.map_feats[:, 2:4] / 2
+    for ends in np.stack([mid - half, mid + half], axis=1).tolist():
+        lines.append({"role": "map-node", "points": ends})
 
     with open(args.plot, "w", encoding="utf-8") as fh:
         for line in lines:
@@ -230,6 +223,10 @@ def main(argv=None):
     except (ParseError, ValidationError, ConfigError, CheckpointError, LookupError_) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be written
+        where = f": {exc.filename}" if exc.filename else ""  # none for a failed write()
+        print(f"error: {exc.strerror}{where}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -100,7 +100,8 @@ def classification_loss(pred, gt, mask, margin):
     agents = np.arange(n_agents)
     winner_col = tg.gather_rows(tg.reshape(pred.scores, (n_agents * n_modes, 1)),
                                 agents * n_modes + k_min)
-    hinge = tg.relu(tg.add_scalar(tg.sub(pred.scores, winner_col), margin))
+    hinge = tg.relu(tg.add(tg.sub(pred.scores, winner_col),
+                           tg.Tensor(np.full((1, n_modes), margin))))
 
     weights = np.zeros((n_agents, n_modes))
     weights[mask] = 1.0 / (n_masked * (n_modes - 1))

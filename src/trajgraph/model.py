@@ -255,7 +255,7 @@ class _RelationCache:
         src_type, dst_type = relation_endpoints(names[0])
         self.n_src = graph.n_agent_nodes if src_type == "agent" else graph.n_map_nodes
         self.n_dst = graph.n_agent_nodes if dst_type == "agent" else graph.n_map_nodes
-        self.n_relations = r = len(names)
+        r = len(names)
         self.shorts = [name.split(".")[1] for name in names]
         edges = np.concatenate([graph.edges[name] for name in names])
         self.src = edges[:, 0].copy()
@@ -273,15 +273,17 @@ class _RelationCache:
 
 
 def _start_positions(graph, cfg):
-    """[n_tracks, 2*t_f] constant the head's increments are added to.
+    """[n_tracks, 2*t_f] constant the head's increments are added to, one
+    row per track in agent_id order.
 
     Future step t (0-based, timestep t_obs + t) of each track starts at its
     last observed position moved on at its last observed velocity:
     p_last + v_last * dt * (t_obs - t_last + t), t_last being the readout
     node's timestep. Tracks with zero velocity fields stay at p_last.
     """
-    last = graph.agent_feats[graph.readout_index]
-    t_last = graph.agent_step[graph.readout_index].astype(np.float64)
+    readout = np.sort(graph.readout_index)
+    last = graph.agent_feats[readout]
+    t_last = graph.agent_step[readout].astype(np.float64)
     lead = cfg.t_obs - t_last[:, None] + np.arange(cfg.t_f, dtype=np.float64)
     xy = last[:, None, 0:2] + last[:, None, 2:4] * graph.dt * lead[:, :, None]
     return xy.reshape(len(t_last), 2 * cfg.t_f)
@@ -298,7 +300,11 @@ def _cumsum_matrix(t_f):
 
 class EncoderCache:
     """Constants derived from one graph for repeated forward passes, and the
-    configuration's layer table, which `encode` runs."""
+    configuration's layer table, which `encode` runs.
+
+    Per-track rows (`start`) are in agent_id order, the order of the graph's
+    agent nodes; row i of the scene's tracks is row `track_rank[i]`.
+    """
 
     def __init__(self, graph, cfg):
         self.graph = graph
@@ -320,10 +326,7 @@ class EncoderCache:
             self.tau = None
         self.cumsum = _cumsum_matrix(cfg.t_f)
         self.start = tg.Tensor(_start_positions(graph, cfg))
-        # the tracks in agent_id order, whose readout nodes ascend, and the
-        # inverse permutation
-        self.track_order = np.argsort(graph.readout_index)
-        self.track_rank = np.argsort(self.track_order)
+        self.track_rank = np.argsort(np.argsort(graph.readout_index))
 
 
 def make_cache(graph, cfg):
@@ -442,11 +445,11 @@ def _site_update(site, h, cache, edge_h, params, layer_prefix, cfg):
 
 def encode(cache, params, cfg):
     """Run the cache's layers (`encoder_layers` of its configuration);
-    returns one latent row per track, in scene track order.
+    returns one latent row per track, in agent_id order.
 
-    The node states are in the graph's agent_id node layout throughout, so
-    they do not depend on the order of the scene's tracks; only the final
-    gather at the readout nodes does, and a gather is exact.
+    The node states are in the graph's agent_id node layout throughout, and
+    the readout nodes ascend with agent_id, so nothing here depends on the
+    order of the scene's tracks.
     """
     agent_h, map_h, edge_h = embed(cache, params, cfg)
     h = {"agent": agent_h, "map": map_h}
@@ -456,7 +459,7 @@ def encode(cache, params, cfg):
         h.update({merge.node: layer_merge(u, h[merge.node], params,
                                           f"{layer.prefix}.{merge.norm}", cfg)
                   for merge, u in zip(layer.merges, updates)})
-    return tg.gather_rows(h["agent"], cache.graph.readout_index)
+    return tg.gather_rows(h["agent"], np.sort(cache.graph.readout_index))
 
 
 # --- prediction head --------------------------------------------------------
@@ -479,7 +482,8 @@ def _head_block(x, params, prefix):
 
 
 def predict_head(latent, cache, params, cfg):
-    """K independent regression and scoring MLPs over the agent latents.
+    """K independent regression and scoring MLPs over the agent latents,
+    which `encode` returns in agent_id order; outputs are in scene order.
 
     Regression outputs are per-step increments, accumulated and added to
     each track's start: its last observed position moved on at its last
@@ -488,19 +492,17 @@ def predict_head(latent, cache, params, cfg):
     the modes learn residuals from it. Each mode's score sees the latent
     and that mode's trajectory.
 
-    The MLPs run over the tracks in agent_id order: the latent and start
-    rows are gathered into it and the outputs gathered back to scene order,
-    both exactly. A matmul's rounding can depend on a row's place in the
-    BLAS row tiles, so this makes the outputs permute bitwise with the
-    tracks.
+    The MLPs run over the tracks in agent_id order, like the latent and
+    `cache.start` rows, and the outputs are gathered back to scene order by
+    `cache.track_rank`, exactly. A matmul's rounding can depend on a row's
+    place in the BLAS row tiles, so this makes the outputs permute bitwise
+    with the tracks.
     """
     n_agents = latent.data.shape[0]
-    latent = tg.gather_rows(latent, cache.track_order)
-    start = tg.Tensor(cache.start.data[cache.track_order])
     traj_parts, score_parts = [], []
     for k in range(cfg.modes):
         deltas = _head_block(latent, params, f"head.reg.k{k}")
-        traj = tg.add(tg.matmul(deltas, cache.cumsum), start)
+        traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
         traj_parts.append(traj)
         score_in = tg.concat([latent, traj], 1)
         score_parts.append(_head_block(score_in, params, f"head.score.k{k}"))

@@ -3,10 +3,10 @@
 Covers exactly the operations the prediction model and its loss need:
 matrix products; add, sub and mul, whose second operand may also be a
 single row broadcast over the rows (a bias) or a single [n, 1] column
-broadcast over the columns (a per-row factor); scale and add_scalar by a
-python number; ReLU; layer normalization; one fused linear -> ReLU ->
-layer norm embedding; gather for message passing; one fused multi-head
-attention conv; a degree-normalized graph conv and its edge term (a
+broadcast over the columns (a per-row factor); scale by a python number;
+ReLU; layer normalization; one fused linear -> ReLU -> layer norm
+embedding; gather for message passing; one fused multi-head attention
+conv; a degree-normalized graph conv and its edge term (a
 coefficient-weighted segment sum), both of which read one per-graph
 ``ConvPlan`` and gather instead of scattering; concat, reshape and a total
 sum. Everything is recorded on an explicit tape; replaying the tape in
@@ -30,7 +30,7 @@ and ``edge_conv`` multiply only those rows, so on a graph where every
 coefficient is 1 they multiply nothing. Backward consumes the tape: each
 record is popped as it runs, and each op takes and clears its output's
 gradient, so intermediate gradients die as backward goes.
-Pass-through ops (add, sub, add_scalar, reshape, concat) hand that buffer,
+Pass-through ops (add, sub, reshape, concat) hand that buffer,
 or views of it, to an input instead of copying; add copies only when both
 inputs take a gradient and the second holds none yet. After backward only
 leaves hold ``.grad``, which may be a view of a larger buffer (no two
@@ -324,15 +324,6 @@ def scale(a, c):
     if tape:
         sa = a._slot
         _on_backward(tape, out, lambda g: _give(sa, g * c))
-    return out
-
-
-def add_scalar(a, c):
-    c = float(c)
-    out, tape = _make_output(a.data + c, (a,))
-    if tape:
-        sa = a._slot
-        _on_backward(tape, out, lambda g: _give(sa, g))
     return out
 
 

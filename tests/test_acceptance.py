@@ -92,7 +92,6 @@ def test_criterion_gradient_suite():
     track(checked(lambda: tg.sum_all(tg.mul(tg.mul(x, y), w)), [x, y], OP_TOL))
     track(checked(lambda: tg.sum_all(tg.mul(tg.add(x, bias), w)), [x, bias], OP_TOL))
     track(checked(lambda: tg.sum_all(tg.mul(tg.scale(x, 1.7), w)), [x], OP_TOL))
-    track(checked(lambda: tg.sum_all(tg.mul(tg.add_scalar(x, -0.3), w)), [x], OP_TOL))
 
     k = tg.Tensor(rng.normal(size=(5, 1)), requires_grad=True)
     track(checked(lambda: tg.sum_all(tg.mul(tg.mul(x, k), w)), [x, k], OP_TOL))

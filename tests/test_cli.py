@@ -17,7 +17,8 @@ from trajgraph.config import (
 )
 from trajgraph.errors import CheckpointError, ConfigError, ParseError, ValidationError
 from trajgraph.graph import GraphConfig, build_graph
-from trajgraph.losses import LossConfig
+from trajgraph.losses import LossConfig, supervision_mask
+from trajgraph.metrics import aggregate_reports, compute_metrics
 from trajgraph.model import (
     CHECKPOINT_MAGIC, ModelConfig, ModelParameters, init_parameters, load_checkpoint,
     save_checkpoint,
@@ -562,6 +563,25 @@ def test_missing_config_file_exits_2(trained, tmp_path):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("command", ["gen-synthetic", "train", "eval", "predict"])
+def test_write_failure_exits_2(trained, tmp_path, command):
+    """Each command's output path lies under a regular file, so it cannot be
+    written: one error line naming the reason and the path."""
+    out, data = trained
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "x"
+    ckpt = out / "checkpoint_final.bin"
+    argv = {"gen-synthetic": ["--scenes", "1", "--out", target],
+            "train": ["--data", data, "--out", target],
+            "eval": ["--checkpoint", ckpt, "--data", data, "--report", target],
+            "predict": ["--checkpoint", ckpt, "--data", data, "--scene-id", "synth-0000",
+                        "--plot", target]}[command]
+    rc, err = run_cli(command, *argv)
+    assert rc == 2 and "Traceback" not in err
+    assert err == f"error: Not a directory: {target}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     pytest.param('{"model": 3}', "expected a JSON object, got int", id="section-int"),
     pytest.param('{"model": {"f": "x"}}', "f must be int, got str", id="width-str"),
@@ -652,3 +672,48 @@ def test_non_utf8_data_and_config_exit_2(tmp_path):
     rc, err = run_cli("train", "--config", binary, "--data", binary, "--out", tmp_path / "o")
     assert rc == 2 and "Traceback" not in err
     assert "config" in err and "not UTF-8" in err
+
+
+def test_exports_follow_the_scene_in_its_track_order(trained, tmp_path):
+    """predict's history lines are each track's observed positions and its
+    map-node lines each chord's ends, midpoint -/+ half its vector; eval's cv
+    entry per scene is the metrics of its tracks' constant-velocity starts.
+    The tracks are listed against agent_id order, so a row out of place shows."""
+    out, data = trained
+    records = [json.loads(l) for l in data.read_text().splitlines()]
+    for rec in records:
+        rec["tracks"].reverse()
+    data = tmp_path / "reversed.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    ckpt = str(out / "checkpoint_final.bin")
+    cfg = load_config(out / "config.json")
+    scenes = [normalize_scene(s) for s in load_scenes(data, cfg.segment_len)]
+
+    plot = tmp_path / "plot.jsonl"
+    assert main(["predict", "--checkpoint", ckpt, "--data", str(data),
+                 "--scene-id", scenes[0].scene_id, "--plot", str(plot)]) == 0
+    lines = [json.loads(l) for l in plot.read_text().splitlines()]
+    assert [(l["agent_id"], l["points"]) for l in lines if l["role"] == "history"] == [
+        (t.agent_id, [[s.x, s.y] for _, s in t.past]) for t in scenes[0].tracks]
+    ends = np.array([l["points"] for l in lines if l["role"] == "map-node"])
+    chords = build_graph(scenes[0], cfg.graph).map_feats
+    assert ends.shape == (chords.shape[0], 2, 2)
+    np.testing.assert_allclose(ends.mean(axis=1), chords[:, :2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ends[:, 1] - ends[:, 0], chords[:, 2:], rtol=0, atol=1e-12)
+
+    report = tmp_path / "report.jsonl"
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(data),
+                 "--report", str(report)]) == 0
+    cv = []
+    for scene in scenes:
+        starts = []
+        for track in scene.tracks:
+            t_last, s = track.past[-1]
+            lead = scene.t_obs - t_last + np.arange(scene.t_f, dtype=np.float64)
+            starts.append(np.stack([s.x + s.vx * scene.dt * lead,
+                                    s.y + s.vy * scene.dt * lead], axis=1))
+        gt, mask = supervision_mask(scene, cfg.loss.supervise_all_agents)
+        cv.append(compute_metrics(np.array(starts)[:, None], gt, mask))
+    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    expected = [rep.as_dict() for rep in cv] + [aggregate_reports(cv).as_dict()]
+    assert [l["cv"] for l in lines] == [pytest.approx(e, rel=1e-12, abs=1e-12) for e in expected]

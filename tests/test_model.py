@@ -208,7 +208,7 @@ def _gcn_composite(h, rel, s, e, weights, biases):
     """The conv as separate ops, S applied as a dense constant by a matmul
     and the source gradient summed by a gather gradient: the reference for
     the fused record's summation order."""
-    r, f = rel.n_relations, h.data.shape[1]
+    r, f = len(rel.shorts), h.data.shape[1]
     msg = tg.add(tg.gather_rows(h, rel.src), e)
     agg = tg.matmul(tg.Tensor(s), msg)
     out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))

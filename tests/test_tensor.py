@@ -965,12 +965,13 @@ def test_untaped_forward_peak_memory_not_above_parent():
 def test_default_scene_records_one_tape_record_per_attention_conv():
     # one record per attention conv and per GCN conv; with 30 single ops per
     # attention conv a scene recorded 645, with 10 per GCN conv 392, with
-    # the loss's masked smooth-L1 and one-hot winner score 234, and with a
-    # multiply and a scatter for each GCN call-site's edge term 229
+    # the loss's masked smooth-L1 and one-hot winner score 234, with a
+    # multiply and a scatter for each GCN call-site's edge term 229, and with
+    # the head's latent gathered from scene to agent_id order 227
     cfg, (sample,), params = _default_model_scenes(1)
     with tg.Tape() as tape:
         total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
-    assert len(tape._records) <= 227
+    assert len(tape._records) <= 226
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
