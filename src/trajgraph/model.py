@@ -403,14 +403,13 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):
 
 
 def layer_merge(updates, h_prev, params, prefix, cfg):
-    """Sum the call-site updates, ReLU, optional residual, LayerNorm."""
+    """Sum the call-site updates, then ReLU, the residual h_prev (when
+    `cfg.use_residual`) and LayerNorm, as one `tg.relu_norm` record."""
     total = updates[0]
     for u in updates[1:]:
         total = tg.add(total, u)
-    activated = tg.relu(total)
-    if cfg.use_residual:
-        activated = tg.add(activated, h_prev)
-    return tg.layer_norm(activated, params[f"{prefix}.gain"], params[f"{prefix}.offset"])
+    return tg.relu_norm(total, params[f"{prefix}.gain"], params[f"{prefix}.offset"],
+                        h_prev if cfg.use_residual else None)
 
 
 # --- encoder ----------------------------------------------------------------
@@ -474,10 +473,9 @@ class Prediction:
 
 
 def _head_block(x, params, prefix):
-    h = tg.relu(tg.add(tg.matmul(x, params[f"{prefix}.l1.weight"]),
-                       params[f"{prefix}.l1.bias"]))
-    h = tg.layer_norm(tg.add(h, x), params[f"{prefix}.norm.gain"],
-                      params[f"{prefix}.norm.offset"])
+    """l2(LayerNorm(ReLU(l1(x)) + x)) in five records, one `tg.relu_norm`."""
+    z = tg.add(tg.matmul(x, params[f"{prefix}.l1.weight"]), params[f"{prefix}.l1.bias"])
+    h = tg.relu_norm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.offset"], x)
     return tg.add(tg.matmul(h, params[f"{prefix}.l2.weight"]), params[f"{prefix}.l2.bias"])
 
 

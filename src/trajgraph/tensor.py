@@ -4,34 +4,35 @@ Covers exactly the operations the prediction model and its loss need:
 matrix products; add, sub and mul, whose second operand may also be a
 single row broadcast over the rows (a bias) or a single [n, 1] column
 broadcast over the columns (a per-row factor); scale by a python number;
-ReLU; layer normalization; one fused linear -> ReLU -> layer norm
-embedding; gather for message passing; one fused multi-head attention
-conv; a degree-normalized graph conv and its edge term (a
-coefficient-weighted segment sum), both of which read one per-graph
-``ConvPlan`` and gather instead of scattering; concat, reshape and a total
-sum. Everything is recorded on an explicit tape; replaying the tape in
-reverse order of recording accumulates gradients into ``.grad``.
+ReLU; LayerNorm of a ReLU output plus an optional residual, alone and
+after a linear layer (the embedding); gather for message passing; one
+fused multi-head attention conv; a degree-normalized graph conv and its
+edge term (a coefficient-weighted segment sum), both of which read one
+per-graph ``ConvPlan`` and gather instead of scattering; concat, reshape
+and a total sum. Everything is recorded on an explicit tape; replaying the
+tape in reverse order of recording accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
 and only the arrays its own backward reads (a product's factors, ReLU's
-mask, attention's activations and weights, layer norm's normalized rows,
-the graph conv's aggregate); an intermediate that no backward reads is
-freed as soon as the forward drops it. An op whose output no tape records
-(no active tape, or no input takes a gradient) keeps nothing for backward:
-an untaped attention call computes each row block's pre-activations in one
-block-sized buffer and holds no per-row activations, only the weights it
-returns. The embedding record holds only its inputs: its backward
-recomputes the normalized rows block by block from the [rows, n_in] input.
-A ``ConvPlan`` is the only place that knows the graph conv's table
-format. It checks its edge list once, when it is built, and lists the
-coefficients that are not exactly 1 per slot of its tables; ``segment_sum``
-and ``edge_conv`` multiply only those rows, so on a graph where every
-coefficient is 1 they multiply nothing. Backward consumes the tape: each
-record is popped as it runs, and each op takes and clears its output's
-gradient, so intermediate gradients die as backward goes.
-Pass-through ops (add, sub, reshape, concat) hand that buffer,
-or views of it, to an input instead of copying; add copies only when both
+mask, attention's activations and weights, relu_norm's ReLU mask,
+normalized rows and inverse deviations, the graph conv's aggregate); an
+intermediate that no backward reads is freed as soon as the forward drops
+it. An op whose output no tape records (no active tape, or no input takes
+a gradient) keeps nothing for backward: an untaped attention call computes
+each row block's pre-activations in one block-sized buffer and holds no
+per-row activations, only the weights it returns. The embedding record
+holds only its inputs: its backward recomputes the normalized rows block
+by block from the [rows, n_in] input. A ``ConvPlan`` is the only place
+that knows the graph conv's table format. It checks its edge list once,
+when it is built, and lists per slot of its tables the empty entries and
+the coefficients that are not exactly 1; ``segment_sum`` and ``edge_conv``
+zero what they gather for empty entries and multiply only listed rows, so
+on a graph where every coefficient is 1 they multiply nothing. Backward
+consumes the tape: each record is popped as it runs, and each op takes and
+clears its output's gradient, so intermediate gradients die as backward
+goes. Pass-through ops (add, sub, reshape, concat) hand that buffer, or
+views of it, to an input instead of copying; add copies only when both
 inputs take a gradient and the second holds none yet. After backward only
 leaves hold ``.grad``, which may be a view of a larger buffer (no two
 leaves' views overlap).
@@ -351,66 +352,80 @@ def _row_means(a):
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(a, gain, offset):
-    """Per-row normalization over the feature axis, then affine gain/offset.
+def _relu_norm_rows(z, residual=None, out=None):
+    """(xhat, inv): the rows of relu(z) + residual normalized over the
+    feature axis, before gain and offset, into out (which may be z) if
+    given, and their [n, 1] inverse deviations. Constant rows are safe: the
+    epsilon inside the square root bounds the inverse deviation."""
+    xhat = np.maximum(z, 0.0, out=out)
+    if residual is not None:
+        xhat += residual
+    xhat -= _row_means(xhat)
+    inv = 1.0 / np.sqrt(_row_means(xhat * xhat) + _LN_EPS)
+    xhat *= inv
+    return xhat, inv
 
-    Constant rows are safe: the epsilon inside the square root bounds the
-    inverse deviation.
-    """
-    if a.data.ndim != 2:
-        raise DimensionError(f"layer_norm expects [n,f], got {a.data.shape}")
-    f = a.data.shape[1]
+
+def _relu_norm_grads(d, xhat, inv, g_row):
+    """In place, d, the gradient of xhat * gain + offset, becomes that of
+    the rows before normalization, and xhat is overwritten. Returns the
+    [2, f] gain and offset gradients, the column sums of d * xhat and d."""
+    g_norm = np.stack([(d * xhat).sum(axis=0), d.sum(axis=0)])
+    d *= g_row
+    m1 = _row_means(d)
+    m2 = _row_means(d * xhat)
+    d -= m1
+    xhat *= m2
+    d -= xhat
+    d *= inv
+    return g_norm
+
+
+def relu_norm(z, gain, offset, residual=None):
+    """LayerNorm over the feature axis of relu(z) + residual, then affine
+    gain/offset, as one tape record with the bits of the separate ReLU, add
+    and LayerNorm ops. It holds what those held: the ReLU mask (when z takes
+    a gradient), the normalized rows and their inverse deviations. Backward
+    gives the residual its gradient before z, as the separate ops did; a
+    residual that is z itself takes both."""
+    if z.data.ndim != 2:
+        raise DimensionError(f"relu_norm expects [n,f], got {z.data.shape}")
+    f = z.data.shape[1]
     if gain.data.reshape(-1).shape != (f,) or offset.data.reshape(-1).shape != (f,):
         raise DimensionError(
-            f"layer_norm gain/offset must have {f} entries, got {gain.data.shape}/{offset.data.shape}")
+            f"relu_norm gain/offset must have {f} entries, got {gain.data.shape}/{offset.data.shape}")
+    if residual is not None and residual.data.shape != z.data.shape:
+        raise DimensionError(f"relu_norm residual {residual.data.shape} is not {z.data.shape}")
     g_row = gain.data.reshape(1, f)
-    b_row = offset.data.reshape(1, f)
-    mu = _row_means(a.data)
-    xc = a.data - mu
-    var = _row_means(xc * xc)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    out, tape = _make_output(xhat * g_row + b_row, (a, gain, offset))
+    xhat, inv = _relu_norm_rows(z.data, None if residual is None else residual.data)
+    inputs = (z, gain, offset) if residual is None else (z, gain, offset, residual)
+    out, tape = _make_output(xhat * g_row + offset.data.reshape(1, f), inputs)
     if tape:
-        sa, s_gain, s_offset = _slot_of(a), _slot_of(gain), _slot_of(offset)
+        s_z, s_gain, s_offset = _slot_of(z), _slot_of(gain), _slot_of(offset)
+        s_res = None if residual is None else _slot_of(residual)
+        mask = z.data > 0.0 if s_z else None
         gain_shape, offset_shape = gain.data.shape, offset.data.shape
         def bwd(g):
+            g_gain, g_offset = _relu_norm_grads(g, xhat, inv, g_row)
             if s_gain:
-                _give(s_gain, (g * xhat).sum(axis=0).reshape(gain_shape))
+                _give(s_gain, g_gain.reshape(gain_shape))
             if s_offset:
-                _give(s_offset, g.sum(axis=0).reshape(offset_shape))
-            if sa:
-                dxhat = g * g_row
-                m1 = _row_means(dxhat)
-                m2 = _row_means(dxhat * xhat)
-                _give(sa, inv * (dxhat - m1 - xhat * m2))
+                _give(s_offset, g_offset.reshape(offset_shape))
+            if s_res:
+                _give(s_res, g)
+            if s_z:
+                _give(s_z, g * mask)  # the product is taken before any += on g
         _on_backward(tape, out, bwd)
     return out
 
 
-def _relu_norm_block(x, weight, bias, lo, hi, masked=False):
-    """(xhat, inv, relu mask) of rows lo..hi of layer_norm(relu(x W + b))
-    before its gain and offset, by the ops of matmul, add, relu and
-    layer_norm in turn; the mask, which only backward reads, is None unless
-    masked."""
-    z = x[lo:hi] @ weight
-    z += bias
-    mask = z > 0.0 if masked else None
-    np.maximum(z, 0.0, out=z)
-    z -= _row_means(z)
-    inv = 1.0 / np.sqrt(_row_means(z * z) + _LN_EPS)
-    z *= inv
-    return z, inv, mask
-
-
 def linear_relu_norm(x, weight, bias, gain, offset):
-    """layer_norm(relu(x @ weight + bias), gain, offset) as one tape record.
-
-    Forward runs in row blocks of ``_ROW_BLOCK`` and gives the bits of the
-    four separate ops. The record holds only its inputs: backward recomputes
-    each block's normalized rows and ReLU mask from the [rows, n_in] input.
-    Parameter gradients are summed block by block in ascending row order.
-    """
+    """relu_norm(x @ weight + bias, gain, offset) as one tape record, in
+    row blocks of ``_ROW_BLOCK`` with the bits of the separate ops. The
+    record holds only its inputs: backward recomputes each block's
+    normalized rows and ReLU mask from the [rows, n_in] input, runs
+    relu_norm's backward on it, and sums the parameter gradients block by
+    block in ascending row order."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise DimensionError(
             f"linear_relu_norm shapes incompatible: {x.data.shape} x {weight.data.shape}")
@@ -423,38 +438,33 @@ def linear_relu_norm(x, weight, bias, gain, offset):
     b_row, g_row, o_row = (t.data.reshape(1, f) for t in (bias, gain, offset))
     out_data = np.empty((n, f))
     for lo, hi in _blocks(n):
-        xhat = _relu_norm_block(xs, w, b_row, lo, hi)[0]
-        xhat *= g_row
-        np.add(xhat, o_row, out=out_data[lo:hi])
+        z = np.matmul(xs[lo:hi], w, out=out_data[lo:hi])
+        z += b_row
+        _relu_norm_rows(z, out=z)
+        z *= g_row
+        z += o_row
     out, tape = _make_output(out_data, (x, weight, bias, gain, offset))
     if tape:
-        slots = [_slot_of(t) for t in (x, weight, bias, gain, offset)]
+        s_x, *slots = [_slot_of(t) for t in (x, weight, bias, gain, offset)]
         shapes = [t.data.shape for t in (weight, bias, gain, offset)]
         def bwd(g):
-            s_x, s_w, s_b, s_gain, s_offset = slots
             g_x = np.empty((n, xs.shape[1])) if s_x else None
-            g_w, g_b = np.zeros((xs.shape[1], f)), np.zeros(f)
-            g_gain, g_offset = np.zeros(f), np.zeros(f)
+            g_w, g_b, g_norm = np.zeros((xs.shape[1], f)), np.zeros(f), np.zeros((2, f))
             for lo, hi in _blocks(n):
-                xhat, inv, mask = _relu_norm_block(xs, w, b_row, lo, hi, masked=True)
+                z = xs[lo:hi] @ w
+                z += b_row
+                mask = z > 0.0
+                xhat, inv = _relu_norm_rows(z, out=z)
                 # g is this record's own: its block becomes, in place, the
-                # gradient of xhat, then of the pre-activation
+                # gradient of the pre-activation
                 d = g[lo:hi]
-                g_gain += np.einsum("ij,ij->j", d, xhat)
-                g_offset += d.sum(axis=0)
-                d *= g_row
-                m1 = _row_means(d)
-                m2 = np.einsum("ij,ij->i", d, xhat).reshape(-1, 1) / f
-                d -= m1
-                xhat *= m2
-                d -= xhat
-                d *= inv
+                g_norm += _relu_norm_grads(d, xhat, inv, g_row)
                 d *= mask
                 g_w += xs[lo:hi].T @ d
                 g_b += d.sum(axis=0)
                 if s_x:
                     np.matmul(d, w.T, out=g_x[lo:hi])
-            for slot, grad, shape in zip(slots[1:], (g_w, g_b, g_gain, g_offset), shapes):
+            for slot, grad, shape in zip(slots, (g_w, g_b, *g_norm), shapes):
                 if slot:
                     _give(slot, grad.reshape(shape))
             if s_x:
@@ -721,20 +731,23 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
 
 # --- graph conv -----------------------------------------------------------
 
-def _slot_table(keys, values, coeff, n_keys, empty):
+def _slot_table(keys, values, coeff, n_keys):
     """[D, n_keys] table whose slot d holds, per key, the value of the key's
-    d-th entry, and per slot the (keys, [k, 1] coefficients) of the entries
-    whose coefficient is not exactly 1, keys strictly ascending. keys must
-    be sorted, each key's entries in the order its slots take. D is at
-    least 1; an empty slot holds `empty` and is not listed."""
+    d-th entry; per slot the keys without a d-th entry, ascending; and per
+    slot the (keys, [k, 1] coefficients) of the entries whose coefficient
+    is not exactly 1, keys strictly ascending. keys must be sorted, each
+    key's entries in the order its slots take. D is at least 1; an empty
+    slot holds 0 and is listed only as empty."""
     rank = np.arange(keys.shape[0]) - np.searchsorted(keys, keys)
     depth = int(rank.max()) + 1 if rank.size else 1
-    table = np.full((depth, n_keys), empty, dtype=np.int64)
+    table = np.zeros((depth, n_keys), dtype=np.int64)
     table[rank, keys] = values
     table.flags.writeable = False
+    counts = np.bincount(keys, minlength=n_keys)
     scaled = np.flatnonzero(coeff != 1.0)
     listed = [scaled[rank[scaled] == d] for d in range(depth)]
-    return table, [(keys[at], coeff[at].reshape(-1, 1)) for at in listed]
+    return (table, [np.flatnonzero(counts <= d) for d in range(depth)],
+            [(keys[at], coeff[at].reshape(-1, 1)) for at in listed])
 
 
 class ConvPlan:
@@ -746,15 +759,15 @@ class ConvPlan:
     the ops that read the plan check nothing per call, and its tables are
     read-only. A row's in-edges need not be contiguous. One stable sort by
     target gives the in-table `in_edges`: slot d holds each row's d-th
-    in-edge in ascending edge order, E in an empty slot. `in_sources` holds
-    those edges' sources (n_src in an empty slot). One stable sort by source
-    gives the out-table `out_rows`: slot d holds each source's d-th
-    out-edge's row in ascending edge order, n_rows in an empty slot. Beside
-    each table, `in_coeff` and `out_coeff` list per slot only the entries
-    whose coefficient is not exactly 1, as (rows, [k, 1] coefficients)
-    pairs, rows strictly ascending, and `edge_coeff` is that pair for the
-    edges themselves. On a graph whose coefficients are all 1 every list is
-    empty.
+    in-edge in ascending edge order. `in_sources` holds those edges'
+    sources. One stable sort by source gives the out-table `out_rows`: slot
+    d holds each source's d-th out-edge's row in ascending edge order. An
+    empty slot holds 0; `in_empty` and `out_empty` list its keys per slot.
+    Beside each table, `in_coeff` and `out_coeff` list per slot only the
+    entries whose coefficient is not exactly 1, as (rows, [k, 1]
+    coefficients) pairs, rows strictly ascending, and `edge_coeff` is that
+    pair for the edges themselves. On a graph whose coefficients are all 1
+    these lists are empty.
     """
 
     def __init__(self, targets, sources, coeff, n_rows, n_src):
@@ -766,13 +779,13 @@ class ConvPlan:
         self.targets = _check_targets(targets, self.n_rows, self.n_edges, "conv targets")
         sources = _check_targets(sources, self.n_src, self.n_edges, "conv sources")
         by_target = np.argsort(self.targets, kind="stable")
-        self.in_edges, self.in_coeff = _slot_table(
-            self.targets[by_target], by_target, coeff[by_target], self.n_rows, self.n_edges)
-        self.in_sources = np.append(sources, self.n_src)[self.in_edges]
+        self.in_edges, self.in_empty, self.in_coeff = _slot_table(
+            self.targets[by_target], by_target, coeff[by_target], self.n_rows)
+        # without edges every slot is empty and holds 0, which is no edge
+        self.in_sources = sources[self.in_edges] if self.n_edges else self.in_edges
         by_source = np.argsort(sources, kind="stable")
-        self.out_rows, self.out_coeff = _slot_table(
-            sources[by_source], self.targets[by_source], coeff[by_source], self.n_src,
-            self.n_rows)
+        self.out_rows, self.out_empty, self.out_coeff = _slot_table(
+            sources[by_source], self.targets[by_source], coeff[by_source], self.n_src)
         scaled = np.flatnonzero(coeff != 1.0)
         self.edge_coeff = (scaled, coeff[scaled].reshape(-1, 1))
         self.in_sources.flags.writeable = False
@@ -785,28 +798,28 @@ def _scale_listed(part, listed):
         part[rows] *= coeff
 
 
-def _slot_sum(rows, index, scaled):
+def _slot_sum(rows, index, empty, scaled):
     """[n, f]: per entry i, the sum over slots d of c * rows[index[d, i]],
-    slot by slot in ascending order, c being the coefficient scaled[d] lists
-    for i, or 1 where it lists none. index is a [D >= 1, n] table of a
-    `ConvPlan`, which checked it; the first slot is gathered straight into
-    the sum. Only listed rows are multiplied: a product by exactly 1 keeps
-    the bits."""
+    slot by slot in ascending order, c being 0 where empty[d] lists i, the
+    coefficient scaled[d] lists for i, or 1 where neither lists it. index
+    is a [D >= 1, n] table of a `ConvPlan`, which checked it; the first
+    slot is gathered straight into the sum. Empty entries are set to +0.0
+    and only listed rows are multiplied: a product by exactly 1 keeps the
+    bits. Without rows every entry is empty."""
+    if not rows.shape[0]:
+        return np.zeros((index.shape[1], rows.shape[1]))
     out = np.take(rows, index[0], axis=0, out=np.empty((index.shape[1], rows.shape[1])),
                   mode="clip")
+    out[empty[0]] = 0.0
     _scale_listed(out, scaled[0])
     if index.shape[0] > 1:
         scratch = np.empty_like(out)
         for d in range(1, index.shape[0]):
             np.take(rows, index[d], axis=0, out=scratch, mode="clip")
+            scratch[empty[d]] = 0.0
             _scale_listed(scratch, scaled[d])
             out += scratch
     return out
-
-
-def _with_zero_row(a):
-    """a and one zero row after it: the row an empty slot picks."""
-    return np.concatenate([a, np.zeros((1, a.shape[1]))])
 
 
 def segment_sum(messages, plan, n):
@@ -823,7 +836,7 @@ def segment_sum(messages, plan, n):
             f"segment_sum over a plan of {plan.n_edges} edges into {plan.n_rows} rows needs "
             f"one message per edge and n = {plan.n_rows}: {messages.data.shape}, n = {n}")
     out, tape = _make_output(
-        _slot_sum(_with_zero_row(messages.data), plan.in_edges, plan.in_coeff), (messages,))
+        _slot_sum(messages.data, plan.in_edges, plan.in_empty, plan.in_coeff), (messages,))
     if tape:
         se = messages._slot
         def bwd(g):
@@ -877,7 +890,7 @@ def edge_conv(x_src, edge_agg, weights, biases, plan):
     n_dst = n_rows // r
 
     w_stack = np.concatenate([w.data for w in weights])
-    agg = _slot_sum(_with_zero_row(x_src.data), plan.in_sources, plan.in_coeff)
+    agg = _slot_sum(x_src.data, plan.in_sources, plan.in_empty, plan.in_coeff)
     agg += edge_agg.data
     out_data = agg.reshape(n_dst, r * n_in) @ w_stack
     out_data += np.ones((1, r)) @ np.concatenate([b.data.reshape(1, n_out) for b in biases])
@@ -900,14 +913,11 @@ def edge_conv(x_src, edge_agg, weights, biases, plan):
                     if slot:
                         _give(slot, g_b[k].reshape(shape))
             if s_x or s_edge:
-                # row n_rows: the zero row the out-table's empty slots pick
-                g_agg = np.empty((n_rows + 1, n_in))
-                g_agg[n_rows] = 0.0
-                np.matmul(g, w_stack.T, out=g_agg[:n_rows].reshape(n_dst, r * n_in))
+                g_agg = (g @ w_stack.T).reshape(n_rows, n_in)
                 if s_x:
-                    _give(s_x, _slot_sum(g_agg, plan.out_rows, plan.out_coeff))
+                    _give(s_x, _slot_sum(g_agg, plan.out_rows, plan.out_empty, plan.out_coeff))
                 if s_edge:
-                    _give(s_edge, g_agg[:n_rows])
+                    _give(s_edge, g_agg)
         _on_backward(tape, out, bwd)
     return out
 

@@ -44,6 +44,17 @@ def grad_rel_error(analytic, numeric):
     return float(np.linalg.norm(a - n) / denom)
 
 
+def relu_layer_norm(z, gain, offset, residual=None, eps=1e-5):
+    """LayerNorm over the feature axis of relu(z) + residual, then gain and
+    offset, in plain numpy one step at a time."""
+    a = np.maximum(z, 0.0)
+    if residual is not None:
+        a = a + residual
+    xc = a - a.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    return xc * inv * gain.reshape(1, -1) + offset.reshape(1, -1)
+
+
 def brute_force_metrics(traj, gt, mask, threshold=2.0):
     """All six displacement metrics via explicit loops over modes/agents/steps.
 

@@ -104,8 +104,11 @@ def test_criterion_gradient_suite():
 
     gain = tg.Tensor(rng.normal(size=6), requires_grad=True)
     offset = tg.Tensor(rng.normal(size=6), requires_grad=True)
-    track(checked(lambda: tg.sum_all(tg.mul(tg.layer_norm(act, gain, offset), wa)),
-                  [act, gain, offset], OP_TOL))
+    # the residual from its own generator, so that the checks below keep
+    # their inputs
+    res = tg.Tensor(np.random.default_rng(2028).normal(size=(4, 6)), requires_grad=True)
+    track(checked(lambda: tg.sum_all(tg.mul(tg.relu_norm(act, gain, offset, res), wa)),
+                  [act, gain, offset, res], OP_TOL))
 
     msgs = tg.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     targets = rng.integers(0, 3, size=7)

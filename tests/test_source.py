@@ -106,3 +106,13 @@ def test_every_public_tensor_function_is_called_from_the_package():
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "tg"}
     assert public
     assert not public - called, sorted(public - called)
+
+
+def test_layer_norm_math_is_written_once():
+    """LayerNorm's epsilon is read by exactly one function of
+    ``tensor.py``: the embedding, the merges and the head blocks all
+    normalize through it."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    readers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and n.id == "_LN_EPS" for n in ast.walk(node))]
+    assert len(readers) == 1, readers
