@@ -2,8 +2,8 @@
 
 Pipeline per scene: per-type embedding MLPs (linear -> ReLU -> LayerNorm)
 with a sinusoidal per-timestep encoding concatenated onto agent nodes, a
-heterogeneous graph encoder, and K independent regression/scoring MLP pairs
-producing multi-modal trajectories with unnormalized scores.
+heterogeneous graph encoder, and K regression/scoring MLP pairs, run as one
+stack of per-mode products, producing K trajectories with unnormalized scores.
 
 `encoder_layers` is the one description of the encoder's wiring: each
 layer's call-sites, a degree-normalized graph conv over a group of
@@ -472,11 +472,14 @@ class Prediction:
     scores: tg.Tensor         # [A, K], unnormalized
 
 
-def _head_block(x, params, prefix):
-    """l2(LayerNorm(ReLU(l1(x)) + x)) in five records, one `tg.relu_norm`."""
-    z = tg.add(tg.matmul(x, params[f"{prefix}.l1.weight"]), params[f"{prefix}.l1.bias"])
-    h = tg.relu_norm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.offset"], x)
-    return tg.add(tg.matmul(h, params[f"{prefix}.l2.weight"]), params[f"{prefix}.l2.bias"])
+def _head_block(x, params, prefix, modes):
+    """Each mode k's l2(LayerNorm(ReLU(l1(x)) + x)) by its prefix.k<k> weights, as
+    one [K, A, out] stack in 11 records; x is [K, A, n] or an [A, n] all share."""
+    w1, b1, gain, offset, w2, b2 = (
+        tg.stack([params[f"{prefix}.k{k}.{name}"] for k in range(modes)])
+        for name in ("l1.weight", "l1.bias", "norm.gain", "norm.offset", "l2.weight", "l2.bias"))
+    h = tg.relu_norm(tg.add(tg.matmul(x, w1), b1), gain, offset, x)
+    return tg.add(tg.matmul(h, w2), b2)
 
 
 def predict_head(latent, cache, params, cfg):
@@ -490,23 +493,22 @@ def predict_head(latent, cache, params, cfg):
     the modes learn residuals from it. Each mode's score sees the latent
     and that mode's trajectory.
 
-    The MLPs run over the tracks in agent_id order, like the latent and
-    `cache.start` rows, and the outputs are gathered back to scene order by
-    `cache.track_rank`, exactly. A matmul's rounding can depend on a row's
-    place in the BLAS row tiles, so this makes the outputs permute bitwise
-    with the tracks.
+    The modes run as [K, A, .] stacks of per-mode products, in 32 records for
+    any K, over the tracks in agent_id order like the latent and
+    `cache.start`; one gather per output puts mode k of track i at row i*K + k
+    by `cache.track_rank`. A matmul's rounding can depend on a row's place in
+    the BLAS row tiles, so this makes the outputs permute bitwise with the tracks.
     """
-    n_agents = latent.data.shape[0]
-    traj_parts, score_parts = [], []
-    for k in range(cfg.modes):
-        deltas = _head_block(latent, params, f"head.reg.k{k}")
-        traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
-        traj_parts.append(traj)
-        score_in = tg.concat([latent, traj], 1)
-        score_parts.append(_head_block(score_in, params, f"head.score.k{k}"))
-    flat = tg.gather_rows(tg.concat(traj_parts, 1), cache.track_rank)
-    trajectories = tg.reshape(flat, (n_agents, cfg.modes, cfg.t_f, 2))
-    scores = tg.gather_rows(tg.concat(score_parts, 1), cache.track_rank)
+    n_agents, modes = latent.data.shape[0], cfg.modes
+    deltas = _head_block(latent, params, "head.reg", modes)
+    traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
+    score_in = tg.concat([tg.stack([latent] * modes), traj], 2)
+    scores = _head_block(score_in, params, "head.score", modes)
+    order = (cache.track_rank[:, None] + n_agents * np.arange(modes)).reshape(-1)
+    flat = tg.gather_rows(tg.reshape(traj, (modes * n_agents, 2 * cfg.t_f)), order)
+    trajectories = tg.reshape(flat, (n_agents, modes, cfg.t_f, 2))
+    scores = tg.reshape(tg.gather_rows(tg.reshape(scores, (modes * n_agents, 1)), order),
+                        (n_agents, modes))
     return Prediction(trajectories=trajectories, scores=scores)
 
 

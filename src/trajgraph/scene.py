@@ -324,15 +324,14 @@ def _inside_crop(x, y):
     return abs(x) <= CROP_HALF_EXTENT and abs(y) <= CROP_HALF_EXTENT
 
 
-def normalize_scene(scene, rule=None):
-    """Translate the scene so the rule's origin is (0,0), then crop.
+def normalize_scene(scene):
+    """Translate the scene so its `origin_rule`'s origin is (0,0), then crop.
 
     Pure translation: velocities, headings and direction vectors are
     untouched. A track is dropped only if its state at t_obs-1 lies outside
     the crop square; map segments are dropped by midpoint.
     """
-    rule = rule or scene.origin_rule
-    ox, oy = _scene_origin(scene, rule)
+    ox, oy = _scene_origin(scene, scene.origin_rule)
     # sub-nanometer origins are noise from re-averaging an already-centered
     # scene; snapping keeps normalization exactly idempotent
     if abs(ox) < 1e-9:
@@ -360,5 +359,5 @@ def normalize_scene(scene, rule=None):
     lanes = [Lane(l.lane_id, [(x - ox, y - oy) for x, y in l.centerline],
                   l.left_lane_id, l.right_lane_id) for l in scene.lanes]
 
-    return Scene(scene.scene_id, scene.t_obs, scene.t_f, scene.dt, rule,
+    return Scene(scene.scene_id, scene.t_obs, scene.t_f, scene.dt, scene.origin_rule,
                  tracks=tracks, lanes=lanes, segments=segments)

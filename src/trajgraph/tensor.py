@@ -8,9 +8,12 @@ ReLU; LayerNorm of a ReLU output plus an optional residual, alone and
 after a linear layer (the embedding); gather for message passing; one
 fused multi-head attention conv; a degree-normalized graph conv and its
 edge term (a coefficient-weighted segment sum), both of which read one
-per-graph ``ConvPlan`` and gather instead of scattering; concat, reshape
-and a total sum. Everything is recorded on an explicit tape; replaying the
-tape in reverse order of recording accumulates gradients into ``.grad``.
+per-graph ``ConvPlan`` and gather instead of scattering; concat, stack,
+reshape and a total sum. matmul, add, sub, mul and relu_norm also take
+[B, n, f] stacks (the head's modes), with a [B, 1, f] row per index or an
+[n, f] matrix all indices share; a stack product is one BLAS product per
+index, with the separate products' bits. Ops are recorded on a tape, and
+replaying it backwards accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
@@ -227,9 +230,12 @@ def _on_backward(tape, out, bwd):
 # --- linear algebra -------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
+    """Matrix product of rank-2 tensors, or one per index of a [B, n, k] @
+    [B, k, m] stack, where either operand may be rank 2, shared by all."""
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if (not {len(a_shape), len(b_shape)} <= {2, 3} or a_shape[-1] != b_shape[-2]
+            or len(a_shape) == len(b_shape) == 3 and a_shape[0] != b_shape[0]):
+        raise DimensionError(f"matmul shapes incompatible: {a_shape} x {b_shape}")
     out, tape = _make_output(a.data @ b.data, (a, b))
     if tape:
         sa, sb = _slot_of(a), _slot_of(b)
@@ -237,31 +243,32 @@ def matmul(a, b):
         b_data = b.data if sa else None
         def bwd(g):
             if sa:
-                _give(sa, g @ b_data.T)
+                _give(sa, _reduce_to(a_shape, g @ b_data.swapaxes(-1, -2)))
             if sb:
-                _give(sb, a_data.T @ g)
+                _give(sb, _reduce_to(b_shape, a_data.swapaxes(-1, -2) @ g))
         _on_backward(tape, out, bwd)
     return out
 
 
 def _broadcast_check(a, b):
-    """Identical shapes, or b a single row (a bias) over a's rows or a single
-    column (a per-row factor) over a's columns."""
-    if a.data.shape == b.data.shape:
+    """Identical shapes; or b a bias row or a per-row [n, 1] factor over a's
+    rows, or a [B, 1, f] row per index or shared [n, f] matrix over a stack."""
+    shape = a.data.shape
+    if b.data.shape == shape:
         return False
-    n, f = a.data.shape if a.data.ndim == 2 else (None, None)
-    if b.data.shape in ((1, f), (f,), (n, 1)):
+    n, f = shape[-2:] if len(shape) in (2, 3) else (None, None)
+    if b.data.shape in (((1, f), (f,), (n, 1)) if len(shape) == 2 else ((shape[0], 1, f), (n, f))):
         return True
-    raise DimensionError(f"elementwise shapes incompatible: {a.data.shape} vs {b.data.shape}")
+    raise DimensionError(f"elementwise shapes incompatible: {shape} vs {b.data.shape}")
 
 
 def _reduce_to(shape, g):
-    """g summed down to b's shape: over rows for a row, over columns for a column."""
+    """g summed down to `shape` along the axis an operand of that shape was
+    broadcast over: a stack's indices, a column's columns or a row's rows."""
     if g.shape == shape:
         return g
-    if shape == (g.shape[0], 1):
-        return g.sum(axis=1, keepdims=True)
-    return g.sum(axis=0).reshape(shape)
+    axis = 0 if len(shape) < g.ndim else 1 if shape == (g.shape[0], 1) else -2
+    return g.sum(axis=axis).reshape(shape)
 
 
 def add(a, b):
@@ -346,17 +353,16 @@ _LN_EPS = 1e-5
 
 
 def _row_means(a):
-    """[n, 1] means of a's rows: the bits of ``a.mean(axis=1, keepdims=True)``,
-    which sums by the same reduction and divides by the count, without its
-    Python-level dispatch."""
-    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+    """[..., n, 1] row means with the bits of ``a.mean(axis=-1, keepdims=True)``
+    (the same reduction, then a division) without its Python-level dispatch."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 def _relu_norm_rows(z, residual=None, out=None):
     """(xhat, inv): the rows of relu(z) + residual normalized over the
     feature axis, before gain and offset, into out (which may be z) if
-    given, and their [n, 1] inverse deviations. Constant rows are safe: the
-    epsilon inside the square root bounds the inverse deviation."""
+    given, and their [..., n, 1] inverse deviations. Constant rows are safe:
+    the epsilon inside the square root bounds the inverse deviation."""
     xhat = np.maximum(z, 0.0, out=out)
     if residual is not None:
         xhat += residual
@@ -369,8 +375,8 @@ def _relu_norm_rows(z, residual=None, out=None):
 def _relu_norm_grads(d, xhat, inv, g_row):
     """In place, d, the gradient of xhat * gain + offset, becomes that of
     the rows before normalization, and xhat is overwritten. Returns the
-    [2, f] gain and offset gradients, the column sums of d * xhat and d."""
-    g_norm = np.stack([(d * xhat).sum(axis=0), d.sum(axis=0)])
+    [2, ..., f] gain and offset gradients, the column sums of d * xhat and d."""
+    g_norm = np.stack([(d * xhat).sum(axis=-2), d.sum(axis=-2)])
     d *= g_row
     m1 = _row_means(d)
     m2 = _row_means(d * xhat)
@@ -384,35 +390,35 @@ def _relu_norm_grads(d, xhat, inv, g_row):
 def relu_norm(z, gain, offset, residual=None):
     """LayerNorm over the feature axis of relu(z) + residual, then affine
     gain/offset, as one tape record with the bits of the separate ReLU, add
-    and LayerNorm ops. It holds what those held: the ReLU mask (when z takes
-    a gradient), the normalized rows and their inverse deviations. Backward
-    gives the residual its gradient before z, as the separate ops did; a
-    residual that is z itself takes both."""
-    if z.data.ndim != 2:
-        raise DimensionError(f"relu_norm expects [n,f], got {z.data.shape}")
-    f = z.data.shape[1]
-    if gain.data.reshape(-1).shape != (f,) or offset.data.reshape(-1).shape != (f,):
-        raise DimensionError(
-            f"relu_norm gain/offset must have {f} entries, got {gain.data.shape}/{offset.data.shape}")
-    if residual is not None and residual.data.shape != z.data.shape:
-        raise DimensionError(f"relu_norm residual {residual.data.shape} is not {z.data.shape}")
-    g_row = gain.data.reshape(1, f)
+    and LayerNorm ops. z is [n, f] with [f] gains and offsets, or a [B, n, f]
+    stack with [B, f]; the residual has z's shape or is an [n, f] matrix
+    every index shares. It holds what those ops held: the ReLU mask (when z
+    takes a gradient), the normalized rows and their inverse deviations.
+    Backward gives the residual its gradient before z; a residual that is z
+    itself takes both."""
+    shape = z.data.shape
+    if not (1 < len(shape) < 4 and gain.data.shape == offset.data.shape == shape[:-2] + shape[-1:]):
+        raise DimensionError(f"relu_norm of {shape}: gain/offset {gain.data.shape}/"
+                             f"{offset.data.shape} are not one [f] per index")
+    if residual is not None and residual.data.shape not in (shape, shape[-2:]):
+        raise DimensionError(f"relu_norm residual {residual.data.shape} is not {shape}")
+    g_row = gain.data[..., None, :]
     xhat, inv = _relu_norm_rows(z.data, None if residual is None else residual.data)
     inputs = (z, gain, offset) if residual is None else (z, gain, offset, residual)
-    out, tape = _make_output(xhat * g_row + offset.data.reshape(1, f), inputs)
+    out, tape = _make_output(xhat * g_row + offset.data[..., None, :], inputs)
     if tape:
         s_z, s_gain, s_offset = _slot_of(z), _slot_of(gain), _slot_of(offset)
         s_res = None if residual is None else _slot_of(residual)
+        res_shape = None if residual is None else residual.data.shape
         mask = z.data > 0.0 if s_z else None
-        gain_shape, offset_shape = gain.data.shape, offset.data.shape
         def bwd(g):
             g_gain, g_offset = _relu_norm_grads(g, xhat, inv, g_row)
             if s_gain:
-                _give(s_gain, g_gain.reshape(gain_shape))
+                _give(s_gain, g_gain)
             if s_offset:
-                _give(s_offset, g_offset.reshape(offset_shape))
+                _give(s_offset, g_offset)
             if s_res:
-                _give(s_res, g)
+                _give(s_res, _reduce_to(res_shape, g))
             if s_z:
                 _give(s_z, g * mask)  # the product is taken before any += on g
         _on_backward(tape, out, bwd)
@@ -942,7 +948,7 @@ def gather_rows(a, idx):
 # --- shape manipulation ---------------------------------------------------
 
 def concat(parts, axis):
-    """Join tensors along `axis`: [n_i, f] row blocks on 0, [n, f_i] on 1."""
+    """Join tensors along any `axis`: row blocks on 0, features on 1 or 2."""
     parts = list(parts)
     out, tape = _make_output(np.concatenate([p.data for p in parts], axis=axis), parts)
     if tape:
@@ -954,6 +960,24 @@ def concat(parts, axis):
                 if s:
                     _give(s, g[(slice(None),) * axis + (slice(off, off + n),)])
                 off += n
+        _on_backward(tape, out, bwd)
+    return out
+
+
+def stack(parts):
+    """Equal-shaped tensors as the indices of a new leading axis; a tensor
+    stacked more than once takes the sum of its indices' gradients."""
+    parts = list(parts)
+    if len({p.data.shape for p in parts}) != 1 or parts[0].data.ndim >= _MAX_RANK:
+        raise DimensionError(
+            f"stack needs equal shapes of rank < {_MAX_RANK}: {[p.shape for p in parts]}")
+    out, tape = _make_output(np.stack([p.data for p in parts]), parts)
+    if tape:
+        slots = [_slot_of(p) for p in parts]
+        def bwd(g):
+            for s, g_part in zip(slots, g):
+                if s:
+                    _give(s, g_part)
         _on_backward(tape, out, bwd)
     return out
 

@@ -312,6 +312,29 @@ def gcn_per_relation(h_src, n_dst, relations, weights, biases):
     return out
 
 
+def head_by_modes(latent, start, cumsum, track_rank, params, modes):
+    """The K-mode head one mode at a time. Mode k's regression block
+    l2(LayerNorm(ReLU(l1(x)) + x)) maps the [A, f] latent to increments
+    that the cumsum matrix accumulates onto each track's start, and its
+    score block maps [latent, trajectory]. Rows are in agent_id order, as
+    ``encode`` returns them; the outputs are gathered to scene order by
+    track_rank. params maps each head parameter path to its array.
+    Returns the [A, K, t_f, 2] trajectories and the [A, K] scores."""
+    def block(x, prefix):
+        z = x @ params[f"{prefix}.l1.weight"] + params[f"{prefix}.l1.bias"]
+        h = relu_layer_norm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.offset"], x)
+        return h @ params[f"{prefix}.l2.weight"] + params[f"{prefix}.l2.bias"]
+
+    trajs, scores = [], []
+    for k in range(modes):
+        traj = block(latent, f"head.reg.k{k}") @ cumsum + start
+        trajs.append(traj)
+        scores.append(block(np.concatenate([latent, traj], axis=1), f"head.score.k{k}"))
+    n_agents, width = start.shape
+    trajectories = np.stack(trajs, axis=1)[track_rank].reshape(n_agents, modes, width // 2, 2)
+    return trajectories, np.concatenate(scores, axis=1)[track_rank]
+
+
 def relation_names(dilation):
     """Every relation name of a graph built at this dilation, spelled out."""
     return (["agent.pre.agent", "agent.suc.agent", "agent.social.agent", "agent.merge.agent"]

@@ -147,6 +147,18 @@ def test_criterion_gradient_suite():
     track(checked(lambda: tg.sum_all(tg.mul(tg.reshape(x, (2, 10)), wrs)), [x], OP_TOL))
     track(checked(lambda: tg.sum_all(x), [x], OP_TOL))
 
+    # a stack, and a rank-3 matmul with a shared rank-2 operand and without,
+    # from their own generator so that the checks above keep their inputs
+    srng = np.random.default_rng(2029)
+    p, q = (tg.Tensor(srng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+    ws = tg.Tensor(srng.normal(size=(2, 3, 4)))
+    track(checked(lambda: tg.sum_all(tg.mul(tg.stack([p, q]), ws)), [p, q], OP_TOL))
+    a3, b3 = (tg.Tensor(srng.normal(size=s), requires_grad=True) for s in ((2, 3, 4), (2, 4, 5)))
+    wm3 = tg.Tensor(srng.normal(size=(2, 3, 5)))
+    track(checked(lambda: tg.sum_all(tg.mul(tg.matmul(a3, b3), wm3)), [a3, b3], OP_TOL))
+    b2 = tg.Tensor(srng.normal(size=(4, 5)), requires_grad=True)
+    track(checked(lambda: tg.sum_all(tg.mul(tg.matmul(a3, b2), wm3)), [a3, b2], OP_TOL))
+
     # end-to-end: 2 agents, t_obs 3, 6 map segments, f=8, heads=2, K=2
     cfg = ModelConfig(f=8, heads=2, modes=2, t_f=3, t_obs=3, dilation=2)
     lane = straight_lane("l0", 18.0, y=2.0, x0=-9.0)

@@ -21,11 +21,11 @@ from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
-    gatv2_composite, gatv2_per_head, gcn_per_relation, grad_rel_error, numeric_gradient,
-    relu_layer_norm,
+    gatv2_composite, gatv2_per_head, gcn_per_relation, grad_rel_error, head_by_modes,
+    numeric_gradient, relu_layer_norm,
 )
 from test_acceptance import OP_TOL
-from test_tensor import check_gradients
+from test_tensor import _default_model_scenes, check_gradients
 
 GCFG = GraphConfig(dilation=2)
 
@@ -658,6 +658,40 @@ def test_head_identical_latents_identical_outputs():
     pred = predict_head(latent, cache, params, cfg)
     assert np.array_equal(pred.trajectories.data[0], pred.trajectories.data[1])
     assert np.array_equal(pred.scores.data[0], pred.scores.data[1])
+
+
+@pytest.mark.parametrize("agents, lanes", [(4, 2), (16, 8), (8, 16)])
+def test_head_has_the_bits_of_the_per_mode_oracle(agents, lanes):
+    """The stacked head's trajectories and scores, untaped and taped, have
+    the bytes of the K modes run one by one in numpy, on default-config
+    scenes with nonzero head output layers."""
+    cfg, (sample,), params = _default_model_scenes(1, agents, lanes)
+    cache, model_cfg = sample.cache, cfg.model
+    latent = encode(cache, params, model_cfg)
+    head = {name: t.data for name, t in params.items() if name.startswith("head.")}
+    expected = head_by_modes(latent.data, cache.start.data, cache.cumsum.data,
+                             cache.track_rank, head, model_cfg.modes)
+    untaped = predict_head(latent, cache, params, model_cfg)
+    with tg.Tape():
+        taped = predict_head(latent, cache, params, model_cfg)
+    assert taped.scores.requires_grad and not untaped.scores.requires_grad
+    for pred in (untaped, taped):
+        assert pred.trajectories.data.tobytes() == expected[0].tobytes()
+        assert pred.scores.data.tobytes() == expected[1].tobytes()
+
+
+def test_head_records_as_many_tape_ops_for_one_mode_as_for_six():
+    """The modes run as stacks, so the head's tape does not grow with K."""
+    counts = []
+    for modes in (1, 6):
+        cfg = tiny_cfg(modes=modes)
+        _, cache = scene_and_cache(cfg)
+        params = init_parameters(cfg, seed=29)
+        latent = tg.Tensor(np.random.default_rng(30).normal(size=(1, cfg.f)), requires_grad=True)
+        with tg.Tape() as tape:
+            predict_head(latent, cache, params, cfg)
+        counts.append(len(tape._records))
+    assert counts[0] == counts[1], counts
 
 
 def test_untrained_head_starts_at_constant_velocity():

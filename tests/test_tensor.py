@@ -54,6 +54,59 @@ def test_matmul_gradients():
         lambda: tg.sum_all(tg.mul(tg.matmul(a, b), tg.Tensor(w))), [a, b], tol=1e-6)
 
 
+def _per_index(t, i):
+    """Index i of a stack as its own tensor taking a gradient; a rank-2
+    operand that every index shares, whole."""
+    return tg.Tensor(t.data[i] if t.data.ndim == 3 else t.data, requires_grad=True)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 5, 4), (3, 4, 2)), ((5, 4), (3, 4, 2)), ((3, 5, 4), (4, 2)),
+    ((3, 7, 6), (3, 6, 1)), ((3, 1, 4), (4, 3)), ((2, 64, 70), (70, 60))])
+def test_stack_matmul_is_the_per_index_products_bitwise(a_shape, b_shape):
+    """Each index of a [B, n, k] @ [B, k, m] product, either operand of
+    which may be a rank-2 matrix every index shares, has the bytes of the
+    separate 2-D product, and so do a stacked operand's gradients."""
+    rng = np.random.default_rng(8)
+    a = tg.Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = tg.Tensor(rng.normal(size=b_shape), requires_grad=True)
+    n_index = (a_shape if len(a_shape) == 3 else b_shape)[0]
+    upstream = rng.normal(size=(n_index, a_shape[-2], b_shape[-1]))
+    with tg.Tape() as tape:
+        out = tg.matmul(a, b)
+        loss = tg.sum_all(tg.mul(out, tg.Tensor(upstream)))
+    tape.backward(loss)
+    for i in range(n_index):
+        a_i, b_i = _per_index(a, i), _per_index(b, i)
+        with tg.Tape() as tape:
+            out_i = tg.matmul(a_i, b_i)
+            loss = tg.sum_all(tg.mul(out_i, tg.Tensor(upstream[i])))
+        tape.backward(loss)
+        assert out.data[i].tobytes() == out_i.data.tobytes()
+        for t, t_i in ((a, a_i), (b, b_i)):
+            if t.data.ndim == 3:
+                assert t.grad[i].tobytes() == t_i.grad.tobytes()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((5, 4), (3, 4, 2)), ((3, 5, 4), (4, 2)), ((3, 5, 4), (3, 4, 2))])
+def test_stack_matmul_gradients(a_shape, b_shape):
+    """Finite differences, with the rank-2 operand shared on either side."""
+    rng = np.random.default_rng(9)
+    a = tg.Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = tg.Tensor(rng.normal(size=b_shape), requires_grad=True)
+    w = tg.Tensor(rng.normal(size=(3, 5, 2)))
+    check_gradients(
+        lambda: tg.sum_all(tg.mul(tg.matmul(a, b), w)), [a, b], tol=1e-6)
+
+
+def test_stack_matmul_shape_errors_name_both_shapes():
+    with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        tg.matmul(tg.Tensor(np.zeros((2, 3, 4))), tg.Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(DimensionError, match=r"\(2, 2, 3, 4\).*\(4, 5\)"):
+        tg.matmul(tg.Tensor(np.zeros((2, 2, 3, 4))), tg.Tensor(np.zeros((4, 5))))
+
+
 def test_elementwise_values():
     assert tg.add(tg.Tensor([1.0, 2.0]), tg.Tensor([0.0, 0.0])).data.tolist() == [1.0, 2.0]
     assert tg.mul(tg.Tensor([2.0, 3.0]), tg.Tensor([4.0, 5.0])).data.tolist() == [8.0, 15.0]
@@ -139,6 +192,66 @@ def test_relu_norm_residual_that_is_its_input_takes_both_gradients():
     w = tg.Tensor(rng.normal(size=(5, 6)))
     check_gradients(
         lambda: tg.sum_all(tg.mul(tg.relu_norm(z, gain, offset, z), w)), [z, gain, offset])
+
+
+@pytest.mark.parametrize("residual", [None, "per-index", "shared"])
+def test_relu_norm_over_a_stack_is_the_per_index_calls_bitwise(residual):
+    """A [B, n, f] stack with [B, f] gains and offsets, and a residual of
+    its shape or an [n, f] one every index shares, has per index the bytes
+    of the 2-D call, output and gradients; a shared residual takes the sum
+    of the indices' gradients."""
+    rng = np.random.default_rng(19)
+    z, gain, offset = (tg.Tensor(rng.normal(size=s), requires_grad=True)
+                       for s in ((3, 5, 6), (3, 6), (3, 6)))
+    res_shape = {None: None, "per-index": (3, 5, 6), "shared": (5, 6)}[residual]
+    res = None if res_shape is None else tg.Tensor(rng.normal(size=res_shape), requires_grad=True)
+    w = rng.normal(size=(3, 5, 6))
+    with tg.Tape() as tape:
+        out = tg.relu_norm(z, gain, offset, res)
+        loss = tg.sum_all(tg.mul(out, tg.Tensor(w)))
+    tape.backward(loss)
+    res_grads = []
+    for i in range(3):
+        z_i = _per_index(z, i)
+        gain_i, offset_i = (tg.Tensor(t.data[i], requires_grad=True) for t in (gain, offset))
+        res_i = None if res is None else _per_index(res, i)
+        with tg.Tape() as tape:
+            out_i = tg.relu_norm(z_i, gain_i, offset_i, res_i)
+            loss = tg.sum_all(tg.mul(out_i, tg.Tensor(w[i])))
+        tape.backward(loss)
+        assert out.data[i].tobytes() == out_i.data.tobytes()
+        for t, t_i in ((z, z_i), (gain, gain_i), (offset, offset_i)):
+            assert t.grad[i].tobytes() == t_i.grad.tobytes()
+        if residual == "per-index":
+            assert res.grad[i].tobytes() == res_i.grad.tobytes()
+        elif res is not None:
+            res_grads.append(res_i.grad)
+    if residual == "shared":
+        assert res.grad.tobytes() == (res_grads[0] + res_grads[1] + res_grads[2]).tobytes()
+
+
+def test_relu_norm_over_a_stack_gradients():
+    """Finite differences, with an [n, f] residual every index shares."""
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(3, 4, 5))
+    x[np.abs(x) < 1e-4] += 0.01  # keep clear of the kink
+    z = tg.Tensor(x, requires_grad=True)
+    gain, offset = (tg.Tensor(rng.normal(size=(3, 5)), requires_grad=True) for _ in range(2))
+    res = tg.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    w = tg.Tensor(rng.normal(size=(3, 4, 5)))
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.relu_norm(z, gain, offset, res), w)),
+                    [z, gain, offset, res])
+
+
+@pytest.mark.parametrize("z_shape, gain_shape, res_shape", [
+    ((3, 4, 5), (5,), None), ((3, 4, 5), (1, 5), None), ((4, 5), (3, 5), None),
+    ((4, 5), (1, 5), None), ((3, 4, 5), (3, 5), (1, 4, 5)), ((3, 4, 5), (3, 5), (3, 5)),
+    ((5,), (5,), None)])
+def test_relu_norm_refuses_shapes_that_do_not_fit(z_shape, gain_shape, res_shape):
+    gain = tg.Tensor(np.ones(gain_shape))
+    res = None if res_shape is None else tg.Tensor(np.zeros(res_shape))
+    with pytest.raises(DimensionError):
+        tg.relu_norm(tg.Tensor(np.zeros(z_shape)), gain, tg.Tensor(np.zeros(gain_shape)), res)
 
 
 def _linear_relu_norm_case(rng, rows, n_in=3, f=6):
@@ -800,6 +913,61 @@ def test_column_broadcast_gradients(op):
             op(a, tg.Tensor(np.zeros(shape)))
 
 
+@pytest.mark.parametrize("b_shape", [(3, 1, 4), (5, 4)])
+@pytest.mark.parametrize("op", [tg.add, tg.sub, tg.mul])
+def test_stack_broadcast_gradients(op, b_shape):
+    """Over a [B, n, f] stack, a [B, 1, f] row per index or an [n, f]
+    matrix every index shares broadcasts, and its gradient is the sum over
+    the rows or over the indices; [B, f], a single row, an [f] vector, a
+    per-row column and one index's [1, n, f] still raise."""
+    rng = np.random.default_rng(39)
+    a = tg.Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    b = tg.Tensor(rng.normal(size=b_shape), requires_grad=True)
+    w = rng.normal(size=(3, 5, 4))
+    numpy_op = {tg.add: np.add, tg.sub: np.subtract, tg.mul: np.multiply}[op]
+    assert np.array_equal(op(a, b).data, numpy_op(a.data, b.data))
+    with tg.Tape() as tape:
+        loss = tg.sum_all(tg.mul(op(a, b), tg.Tensor(w)))
+    tape.backward(loss)
+    g_b = {tg.add: w, tg.sub: -w, tg.mul: w * a.data}[op]
+    summed = g_b.sum(axis=1, keepdims=True) if b_shape == (3, 1, 4) else g_b.sum(axis=0)
+    assert b.grad.tobytes() == summed.tobytes()
+    a.zero_grad()
+    b.zero_grad()
+    check_gradients(lambda: tg.sum_all(tg.mul(op(a, b), tg.Tensor(w))), [a, b])
+    for shape in ((3, 4), (1, 4), (4,), (3, 5, 1), (1, 5, 4)):
+        with pytest.raises(DimensionError):
+            op(a, tg.Tensor(np.zeros(shape)))
+
+
+def test_stack_values_and_gradients():
+    rng = np.random.default_rng(42)
+    a = tg.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = tg.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    assert tg.stack([a, b]).data.tobytes() == np.stack([a.data, b.data]).tobytes()
+    w = tg.Tensor(rng.normal(size=(2, 2, 3)))
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.stack([a, b]), w)), [a, b])
+
+
+def test_stack_of_one_tensor_twice_takes_both_gradients():
+    rng = np.random.default_rng(43)
+    a = tg.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(3, 2, 3))
+    with tg.Tape() as tape:
+        loss = tg.sum_all(tg.mul(tg.stack([a, a, a]), tg.Tensor(w)))
+    tape.backward(loss)
+    assert a.grad.tobytes() == (w[0] + w[1] + w[2]).tobytes()
+    a.zero_grad()
+    check_gradients(lambda: tg.sum_all(tg.mul(tg.stack([a, a, a]), tg.Tensor(w))), [a])
+
+
+def test_stack_refuses_unequal_shapes_and_a_rank_over_the_limit():
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(3, 2\)"):
+        tg.stack([tg.Tensor(np.zeros((2, 3))), tg.Tensor(np.zeros((3, 2)))])
+    with pytest.raises(DimensionError):
+        tg.stack([tg.Tensor(np.zeros((1, 1, 1, 1)))])
+
+
 def test_reshape_and_concat_rows_gradients():
     rng = np.random.default_rng(41)
     a = tg.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
@@ -945,12 +1113,12 @@ def test_dropped_gather_output_is_freed_while_the_tape_lives():
     assert x.grad.tolist() == [[1.0] * 3, [1.0] * 3, [2.0] * 3, [1.0] * 3]
 
 
-def _default_model_scenes(n_scenes):
-    """Default configuration, synthetic 4-agent/2-lane scenes, and initial
-    parameters whose head output layers are not zero (so every parameter
-    takes a gradient)."""
+def _default_model_scenes(n_scenes, agents=4, lanes=2):
+    """Default configuration, synthetic scenes (4 agents and 2 lanes unless
+    given), and initial parameters whose head output layers are not zero
+    (so every parameter takes a gradient)."""
     cfg = RunConfig()
-    spec = SyntheticSpec(scenes=n_scenes, agents=4, lanes=2, t_obs=cfg.model.t_obs,
+    spec = SyntheticSpec(scenes=n_scenes, agents=agents, lanes=lanes, t_obs=cfg.model.t_obs,
                          t_f=cfg.model.t_f, dt=0.1, noise=0.05, curved=True)
     samples = prepare_samples(generate_synthetic(spec, 3), cfg)
     params = init_parameters(cfg.model, 1)
@@ -1024,12 +1192,13 @@ def test_default_scene_records_one_tape_record_per_attention_conv():
     # the loss's masked smooth-L1 and one-hot winner score 234, with a
     # multiply and a scatter for each GCN call-site's edge term 229, and with
     # the head's latent gathered from scene to agent_id order 227, with the
-    # latent read out in agent_id order 226, and with ReLU, residual and
-    # LayerNorm one record per merge and head block 164
+    # latent read out in agent_id order 226, with ReLU, residual and
+    # LayerNorm one record per merge and head block 164, and with the head's
+    # K modes run as stacks of per-mode products, 32 records for any K, 113
     cfg, (sample,), params = _default_model_scenes(1)
     with tg.Tape() as tape:
         total_loss(forward(sample.cache, params, cfg.model), sample.gt, sample.mask, cfg.loss)
-    assert len(tape._records) <= 164
+    assert len(tape._records) <= 113
 
 
 def test_two_scene_accumulation_equals_separate_gradients():
