@@ -5,6 +5,13 @@ with a sinusoidal per-timestep encoding concatenated onto agent nodes, a
 heterogeneous graph encoder, and K regression/scoring MLP pairs, run as one
 stack of per-mode products, producing K trajectories with unnormalized scores.
 
+Parameters are stored in the layout the kernels read. A grouped GCN
+call-site holds its R relations' weights as one [R, f, f] `weight` and their
+biases as one [R, f] `bias`, in `_gcn_groups` order; each head layer holds
+its K modes' weights, biases, gains and offsets as one [K, ...] parameter
+each. Checkpoints in this layout carry the magic `HOLIGRAPH4`; files of the
+earlier per-relation and per-mode layouts are refused by their header.
+
 `encoder_layers` is the one description of the encoder's wiring: each
 layer's call-sites, a degree-normalized graph conv over a group of
 relations (`gcn_edge_conv`) or a GATv2-style attention conv over one
@@ -26,7 +33,7 @@ from . import tensor as tg
 from .errors import CheckpointError, ConfigError
 from .graph import REL_DRIVES_ON, REL_MERGE, REL_SOCIAL, REL_TRAFFIC_INFO, relation_endpoints
 
-CHECKPOINT_MAGIC = b"HOLIGRAPH3"
+CHECKPOINT_MAGIC = b"HOLIGRAPH4"
 
 
 @dataclass
@@ -106,13 +113,14 @@ Merge = namedtuple("Merge", "node norm sites")
 # Every call-site -> its parameters' name under the layer prefix (None: the
 # layer prefix itself), in the order the cache embeds their edges; the edge
 # MLP's gradients are summed in that order.
-_CALL_SITES = {"agent": None, REL_MERGE: None, REL_SOCIAL: "social", "map": None,
+_CALL_SITES = {"agent": "agent_rel", REL_MERGE: None, REL_SOCIAL: "social", "map": "map_rel",
                REL_DRIVES_ON: "drives_on", REL_TRAFFIC_INFO: "traffic_info"}
 
 
 def _gcn_groups(cfg):
     """Grouped GCN call-site -> its relations' shorts. Short s of group g is
-    the graph relation "g.s.g", with weights rel.s under the layer prefix."""
+    the graph relation "g.s.g"; its weight and bias are index i, the
+    short's place here, of the call-site's stacked `weight` and `bias`."""
     return {"agent": ("pre", "suc"), "map": cfg.map_rel_shorts()}
 
 
@@ -149,13 +157,13 @@ def expected_parameter_specs(cfg):
     dh = f // cfg.heads
     specs = {}
 
-    def linear(prefix, n_in, n_out):
-        specs[f"{prefix}.weight"] = (n_in, n_out)
-        specs[f"{prefix}.bias"] = (1, n_out)
+    def linear(prefix, n_in, n_out, stack=()):
+        specs[f"{prefix}.weight"] = stack + (n_in, n_out)
+        specs[f"{prefix}.bias"] = stack + (1, n_out)
 
-    def norm(prefix, width=f):
-        specs[f"{prefix}.gain"] = (width,)
-        specs[f"{prefix}.offset"] = (width,)
+    def norm(prefix, width=f, stack=()):
+        specs[f"{prefix}.gain"] = stack + (width,)
+        specs[f"{prefix}.offset"] = stack + (width,)
 
     def gat(prefix):
         # heads on the middle axis: Glorot's fans (axes 0, -1) are per head
@@ -181,26 +189,44 @@ def expected_parameter_specs(cfg):
             for site in merge.sites:
                 prefix = _site_prefix(layer.prefix, site)
                 if site in groups:
-                    for short in groups[site]:
-                        linear(f"{prefix}.rel.{short}", f, f)
+                    specs[f"{prefix}.weight"] = (len(groups[site]), f, f)
+                    specs[f"{prefix}.bias"] = (len(groups[site]), f)
                 else:
                     gat(prefix)
             norm(f"{layer.prefix}.{merge.norm}")
 
-    out = 2 * cfg.t_f
-    for k in range(cfg.modes):
-        linear(f"head.reg.k{k}.l1", f, f)
-        norm(f"head.reg.k{k}.norm")
-        linear(f"head.reg.k{k}.l2", f, out)
-        wide = f + out
-        linear(f"head.score.k{k}.l1", wide, wide)
-        norm(f"head.score.k{k}.norm", wide)
-        linear(f"head.score.k{k}.l2", wide, 1)
+    modes = (cfg.modes,)
+    for kind, width, out in (("reg", f, 2 * cfg.t_f), ("score", f + 2 * cfg.t_f, 1)):
+        linear(f"head.{kind}.l1", width, width, modes)
+        norm(f"head.{kind}.norm", width, modes)
+        linear(f"head.{kind}.l2", width, out, modes)
     return specs
+
+
+def _draw_order(cfg, specs):
+    """(HOLIGRAPH3 path, path, index) of every parameter block, index () for
+    a whole parameter. HOLIGRAPH3 kept each relation's and each mode's block
+    as a parameter of its own; sorted, these paths are init's draw order."""
+    group_of = {_CALL_SITES[g]: shorts for g, shorts in _gcn_groups(cfg).items()}
+    for path in specs:
+        prefix, leaf = path.rsplit(".", 1)
+        layer, _, site = prefix.rpartition(".")
+        if path.startswith("head."):
+            _, kind, rest = path.split(".", 2)
+            yield from ((f"head.{kind}.k{k}.{rest}", path, k) for k in range(cfg.modes))
+        elif site in group_of:
+            yield from ((f"{layer}.rel.{s}.{leaf}", path, i) for i, s in enumerate(group_of[site]))
+        else:
+            yield path, path, ()
 
 
 def init_parameters(cfg, seed):
     """Glorot-uniform weights, zero biases, unit gains; deterministic in seed.
+
+    Each block of a stacked parameter (one relation of a GCN call-site, one
+    mode of a head layer) is drawn with its own fans, and the blocks are
+    drawn in the sorted order of their HOLIGRAPH3 paths (`_draw_order`), so
+    a seed gives every block the values it gave that layout's parameter.
 
     Head output layers start at exactly zero so every mode emits the same
     trajectory before the first update: each track's constant-velocity
@@ -209,21 +235,17 @@ def init_parameters(cfg, seed):
     coherent across agents instead of freezing in random per-agent winners.
     """
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for path, shape in sorted(expected_parameter_specs(cfg).items()):
+    specs = expected_parameter_specs(cfg)
+    data = {path: np.zeros(shape) for path, shape in specs.items()}
+    for _, path, index in sorted(_draw_order(cfg, specs)):
         leaf = path.rsplit(".", 1)[1]
+        block = data[path][index]
         if leaf == "gain":
-            data = np.ones(shape)
-        elif leaf in ("offset", "bias"):
-            data = np.zeros(shape)
-        elif path.startswith("head.") and ".l2." in path:
-            data = np.zeros(shape)
-        else:
-            fan_in, fan_out = shape[0], shape[-1]
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            data = rng.uniform(-limit, limit, size=shape)
-        tensors[path] = tg.Tensor(data, requires_grad=True)
-    return ModelParameters(tensors)
+            block[...] = 1.0
+        elif leaf not in ("offset", "bias") and not (path.startswith("head.") and ".l2." in path):
+            limit = np.sqrt(6.0 / (block.shape[0] + block.shape[-1]))
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+    return ModelParameters({path: tg.Tensor(d, requires_grad=True) for path, d in data.items()})
 
 
 # --- temporal encoding ------------------------------------------------------
@@ -370,19 +392,20 @@ def embed(cache, params, cfg):
     return agent_h, map_h, edge_h
 
 
-def gcn_edge_conv(h_src, rel, edge_agg, weights, biases):
+def gcn_edge_conv(h_src, rel, edge_agg, weight, bias):
     """Degree-normalized conv over a call-site's R relations: for each
     relation r, the sum over its in-edges of coeff * ((x_src + e) W_r), plus
-    b_r every target receives, summed over r.
+    b_r every target receives, summed over r; weight is [R, f, f] and bias
+    [R, f], index r for relation r.
 
     Evaluated as sum_e coeff * x_src per (target, relation) row, gathered
     slot by slot through the cache's plan, plus the call-site's edge term
     `edge_agg` (see `embed`), then one matmul of the [n_dst, R*f] aggregate
-    with the stacked [R*f, f] weights, so the sum over relations runs inside
+    with the weight read as [R*f, f], so the sum over relations runs inside
     the matmul. Degrees are counted per relation. One `tg.edge_conv`
     record, which scatters neither forward nor backward.
     """
-    return tg.edge_conv(h_src, edge_agg, weights, biases, rel.plan)
+    return tg.edge_conv(h_src, edge_agg, weight, bias, rel.plan)
 
 
 def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):
@@ -414,21 +437,19 @@ def layer_merge(updates, h_prev, params, prefix, cfg):
 
 # --- encoder ----------------------------------------------------------------
 
-def _grouped_gcn(h, cache, edge_h, params, layer_prefix, group):
-    rel = cache.relations[group]
-    weights = [params[f"{layer_prefix}.rel.{short}.weight"] for short in rel.shorts]
-    biases = [params[f"{layer_prefix}.rel.{short}.bias"] for short in rel.shorts]
-    return gcn_edge_conv(h, rel, edge_h[group], weights, biases)
+def _grouped_gcn(h, cache, edge_h, params, prefix, group):
+    return gcn_edge_conv(h, cache.relations[group], edge_h[group],
+                         params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
-def _map_stage_updates(map_h, cache, edge_h, params, layer_prefix, cfg):
+def _map_stage_updates(map_h, cache, edge_h, params, prefix, cfg):
     """The lane relations' summed update, as one grouped conv."""
-    return _grouped_gcn(map_h, cache, edge_h, params, layer_prefix, "map")
+    return _grouped_gcn(map_h, cache, edge_h, params, prefix, "map")
 
 
-def _agent_gcn_updates(agent_h, cache, edge_h, params, layer_prefix):
+def _agent_gcn_updates(agent_h, cache, edge_h, params, prefix):
     """The temporal pre/suc relations' summed update, as one grouped conv."""
-    return _grouped_gcn(agent_h, cache, edge_h, params, layer_prefix, "agent")
+    return _grouped_gcn(agent_h, cache, edge_h, params, prefix, "agent")
 
 
 def _site_update(site, h, cache, edge_h, params, layer_prefix, cfg):
@@ -472,12 +493,12 @@ class Prediction:
     scores: tg.Tensor         # [A, K], unnormalized
 
 
-def _head_block(x, params, prefix, modes):
-    """Each mode k's l2(LayerNorm(ReLU(l1(x)) + x)) by its prefix.k<k> weights, as
-    one [K, A, out] stack in 11 records; x is [K, A, n] or an [A, n] all share."""
-    w1, b1, gain, offset, w2, b2 = (
-        tg.stack([params[f"{prefix}.k{k}.{name}"] for k in range(modes)])
-        for name in ("l1.weight", "l1.bias", "norm.gain", "norm.offset", "l2.weight", "l2.bias"))
+def _head_block(x, params, prefix):
+    """Each mode k's l2(LayerNorm(ReLU(l1(x)) + x)) by index k of the prefix's
+    [K, ...] parameters, as one [K, A, out] stack in 5 records; x is [K, A, n]
+    or an [A, n] all share."""
+    w1, b1, gain, offset, w2, b2 = (params[f"{prefix}.{name}"] for name in (
+        "l1.weight", "l1.bias", "norm.gain", "norm.offset", "l2.weight", "l2.bias"))
     h = tg.relu_norm(tg.add(tg.matmul(x, w1), b1), gain, offset, x)
     return tg.add(tg.matmul(h, w2), b2)
 
@@ -493,17 +514,17 @@ def predict_head(latent, cache, params, cfg):
     the modes learn residuals from it. Each mode's score sees the latent
     and that mode's trajectory.
 
-    The modes run as [K, A, .] stacks of per-mode products, in 32 records for
+    The modes run as [K, A, .] stacks of per-mode products, in 20 records for
     any K, over the tracks in agent_id order like the latent and
     `cache.start`; one gather per output puts mode k of track i at row i*K + k
     by `cache.track_rank`. A matmul's rounding can depend on a row's place in
     the BLAS row tiles, so this makes the outputs permute bitwise with the tracks.
     """
     n_agents, modes = latent.data.shape[0], cfg.modes
-    deltas = _head_block(latent, params, "head.reg", modes)
+    deltas = _head_block(latent, params, "head.reg")
     traj = tg.add(tg.matmul(deltas, cache.cumsum), cache.start)
     score_in = tg.concat([tg.stack([latent] * modes), traj], 2)
-    scores = _head_block(score_in, params, "head.score", modes)
+    scores = _head_block(score_in, params, "head.score")
     order = (cache.track_rank[:, None] + n_agents * np.arange(modes)).reshape(-1)
     flat = tg.gather_rows(tg.reshape(traj, (modes * n_agents, 2 * cfg.t_f)), order)
     trajectories = tg.reshape(flat, (n_agents, modes, cfg.t_f, 2))
@@ -548,7 +569,8 @@ def _listed(paths, limit=5):
 
 
 def load_checkpoint(path, cfg):
-    """Read a checkpoint and verify it matches the configuration exactly."""
+    """Read a checkpoint and verify it matches the configuration exactly;
+    a parameter recorded twice is refused."""
     expected = expected_parameter_specs(cfg)
     tensors = {}
     try:
@@ -571,6 +593,8 @@ def load_checkpoint(path, cfg):
             shape = struct.unpack(
                 f"<{rank}Q", _read_exact(fh, 8 * rank, size, f"the shape of {name}"))
             raw = _read_exact(fh, 8 * math.prod(shape), size, f"the values of {name}")
+            if name in tensors:
+                raise CheckpointError(f"parameter {name} appears twice in the checkpoint")
             try:  # an extent numpy cannot address, or a rank Tensor refuses
                 data = np.frombuffer(raw, dtype="<f8").reshape(shape)
                 tensors[name] = tg.Tensor(data.copy(), requires_grad=True)

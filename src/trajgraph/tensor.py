@@ -6,14 +6,16 @@ single row broadcast over the rows (a bias) or a single [n, 1] column
 broadcast over the columns (a per-row factor); scale by a python number;
 ReLU; LayerNorm of a ReLU output plus an optional residual, alone and
 after a linear layer (the embedding); gather for message passing; one
-fused multi-head attention conv; a degree-normalized graph conv and its
-edge term (a coefficient-weighted segment sum), both of which read one
-per-graph ``ConvPlan`` and gather instead of scattering; concat, stack,
-reshape and a total sum. matmul, add, sub, mul and relu_norm also take
-[B, n, f] stacks (the head's modes), with a [B, 1, f] row per index or an
-[n, f] matrix all indices share; a stack product is one BLAS product per
-index, with the separate products' bits. Ops are recorded on a tape, and
-replaying it backwards accumulates gradients into ``.grad``.
+fused multi-head attention conv; a degree-normalized graph conv over R
+relations, with one [R, n_in, n_out] weight and one [R, n_out] bias, and
+its edge term (a coefficient-weighted segment sum), both of which read one
+per-graph ``ConvPlan`` and gather instead of scattering; concat, stack
+(the head's K copies of the latent), reshape and a total sum. matmul,
+add, sub, mul and relu_norm also take [B, n, f] stacks (the head's
+modes), with a [B, 1, f] row per index or an [n, f] matrix all indices
+share; a stack product is one BLAS product per index, with the separate
+products' bits. Ops are recorded on a tape, and replaying it backwards
+accumulates gradients into ``.grad``.
 
 Lifecycle. A tensor's ``grad`` and ``requires_grad`` live in a small slot
 apart from its data. Each recorded op keeps its inputs' and output's slots
@@ -62,8 +64,8 @@ lanes.
 
 The bits hold for a fixed BLAS thread count, since OpenBLAS may split a
 product's sums differently with more threads. On 16-agent scenes at 1 and
-2 threads (OpenBLAS 0.3.31, 2-CPU x86_64 host), outputs and 320 of 323
-parameter gradients were equal; three attention weight gradients differed
+2 threads (OpenBLAS 0.3.31, 2-CPU x86_64 host), outputs and all parameter
+gradients but three were equal; those attention weight gradients differed
 by up to 3e-18 in their W3c block (``e.T @ g_pre``), and Adam steps carry
 that difference into the weights.
 """
@@ -853,23 +855,25 @@ def segment_sum(messages, plan, n):
     return out
 
 
-def edge_conv(x_src, edge_agg, weights, biases, plan):
+def edge_conv(x_src, edge_agg, weight, bias, plan):
     """Degree-normalized graph conv over R relations, as one tape record
     with a hand-written backward and no scatter.
 
     Row t*R + r of the [n_dst*R, n_in] aggregate belongs to target t and
     relation r; plan, a `ConvPlan` from x_src's rows to the aggregate's, is
-    the sparse matrix S of in-edge coefficients. Then
+    the sparse matrix S of in-edge coefficients. weight is one [R, n_in,
+    n_out] parameter and bias one [R, n_out], index r for relation r. Then
 
         agg = S x_src + edge_agg
-        out = agg.reshape(n_dst, R*n_in) @ [W_0; ...; W_R-1] + sum_r b_r
+        out = agg.reshape(n_dst, R*n_in) @ weight.reshape(R*n_in, n_out) + sum_r b_r
 
-    edge_agg [n_dst*R, n_in] is the edge term, S applied to the in-edges'
-    embeddings (`segment_sum`), which does not depend on x_src. S x_src is
-    gathered slot by slot through the plan's source table, as `segment_sum`
-    gathers, and edge_agg is added last.
+    where the reshaped weight is a view, not a copy. edge_agg [n_dst*R,
+    n_in] is the edge term, S applied to the in-edges' embeddings
+    (`segment_sum`), which does not depend on x_src. S x_src is gathered
+    slot by slot through the plan's source table, as `segment_sum` gathers,
+    and edge_agg is added last.
 
-    Backward gives the weights agg^T g, each bias g's column sums, and
+    Backward gives the weight agg^T g, each bias row g's column sums, and
     edge_agg the aggregate gradient g W^T. x_src's gradient, S^T g W^T,
     runs through the plan's out-table, summed slot by slot in ascending
     edge order and then added onto any gradient x_src already holds, as a
@@ -877,16 +881,14 @@ def edge_conv(x_src, edge_agg, weights, biases, plan):
     which never clips an index the plan checked and does not buffer its
     ``out``.
     """
-    r = len(weights)
-    if x_src.data.ndim != 2 or r == 0 or len(biases) != r:
+    w_shape = weight.data.shape
+    if (x_src.data.ndim != 2 or len(w_shape) != 3 or not w_shape[0]
+            or w_shape[1] != x_src.data.shape[1] or bias.data.shape != (w_shape[0], w_shape[2])):
         raise DimensionError(
-            f"edge_conv needs [n, f] sources and one bias per weight: {x_src.data.shape}, "
-            f"{r} weights, {len(biases)} biases")
-    n_src, n_in = x_src.data.shape
-    n_out = weights[0].data.shape[-1]
-    if any(w.data.shape != (n_in, n_out) for w in weights) or any(
-            b.data.reshape(-1).shape != (n_out,) for b in biases):
-        raise DimensionError(f"edge_conv weights must be [{n_in}, {n_out}], biases {n_out} wide")
+            f"edge_conv needs [n, f] sources, an [R >= 1, f, n_out] weight and an [R, n_out] "
+            f"bias: {x_src.data.shape}, {w_shape}, {bias.data.shape}")
+    r, n_in, n_out = w_shape
+    n_src = x_src.data.shape[0]
     n_rows = plan.n_rows
     if n_src != plan.n_src or edge_agg.data.shape != (n_rows, n_in) or n_rows % r:
         raise DimensionError(
@@ -895,31 +897,23 @@ def edge_conv(x_src, edge_agg, weights, biases, plan):
             f"{x_src.data.shape} and {edge_agg.data.shape}")
     n_dst = n_rows // r
 
-    w_stack = np.concatenate([w.data for w in weights])
+    w_flat = weight.data.reshape(r * n_in, n_out)
     agg = _slot_sum(x_src.data, plan.in_sources, plan.in_empty, plan.in_coeff)
     agg += edge_agg.data
-    out_data = agg.reshape(n_dst, r * n_in) @ w_stack
-    out_data += np.ones((1, r)) @ np.concatenate([b.data.reshape(1, n_out) for b in biases])
-    out, tape = _make_output(out_data, (x_src, edge_agg, *weights, *biases))
+    out_data = agg.reshape(n_dst, r * n_in) @ w_flat
+    out_data += np.ones((1, r)) @ bias.data
+    out, tape = _make_output(out_data, (x_src, edge_agg, weight, bias))
     if tape:
-        s_x, s_edge = _slot_of(x_src), _slot_of(edge_agg)
-        s_w, s_b = [_slot_of(w) for w in weights], [_slot_of(b) for b in biases]
-        b_shapes = [b.data.shape for b in biases]
-        agg = agg if any(s_w) else None
-        w_stack = w_stack if s_x or s_edge else None
+        s_x, s_edge, s_w, s_b = (_slot_of(t) for t in (x_src, edge_agg, weight, bias))
+        agg = agg if s_w else None
+        w_flat = w_flat if s_x or s_edge else None
         def bwd(g):
-            if any(s_w):
-                g_w = agg.reshape(n_dst, r * n_in).T @ g
-                for k, slot in enumerate(s_w):
-                    if slot:
-                        _give(slot, g_w[k * n_in:(k + 1) * n_in])
-            if any(s_b):
-                g_b = np.repeat(g.sum(axis=0).reshape(1, n_out), r, axis=0)
-                for k, (slot, shape) in enumerate(zip(s_b, b_shapes)):
-                    if slot:
-                        _give(slot, g_b[k].reshape(shape))
+            if s_w:
+                _give(s_w, (agg.reshape(n_dst, r * n_in).T @ g).reshape(w_shape))
+            if s_b:
+                _give(s_b, np.repeat(g.sum(axis=0).reshape(1, n_out), r, axis=0))
             if s_x or s_edge:
-                g_agg = (g @ w_stack.T).reshape(n_rows, n_in)
+                g_agg = (g @ w_flat.T).reshape(n_rows, n_in)
                 if s_x:
                     _give(s_x, _slot_sum(g_agg, plan.out_rows, plan.out_empty, plan.out_coeff))
                 if s_edge:

@@ -318,21 +318,102 @@ def head_by_modes(latent, start, cumsum, track_rank, params, modes):
     that the cumsum matrix accumulates onto each track's start, and its
     score block maps [latent, trajectory]. Rows are in agent_id order, as
     ``encode`` returns them; the outputs are gathered to scene order by
-    track_rank. params maps each head parameter path to its array.
-    Returns the [A, K, t_f, 2] trajectories and the [A, K] scores."""
-    def block(x, prefix):
-        z = x @ params[f"{prefix}.l1.weight"] + params[f"{prefix}.l1.bias"]
-        h = relu_layer_norm(z, params[f"{prefix}.norm.gain"], params[f"{prefix}.norm.offset"], x)
-        return h @ params[f"{prefix}.l2.weight"] + params[f"{prefix}.l2.bias"]
+    track_rank. params maps each head parameter path to its [K, ...] array,
+    whose slice k is mode k's. Returns the [A, K, t_f, 2] trajectories and
+    the [A, K] scores."""
+    def block(x, prefix, k):
+        def get(name):
+            return params[f"{prefix}.{name}"][k]
+        z = x @ get("l1.weight") + get("l1.bias")
+        h = relu_layer_norm(z, get("norm.gain"), get("norm.offset"), x)
+        return h @ get("l2.weight") + get("l2.bias")
 
     trajs, scores = [], []
     for k in range(modes):
-        traj = block(latent, f"head.reg.k{k}") @ cumsum + start
+        traj = block(latent, "head.reg", k) @ cumsum + start
         trajs.append(traj)
-        scores.append(block(np.concatenate([latent, traj], axis=1), f"head.score.k{k}"))
+        scores.append(block(np.concatenate([latent, traj], axis=1), "head.score", k))
     n_agents, width = start.shape
     trajectories = np.stack(trajs, axis=1)[track_rank].reshape(n_agents, modes, width // 2, 2)
     return trajectories, np.concatenate(scores, axis=1)[track_rank]
+
+
+def holigraph3_init(cfg, seed):
+    """Initial parameters in the HOLIGRAPH3 layout, which kept each GCN
+    relation's and each head mode's weights as parameters of their own:
+    path -> array, the paths spelled out from the model configuration.
+    Weights are Glorot-uniform over their first and last axes, drawn in
+    sorted path order; biases and offsets are zero, gains one, and the head
+    output layers zero."""
+    f, dh, out = cfg.f, cfg.f // cfg.heads, 2 * cfg.t_f
+    shapes = {}
+
+    def linear(prefix, n_in, n_out):
+        shapes[f"{prefix}.weight"], shapes[f"{prefix}.bias"] = (n_in, n_out), (1, n_out)
+
+    def norm(prefix, width=f):
+        shapes[f"{prefix}.gain"] = shapes[f"{prefix}.offset"] = (width,)
+
+    def gcn(layer, shorts):
+        for short in shorts:
+            linear(f"{layer}.rel.{short}", f, f)
+
+    def gat(prefix):
+        for name, n_in in (("w1", f), ("w2", f), ("w3", 3 * f), ("attn", 1)):
+            shapes[f"{prefix}.{name}"] = (n_in, cfg.heads, dh)
+
+    map_shorts = ([f"pre-{i}" for i in range(1, cfg.dilation + 1)]
+                  + [f"suc-{i}" for i in range(1, cfg.dilation + 1)] + ["left", "right"])
+    linear("embed.agent.linear", 5, f)
+    norm("embed.agent.norm")
+    if cfg.use_temporal:
+        shapes["embed.temporal.weight"] = (2 * f, f)
+    if cfg.use_map:
+        linear("embed.map.linear", 4, f)
+        norm("embed.map.norm")
+    if cfg.use_relational:
+        linear("embed.edge.linear", 2, f)
+        norm("embed.edge.norm")
+    n_map, n_fusion = (cfg.n_map_layers, cfg.n_fusion_layers) if cfg.use_map else (0, 0)
+    for layer in range(n_map):
+        gcn(f"map_layer.{layer}", map_shorts)
+        norm(f"map_layer.{layer}.norm")
+    for layer in range(cfg.t_obs):
+        gcn(f"agent_layer.{layer}", ("pre", "suc"))
+        norm(f"agent_layer.{layer}.norm")
+        if cfg.use_social and layer >= cfg.t_obs - 2:
+            gat(f"agent_layer.{layer}.social")
+    for layer in range(n_fusion):
+        prefix = f"fusion_layer.{layer}"
+        gcn(prefix, ("pre", "suc"))
+        gat(f"{prefix}.traffic_info")
+        norm(f"{prefix}.agent_norm")
+        if cfg.use_social:
+            gat(f"{prefix}.social")
+        if layer < n_fusion - 1:
+            gcn(prefix, map_shorts)
+            gat(f"{prefix}.drives_on")
+            norm(f"{prefix}.map_norm")
+    gat("merge")
+    norm("merge.norm")
+    for k in range(cfg.modes):
+        for kind, width, n_out in (("reg", f, out), ("score", f + out, 1)):
+            linear(f"head.{kind}.k{k}.l1", width, width)
+            norm(f"head.{kind}.k{k}.norm", width)
+            linear(f"head.{kind}.k{k}.l2", width, n_out)
+
+    rng = np.random.default_rng(seed)
+    values = {}
+    for path in sorted(shapes):
+        shape, leaf = shapes[path], path.rsplit(".", 1)[1]
+        if leaf == "gain":
+            values[path] = np.ones(shape)
+        elif leaf in ("bias", "offset") or (path.startswith("head.") and ".l2." in path):
+            values[path] = np.zeros(shape)
+        else:
+            limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
+            values[path] = rng.uniform(-limit, limit, size=shape)
+    return values
 
 
 def relation_names(dilation):

@@ -1,7 +1,6 @@
 import copy
 import json
 import os
-import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -20,8 +19,8 @@ from trajgraph.graph import GraphConfig, build_graph
 from trajgraph.losses import LossConfig, supervision_mask
 from trajgraph.metrics import aggregate_reports, compute_metrics
 from trajgraph.model import (
-    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, init_parameters, load_checkpoint,
-    save_checkpoint,
+    CHECKPOINT_MAGIC, ModelConfig, ModelParameters, expected_parameter_specs, init_parameters,
+    load_checkpoint, save_checkpoint,
 )
 from trajgraph.optim import OptimConfig
 from trajgraph.scene import load_scenes, normalize_scene
@@ -379,13 +378,15 @@ def test_eval_flag_mismatch_refused(tmp_path, capsys):
             "--data", str(data), "--report", str(tmp_path / "r.jsonl")]
     assert main(argv + ["--no-map"]) == 1
     cfg = load_config(out / "config.json")
+    full = set(expected_parameter_specs(cfg.model))
     cfg.model.use_map = False
     save_config(cfg, out / "config.json")
+    extra = len(full - set(expected_parameter_specs(cfg.model)))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.strip()
     # counts plus the first five paths of each kind, not every path
-    assert re.search(r"missing 0, extra \d{3} \(", err)
+    assert f"missing 0, extra {extra} (" in err
     assert err.count("map_layer") + err.count("fusion_layer") <= 5
     assert len(err) < 400
 
@@ -537,6 +538,29 @@ def test_truncated_checkpoint_exits_2(trained, tmp_path):
     assert "truncated checkpoint" in err
 
 
+def test_repeated_parameter_record_exits_2(trained, tmp_path):
+    """A checkpoint that holds a parameter's record twice is refused by the
+    parameter's name, with one error line, instead of loading the later
+    values."""
+    out, data = trained
+    dup = tmp_path / "dup"
+    dup.mkdir()
+    (dup / "config.json").write_bytes((out / "config.json").read_bytes())
+    body = (out / "checkpoint_final.bin").read_bytes()
+    name = "merge.norm.gain"
+    params = load_checkpoint(out / "checkpoint_final.bin", load_config(out / "config.json").model)
+    save_checkpoint(ModelParameters({name: params[name]}), tmp_path / "one.bin")
+    record = (tmp_path / "one.bin").read_bytes()[len(CHECKPOINT_MAGIC):]
+    (dup / "model.bin").write_bytes(body + record)
+    for command, output in (("eval", ["--report", tmp_path / "r.jsonl"]),
+                            ("predict", ["--scene-id", "synth-0000",
+                                         "--plot", tmp_path / "p.jsonl"])):
+        rc, err = run_cli(command, "--checkpoint", dup / "model.bin", "--data", data, *output)
+        assert rc == 2 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error:") and name in line and "twice" in line
+
+
 def test_missing_data_file_exits_2(trained, tmp_path):
     out, _ = trained
     missing = tmp_path / "missing.jsonl"
@@ -651,7 +675,7 @@ def test_nan_weight_refused_by_eval_and_predict(trained, tmp_path):
     (bad / "config.json").write_bytes((out / "config.json").read_bytes())
     cfg = load_config(bad / "config.json")
     params = load_checkpoint(out / "checkpoint_final.bin", cfg.model)
-    params["head.reg.k0.l2.bias"].data[0, 0] = np.nan
+    params["head.reg.l2.bias"].data[0, 0, 0] = np.nan
     save_checkpoint(params, bad / "model.bin")
     rc, err = run_cli("eval", "--checkpoint", bad / "model.bin", "--data", data,
                       "--report", tmp_path / "r.jsonl")

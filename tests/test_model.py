@@ -22,7 +22,7 @@ from trajgraph.synthetic import SyntheticSpec, generate_synthetic
 from helpers import make_scene, straight_lane, straight_track
 from oracles import (
     gatv2_composite, gatv2_per_head, gcn_per_relation, grad_rel_error, head_by_modes,
-    numeric_gradient, relu_layer_norm,
+    holigraph3_init, numeric_gradient, relu_layer_norm,
 )
 from test_acceptance import OP_TOL
 from test_tensor import _default_model_scenes, check_gradients
@@ -89,6 +89,14 @@ def _edge_term(e, rel):
     return tg.segment_sum(e, rel.plan, rel.plan.n_rows)
 
 
+def _pre_weights(params):
+    """agent_layer.0's weight and bias of its pre relation (index 0 of the
+    call-site's stacks), as the [1, f, f] and [1, f] stacks of a one-relation
+    conv."""
+    return tuple(tg.Tensor(params[f"agent_layer.0.agent_rel.{leaf}"].data[:1])
+                 for leaf in ("weight", "bias"))
+
+
 def test_gcn_no_edges_outputs_bias():
     cfg = tiny_cfg(t_obs=1, use_map=False)
     _, cache = scene_and_cache(cfg, tracks=[straight_track("a0", t_obs=1, t_f=3)])
@@ -97,9 +105,8 @@ def test_gcn_no_edges_outputs_bias():
     assert rel.src.size == 0
     h = tg.Tensor(np.random.default_rng(0).normal(size=(cache.graph.n_agent_nodes, cfg.f)))
     e = tg.Tensor(np.zeros((0, cfg.f)))
-    w = params["agent_layer.0.rel.pre.weight"]
-    b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
+    w, b = _pre_weights(params)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), w, b)
     assert np.array_equal(out.data, np.tile(b.data, (cache.graph.n_agent_nodes, 1)))
 
 
@@ -113,13 +120,12 @@ def test_gcn_single_edge_unscaled():
     rng = np.random.default_rng(3)
     h = tg.Tensor(rng.normal(size=(2, cfg.f)))
     e = tg.Tensor(rng.normal(size=(1, cfg.f)))
-    w = params["agent_layer.0.rel.pre.weight"]
-    b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
+    w, b = _pre_weights(params)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), w, b)
     # the conv multiplies the whole [2, f] aggregate; a BLAS matrix product
     # may round a row differently from a vector product, so build it alike
     aggregate = np.stack([np.zeros(cfg.f), h.data[0] + e.data[0]])
-    expected = (aggregate @ w.data)[1] + b.data[0]
+    expected = (aggregate @ w.data[0])[1] + b.data[0]
     assert np.allclose(out.data[1], expected, atol=0, rtol=0)
 
 
@@ -131,9 +137,8 @@ def test_gcn_line_graph_matches_dense_oracle():
     rng = np.random.default_rng(5)
     h = tg.Tensor(rng.normal(size=(3, cfg.f)))
     e = tg.Tensor(rng.normal(size=(2, cfg.f)))
-    w = params["agent_layer.0.rel.pre.weight"]
-    b = params["agent_layer.0.rel.pre.bias"]
-    out = gcn_edge_conv(h, rel, _edge_term(e, rel), [w], [b])
+    w, b = _pre_weights(params)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), w, b)
 
     # dense evaluation with degree-floored normalization
     adj = np.zeros((3, 3))
@@ -148,7 +153,7 @@ def test_gcn_line_graph_matches_dense_oracle():
                 eidx = [i for i, (es, ed) in enumerate(zip(rel.src, rel.dst))
                         if es == s and ed == d][0]
                 coeff = 1.0 / np.sqrt(in_deg[d] * out_deg[s])
-                dense[d] += coeff * ((h.data[s] + e.data[eidx]) @ w.data)
+                dense[d] += coeff * ((h.data[s] + e.data[eidx]) @ w.data[0])
     assert np.allclose(out.data, dense, atol=1e-12)
 
 
@@ -172,14 +177,14 @@ def test_grouped_gcn_matches_per_relation_oracle(dilation, group):
     rng = np.random.default_rng(50 + dilation)
     h = tg.Tensor(rng.normal(size=(rel.n_src, cfg.f)))
     e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)))
-    weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f))) for _ in names]
-    biases = [tg.Tensor(rng.normal(size=(1, cfg.f))) for _ in names]
-    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases)
+    weight = tg.Tensor(rng.normal(size=(len(names), cfg.f, cfg.f)))
+    bias = tg.Tensor(rng.normal(size=(len(names), cfg.f)))
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weight, bias)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
-    expected = gcn_per_relation(h.data, rel.n_dst, per_relation,
-                                [w.data for w in weights], [b.data for b in biases])
+    expected = gcn_per_relation(h.data, rel.n_dst, per_relation, list(weight.data),
+                                list(bias.data))
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -205,15 +210,15 @@ def _conv_matrix(graph, rel, names):
     return s
 
 
-def _gcn_composite(h, rel, s, e, weights, biases):
+def _gcn_composite(h, rel, s, e, weight, bias):
     """The conv as separate ops, S applied as a dense constant by a matmul
     and the source gradient summed by a gather gradient: the reference for
     the fused record's summation order."""
     r, f = len(rel.shorts), h.data.shape[1]
     msg = tg.add(tg.gather_rows(h, rel.src), e)
     agg = tg.matmul(tg.Tensor(s), msg)
-    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.concat(weights, 0))
-    return tg.add(out, tg.matmul(tg.Tensor(np.ones((1, r))), tg.concat(biases, 0)))
+    out = tg.matmul(tg.reshape(agg, (rel.n_dst, r * f)), tg.reshape(weight, (r * f, f)))
+    return tg.add(out, tg.matmul(tg.Tensor(np.ones((1, r))), bias))
 
 
 @pytest.mark.parametrize("group", ["map", "agent"])
@@ -236,17 +241,16 @@ def test_gcn_conv_sums_in_the_order_of_the_composite(group):
     def leaf(*shape):
         return tg.Tensor(rng.normal(size=shape), requires_grad=True)
     h, e = leaf(rel.n_src, cfg.f), leaf(len(rel.src), cfg.f)
-    weights = [leaf(cfg.f, cfg.f) for _ in rel.shorts]
-    biases = [leaf(1, cfg.f) for _ in rel.shorts]
-    inputs = [h, e, *weights, *biases]
+    weight, bias = leaf(len(rel.shorts), cfg.f, cfg.f), leaf(len(rel.shorts), cfg.f)
+    inputs = [h, e, weight, bias]
     mix = tg.Tensor(rng.normal(size=(rel.n_dst, cfg.f)))
     results = []
     for fused in (True, False):
         for t in inputs:
             t.zero_grad()
         with tg.Tape() as tape:
-            out = (gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases) if fused
-                   else _gcn_composite(h, rel, s, e, weights, biases))
+            out = (gcn_edge_conv(h, rel, _edge_term(e, rel), weight, bias) if fused
+                   else _gcn_composite(h, rel, s, e, weight, bias))
             total = tg.sum_all(tg.mul(out, mix))
         tape.backward(total)
         results.append([out.data] + [t.grad for t in inputs])
@@ -269,38 +273,38 @@ def _merge_and_fork_case(cfg, seed):
     rng = np.random.default_rng(seed)
     h = tg.Tensor(rng.normal(size=(rel.n_src, cfg.f)), requires_grad=True)
     e = tg.Tensor(rng.normal(size=(len(rel.src), cfg.f)), requires_grad=True)
-    weights = [tg.Tensor(rng.normal(size=(cfg.f, cfg.f)), requires_grad=True)
-               for _ in rel.shorts]
-    biases = [tg.Tensor(rng.normal(size=(1, cfg.f)), requires_grad=True) for _ in rel.shorts]
-    return cache, rel, h, e, weights, biases
+    r = len(rel.shorts)
+    weight = tg.Tensor(rng.normal(size=(r, cfg.f, cfg.f)), requires_grad=True)
+    bias = tg.Tensor(rng.normal(size=(r, cfg.f)), requires_grad=True)
+    return cache, rel, h, e, weight, bias
 
 
 def test_gcn_merge_and_fork_fill_several_slots():
     cfg = tiny_cfg()
-    cache, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 80)
+    cache, rel, h, e, weight, bias = _merge_and_fork_case(cfg, 80)
     assert rel.plan.in_edges.shape[0] >= 2
     assert rel.plan.edge_coeff[1].min() < 1.0
     names = _group_names(cfg, "map")
     kind = np.repeat(np.arange(len(names)), [len(cache.graph.edges[n]) for n in names])
-    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases)
+    out = gcn_edge_conv(h, rel, _edge_term(e, rel), weight, bias)
 
     per_relation = [(rel.src[kind == r], rel.dst[kind == r], e.data[kind == r])
                     for r in range(len(names))]
-    expected = gcn_per_relation(h.data, rel.n_dst, per_relation,
-                                [w.data for w in weights], [b.data for b in biases])
+    expected = gcn_per_relation(h.data, rel.n_dst, per_relation, list(weight.data),
+                                list(bias.data))
     assert np.abs(out.data - expected).max() <= 1e-12 * np.abs(expected).max()
 
     mix = tg.Tensor(np.random.default_rng(81).normal(size=out.data.shape))
     check_gradients(lambda: tg.sum_all(tg.mul(
-        gcn_edge_conv(h, rel, _edge_term(e, rel), weights, biases), mix)),
-        [h, e, *weights, *biases])
+        gcn_edge_conv(h, rel, _edge_term(e, rel), weight, bias), mix)),
+        [h, e, weight, bias])
 
 
 def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
     """The whole call-site, edge term included, is two records that call
     no scatter kernel, forward or backward."""
     cfg = tiny_cfg()
-    _, rel, h, e, weights, biases = _merge_and_fork_case(cfg, 82)
+    _, rel, h, e, weight, bias = _merge_and_fork_case(cfg, 82)
 
     def refuse(*args):
         raise AssertionError("the GCN call-site called a scatter kernel")
@@ -309,11 +313,11 @@ def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
     with tg.Tape() as tape:
         edge_agg = _edge_term(e, rel)
         assert len(tape._records) == 1
-        out = gcn_edge_conv(h, rel, edge_agg, weights, biases)
+        out = gcn_edge_conv(h, rel, edge_agg, weight, bias)
         assert len(tape._records) == 2
         loss = tg.sum_all(out)
     tape.backward(loss)
-    assert all(t.grad is not None for t in (h, e, *weights, *biases))
+    assert all(t.grad is not None for t in (h, e, weight, bias))
 
 
 def _non_unit_by_loop(keys, coeff, depth):
@@ -813,7 +817,7 @@ def test_cache_holds_exactly_the_relations_encode_reads(n_fusion_layers):
 
 def test_default_parameter_count():
     specs = expected_parameter_specs(ModelConfig())
-    assert (len(specs), sum(int(np.prod(s)) for s in specs.values())) == (323, 670062)
+    assert (len(specs), sum(int(np.prod(s)) for s in specs.values())) == (131, 670062)
 
 
 def test_parameter_enumeration_lexicographic():
@@ -822,6 +826,34 @@ def test_parameter_enumeration_lexicographic():
     paths = params.paths()
     assert paths == sorted(paths)
     assert set(paths) == set(expected_parameter_specs(cfg))
+
+
+def _holigraph3_blocks(path, data, cfg):
+    """(HOLIGRAPH3 path, array) for each mode's slice of a head parameter and
+    each relation's slice of a GCN call-site's stack, else (path, data)."""
+    prefix, leaf = path.rsplit(".", 1)
+    layer, _, site = prefix.rpartition(".")
+    if path.startswith("head."):
+        _, kind, rest = path.split(".", 2)
+        return [(f"head.{kind}.k{k}.{rest}", data[k]) for k in range(cfg.modes)]
+    shorts = {"agent_rel": ("pre", "suc"), "map_rel": cfg.map_rel_shorts()}.get(site, ())
+    return ([(f"{layer}.rel.{short}.{leaf}", data[i]) for i, short in enumerate(shorts)]
+            or [(path, data)])
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("cfg", [tiny_cfg(), ModelConfig()], ids=["tiny", "default"])
+def test_init_has_the_values_of_the_holigraph3_oracle(cfg, seed):
+    """Slice by slice, the stacked parameters hold the bytes that an init
+    of the per-relation, per-mode layout draws for each block's own path."""
+    expected = holigraph3_init(cfg, seed)
+    got = {}
+    for path, t in init_parameters(cfg, seed).items():
+        got.update(_holigraph3_blocks(path, t.data, cfg))
+    assert sorted(got) == sorted(expected)
+    for path, want in expected.items():
+        assert got[path].size == want.size, path
+        assert np.ascontiguousarray(got[path]).tobytes() == want.tobytes(), path
 
 
 def test_init_deterministic():
@@ -835,7 +867,7 @@ def test_init_deterministic():
 def test_norm_param_detection():
     assert is_normalization_param("merge.norm.gain")
     assert is_normalization_param("fusion_layer.0.agent_norm.offset")
-    assert not is_normalization_param("head.reg.k0.l1.weight")
+    assert not is_normalization_param("head.reg.l1.weight")
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -861,15 +893,33 @@ def test_checkpoint_config_mismatch(tmp_path):
 def test_checkpoint_previous_magic_rejected(tmp_path):
     # HOLIGRAPH1 heads predicted from the scene origin; HOLIGRAPH2 kept one
     # set of attention tensors per head and the unread last fusion map
-    # update; neither may load, even with a body in today's layout
+    # update; HOLIGRAPH3 kept each relation's and each mode's weights as
+    # parameters of their own; none may load, even with a body in today's
+    # layout
     cfg = tiny_cfg()
     path = tmp_path / "old.ckpt"
     save_checkpoint(init_parameters(cfg, seed=37), path)
     body = path.read_bytes()[len(CHECKPOINT_MAGIC):]
-    for magic in (b"HOLIGRAPH1", b"HOLIGRAPH2"):
+    for magic in (b"HOLIGRAPH1", b"HOLIGRAPH2", b"HOLIGRAPH3"):
         path.write_bytes(magic + body)
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(path, cfg)
+
+
+def test_checkpoint_repeated_parameter_rejected(tmp_path):
+    """A record that repeats a parameter's name is refused by that name; the
+    later record's values never replace the earlier ones."""
+    cfg = tiny_cfg(t_obs=1, use_map=False)
+    params = init_parameters(cfg, seed=39)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    name = "agent_layer.0.norm.gain"
+    again = tg.Tensor(2.0 * params[name].data)
+    save_checkpoint(ModelParameters({name: again}), tmp_path / "one.ckpt")
+    record = (tmp_path / "one.ckpt").read_bytes()[len(CHECKPOINT_MAGIC):]
+    path.write_bytes(path.read_bytes() + record)
+    with pytest.raises(CheckpointError, match=f"parameter {name} appears twice"):
+        load_checkpoint(path, cfg)
 
 
 def test_checkpoint_truncated_anywhere(tmp_path):
