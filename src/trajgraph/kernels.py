@@ -1,8 +1,14 @@
-"""Segment kernels: the three scatter primitives under attention and
+"""Segment kernels: the three scatter primitives left under attention and
 gather gradients.
 
-The graph conv and its edge term do not use them: they gather through a
-``tensor.ConvPlan`` in both directions.
+Their callers in ``tensor``: ``segment_max`` takes attention's softmax
+group maximum; ``segment_sum`` its softmax group sums, forward and
+backward, and the dense value path's pair weights (``_pair_weights``);
+``add_rows_at`` the blocked value path's sums, forward (the output) and
+backward (the value gradient), and ``gather_rows``' gradient. The graph
+conv and its edge term do not use them, they gather through a
+``tensor.ConvPlan`` in both directions; nor do attention's node-gradient
+sums, which gather through a ``tensor.AttentionPlan``.
 
 One numpy implementation, and every kernel works on the flat 1-D index
 ``idx * f + column`` of the rows' elements, which for width-1 rows is idx

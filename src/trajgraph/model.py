@@ -263,14 +263,18 @@ def temporal_encoding(timesteps, f):
 # --- per-graph constants ----------------------------------------------------
 
 class _RelationCache:
-    """One call-site's relations, which share endpoint types, as one edge list.
+    """One call-site's relations, which share endpoint types, as one edge
+    list, and the per-graph plan (`plan`) the call-site's op reads.
 
     Edges and raw edge features are concatenated in the order of `names`.
-    A grouped GCN's cache (`gcn`) also holds the `tg.ConvPlan` that
-    `tg.segment_sum` and `tg.edge_conv` read: edge i of relation r targets row
-    dst*R + r of the per-(target, relation) aggregate, and its coefficient
-    uses degrees counted per relation. On a map without forks or merges
-    every coefficient is 1.
+    An attention call-site's plan is the `tg.AttentionPlan` of its edges
+    (src -> dst) that `tg.edge_attention` reads; its gather tables are
+    built by the first backward through it, so a cache that only untaped
+    forwards read builds none. A grouped GCN's (`gcn`) is the
+    `tg.ConvPlan` that `tg.segment_sum` and `tg.edge_conv` read: edge i of
+    relation r targets row dst*R + r of the per-(target, relation)
+    aggregate, and its coefficient uses degrees counted per relation. On a
+    map without forks or merges every coefficient is 1.
     """
 
     def __init__(self, graph, names, gcn=False):
@@ -284,6 +288,7 @@ class _RelationCache:
         self.dst = edges[:, 1].copy()
         self.raw_edge = tg.Tensor(np.concatenate([graph.edge_feats[name] for name in names]))
         if not gcn:
+            self.plan = tg.AttentionPlan(self.src, self.dst, self.n_src, self.n_dst)
             return
         kind = np.repeat(np.arange(r), [len(graph.edges[name]) for name in names])
         targets = self.dst * r + kind
@@ -421,7 +426,7 @@ def gatv2_conv(h_src, h_dst, rel, edge_h, params, prefix, cfg):
     """
     out, _ = tg.edge_attention(
         h_src, h_dst, edge_h, *(params[f"{prefix}.{w}"] for w in ("w1", "w2", "w3", "attn")),
-        rel.src, rel.dst, cfg.leaky_slope)
+        rel.plan, cfg.leaky_slope)
     return out
 
 

@@ -6,7 +6,8 @@ single row broadcast over the rows (a bias) or a single [n, 1] column
 broadcast over the columns (a per-row factor); scale by a python number;
 ReLU; LayerNorm of a ReLU output plus an optional residual, alone and
 after a linear layer (the embedding); gather for message passing; one
-fused multi-head attention conv; a degree-normalized graph conv over R
+fused multi-head attention conv, which reads one per-graph
+``AttentionPlan``; a degree-normalized graph conv over R
 relations, with one [R, n_in, n_out] weight and one [R, n_out] bias, and
 its edge term (a coefficient-weighted segment sum), both of which read one
 per-graph ``ConvPlan`` and gather instead of scattering; concat, stack
@@ -28,9 +29,12 @@ a gradient) keeps nothing for backward: an untaped attention call computes
 each row block's pre-activations in one block-sized buffer and holds no
 per-row activations, only the weights it returns. The embedding record
 holds only its inputs: its backward recomputes the normalized rows block
-by block from the [rows, n_in] input. A ``ConvPlan`` is the only place
-that knows the graph conv's table format. It checks its edge list once,
-when it is built, and lists per slot of its tables the empty entries and
+by block from the [rows, n_in] input. Each plan checks its edge list
+once, when it is built, so the ops that read it check no index. An
+``AttentionPlan`` builds its gather tables on the first backward that
+needs them and keeps them, so untaped forwards build none. A ``ConvPlan``
+is the only place that knows the graph conv's table format. It lists per
+slot of its tables the empty entries and
 the coefficients that are not exactly 1; ``segment_sum`` and ``edge_conv``
 zero what they gather for empty entries and multiply only listed rows, so
 on a graph where every coefficient is 1 they multiply nothing. Backward
@@ -43,22 +47,28 @@ leaves hold ``.grad``, which may be a view of a larger buffer (no two
 leaves' views overlap).
 
 Determinism contract: identical inputs and identical edge ordering produce
-bitwise-identical outputs and gradients. Attention's segment sums and
-maxima and gather gradients go through the numpy kernels in ``kernels``
-(there is no other backend), which always add in ascending edge-index
-order. A gather gradient sums the upstream rows of each index first and
-then adds that sum onto the gradient already held: g + (r1 + r2), not
-(g + r1) + r2. The graph conv and its edge term scatter nothing: each
-sums every (target, relation) row slot by slot, from zero, in ascending
-edge order, the conv then adding the edge term; the conv's source
-gradient is summed the same way through the out-table and then added onto
-the gradient already held, like a gather's, and the edge term's gradient
-is a gather by target. The row-blocked ops (attention, embedding) cut rows
-into fixed blocks of ``_ROW_BLOCK``: sums within a block run in ascending
-edge order and the blocks' sums are added in ascending block order.
-Attention's dense value sums are matrix products, whose sums run over the
-source nodes in node order. Graphs lay agent nodes out in agent_id order
-and map nodes in lane_id order, so the encoder's inputs, and with them its
+bitwise-identical outputs and gradients. Attention's softmax maxima and
+sums, its pair weights, its blocked value sums and the gather gradients
+go through the numpy kernels in ``kernels`` (there is no other backend),
+which always add in ascending edge-index order. A gather gradient sums
+the upstream rows of each index first and then adds that sum onto the
+gradient already held: g + (r1 + r2), not (g + r1) + r2. Attention's
+node-gradient sums, of x_dst W3a per destination and of x_src W3b per
+source, gather through its plan's tables: each node's edge rows are
+summed in ascending edge order over all edges at once, not block by
+block, starting from the first row (the bits of a sum from zero up to
+the sign of a zero); attention's forward does not read them. The graph
+conv and its edge term scatter nothing: each sums every (target,
+relation) row slot by slot, from zero, in ascending edge order, the conv
+then adding the edge term; the conv's source gradient is summed the same
+way through the out-table and then added onto the gradient already held,
+like a gather's, and the edge term's gradient is a gather by target.
+Otherwise the row-blocked ops (attention, embedding) cut rows into fixed
+blocks of ``_ROW_BLOCK``: sums within a block run in ascending edge order
+and the blocks' sums are added in ascending block order. Attention's
+dense value sums are matrix products, whose sums run over the source
+nodes in node order. Graphs lay agent nodes out in agent_id order and map
+nodes in lane_id order, so the encoder's inputs, and with them its
 outputs bit for bit, do not depend on the order of the scene's tracks or
 lanes.
 
@@ -524,7 +534,92 @@ def _pair_weights(alpha_edges, src, dst, n_src, n_dst):
     return w.reshape(heads, n_dst, n_src)
 
 
-def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
+def _entry_ranks(keys):
+    """Per entry of the sorted keys, its place among its key's entries: 0
+    for the first."""
+    return np.arange(keys.shape[0]) - np.searchsorted(keys, keys)
+
+
+# Keys per bucket of `_bucket_tables`. Sorted by degree and cut into
+# buckets this size, the keys of the 6,000- to 8,000-edge attention
+# relations of 16-agent, 8-lane scenes pad their tables to 1.00-1.23 E
+# entries, where one [max degree, n] table pads skewed degrees far more.
+_BUCKET_KEYS = 32
+
+
+def _bucket_tables(keys, n_keys, zero):
+    """The (keys, table) buckets `_bucket_sum` gathers through, for one key
+    in [0, n_keys) per row, in any order. Keys are sorted by their number of
+    rows, ties in ascending key, and cut into buckets of at most
+    ``_BUCKET_KEYS``; column j of a bucket's [D, n] table holds the rows of
+    the bucket's key j in ascending order, padded with `zero`, the index of
+    a zero row, to D, the bucket's largest count. A bucket of one key gets a
+    second column of zeros, since numpy sums a single column pairwise
+    instead of in order. Tables are int32 where the row indices fit, which
+    halves what a plan keeps; ``np.take`` reads them as fast as int64."""
+    counts = np.bincount(keys, minlength=n_keys)
+    by_count = np.argsort(counts, kind="stable")
+    place = np.empty(n_keys, dtype=np.int64)
+    place[by_count] = np.arange(n_keys)
+    # entries sorted by their key's place, each key's in ascending row order
+    rows = np.argsort(place[keys], kind="stable")
+    placed = place[keys[rows]]
+    rank = _entry_ranks(placed)
+    index_type = np.int32 if zero <= np.iinfo(np.int32).max else np.int64
+    buckets = []
+    for lo in range(0, n_keys, _BUCKET_KEYS):
+        hi = min(lo + _BUCKET_KEYS, n_keys)
+        a, b = np.searchsorted(placed, (lo, hi))
+        table = np.full((counts[by_count[hi - 1]], max(hi - lo, 2)), zero, dtype=index_type)
+        table[rank[a:b], placed[a:b] - lo] = rows[a:b]
+        table.flags.writeable = False
+        buckets.append((by_count[lo:hi], table))
+    return buckets
+
+
+def _bucket_sum(rows, buckets, n_keys):
+    """[n_keys, f]: per key the sum of its rows in ascending row order, by
+    one gather and one ``sum(axis=0)`` per bucket of `_bucket_tables`, whose
+    tables the caller's builder checked; a key without rows is zero. The
+    sums start from the first row, not from zero, and padding adds zeros,
+    so they equal a sum from zero up to the sign of a zero."""
+    out = np.empty((n_keys, rows.shape[1]))
+    for keys, table in buckets:
+        out[keys] = np.take(rows, table, axis=0, mode="clip").sum(axis=0)[:keys.shape[0]]
+    return out
+
+
+class AttentionPlan:
+    """One attention call-site's in-edges, edge i from source src[i] to
+    destination dst[i], checked once, when the plan is built:
+    `edge_attention` reads the plan and checks no index per call.
+
+    The plan also keeps the tables its backward sums node gradients
+    through. `node_sums` builds one set by destination and one by source
+    (`_bucket_tables`) the first time a backward asks for it, and keeps it;
+    a plan that only untaped forwards read builds none. The tables index
+    the rows of the attention record's act, whose row n_edges + n_dst is
+    zero.
+    """
+
+    def __init__(self, src, dst, n_src, n_dst):
+        self.n_src, self.n_dst = int(n_src), int(n_dst)
+        self.n_edges = np.size(src)
+        self.src = _check_targets(src, self.n_src, self.n_edges, "attention sources")
+        self.dst = _check_targets(dst, self.n_dst, self.n_edges, "attention targets")
+        self._tables = {}
+
+    def node_sums(self, rows, side):
+        """[n, f]: per destination (side "dst") or source ("src"), the sum
+        of rows[i] over its edges i in ascending edge order (`_bucket_sum`);
+        rows are the n_edges + n_dst + 1 rows of act."""
+        keys, n = (self.dst, self.n_dst) if side == "dst" else (self.src, self.n_src)
+        if side not in self._tables:
+            self._tables[side] = _bucket_tables(keys, n, self.n_edges + self.n_dst)
+        return _bucket_sum(rows, self._tables[side], n)
+
+
+def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, plan, slope):
     """Multi-head GATv2 attention with an implicit self edge per destination,
     as one tape record with a hand-written backward.
 
@@ -543,10 +638,12 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
                 being (x_src W2)[src] (in-edge) or x_dst W1 (self edge)
 
     max(pre, slope * pre) is LeakyReLU, bitwise, only for slope in [0, 1],
-    so any other slope raises ValueError. src and dst are range-checked
-    once on entry; the row gathers then run as
-    ``np.take(..., mode="clip")``, which never clips a checked index and,
-    unlike the default mode, does not buffer its ``out``.
+    so any other slope raises ValueError. src and dst are read from plan,
+    an `AttentionPlan`, whose build checked them; a call checks only that
+    its inputs have the plan's numbers of sources, destinations and edges.
+    The row gathers run as ``np.take(..., mode="clip")``, which never clips
+    a checked index and, unlike the default mode, does not buffer its
+    ``out``.
 
     The per-row work (pre-activation, LeakyReLU, logits, and backward's
     gradients of them) runs in fixed blocks of ``_ROW_BLOCK`` rows, so its
@@ -561,13 +658,16 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     Backward keeps per row only act and alpha (W is rebuilt from alpha),
     and the node-level x_src W2 and x_dst W1; block by block it turns act
     in place into the gradient of the pre-activation, through the LeakyReLU
-    derivative. A call no tape records (`_recording_tape`, as for every op)
-    keeps act one block at a time in a block-sized buffer, so it holds no
-    per-row activations; the self rows come from one x_dst (W3a + W3b)
-    product either way and are copied into their blocks, so out and alpha
-    have the same bits with or without a tape. Returns (out [n_dst,
-    heads*dh], alpha [E + n_dst, heads]); alpha is the array backward
-    reads, so the caller must not write to it.
+    derivative; after that loop it sums those rows per destination and per
+    source over all edges, in ascending edge order, through the plan's
+    gather tables (`AttentionPlan.node_sums`), which the first backward
+    through a plan builds. A call no tape records (`_recording_tape`, as
+    for every op) keeps act one block at a time in a block-sized buffer, so
+    it holds no per-row activations; the self rows come from one x_dst
+    (W3a + W3b) product either way and are copied into their blocks, so out
+    and alpha have the same bits with or without a tape. Returns (out
+    [n_dst, heads*dh], alpha [E + n_dst, heads]); alpha is the array
+    backward reads, so the caller must not write to it.
     """
     slope = float(slope)
     if not 0.0 <= slope <= 1.0:
@@ -583,9 +683,13 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
         raise DimensionError(f"edge_attention shapes incompatible: {got} vs {want}")
     xs, xd, e = x_src.data, x_dst.data, edge.data
     n_src, n_dst, n_edges = xs.shape[0], xd.shape[0], e.shape[0]
+    if (n_src, n_dst, n_edges) != (plan.n_src, plan.n_dst, plan.n_edges):
+        raise DimensionError(
+            f"edge_attention over a plan of {plan.n_edges} edges from {plan.n_src} sources to "
+            f"{plan.n_dst} destinations got {n_src} sources, {n_dst} destinations and "
+            f"{n_edges} edge rows")
     n_rows = n_edges + n_dst
-    src = _check_targets(src, n_src, n_edges, "attention sources")
-    dst = _check_targets(dst, n_dst, n_edges, "attention targets")
+    src, dst = plan.src, plan.dst
     mat1, mat2 = w1.data.reshape(n_in, f), w2.data.reshape(n_in, f)
     w3a, w3b, w3c = np.split(w3.data.reshape(3 * n_in, f), 3)
     head_of_column = np.repeat(np.eye(heads), dh, axis=0)
@@ -595,8 +699,11 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
     tape = _recording_tape((x_src, x_dst, edge, w1, w2, w3, attn))
     a_dst, b_src, self_pre = xd @ w3a, xs @ w3b, xd @ (w3a + w3b)
     n_block = min(_ROW_BLOCK, n_rows)
-    # backward reads every row's act; an untaped call keeps one block of it
-    act = np.empty((n_rows if tape else n_block, f))
+    # backward reads every row's act, and its node sums a zero row after
+    # them; an untaped call keeps one block of it
+    act = np.empty((n_rows + 1 if tape else n_block, f))
+    if tape:
+        act[n_rows] = 0.0
     alpha, scratch = np.empty((n_rows, heads)), np.empty((n_block, f))
     # blocks run over all rows, in-edges then self edges, so that the logits
     # matmul sees the rows in the row tiles of one [n_rows, f] product
@@ -694,7 +801,6 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
             # block by block, act becomes in place the gradient of the
             # pre-activation: LeakyReLU derivative * logit gradient * attn
             g_attn = np.zeros((f, heads))
-            g_a, g_b = np.zeros((n_dst, f)), np.zeros((n_src, f))  # of x_dst W3a, x_src W3b
             dw3c = np.zeros((n_in, f))
             g_edge = np.empty((n_edges, n_in)) if s_edge else None
             attn_row = attn.data.reshape(1, heads, dh)
@@ -715,10 +821,14 @@ def edge_attention(x_src, x_dst, edge, w1, w2, w3, attn, src, dst, slope):
                         np.matmul(g_pre, w3c.T, out=g_edge[lo:cut])
                     if s3:
                         dw3c += e[lo:cut].T @ g_pre
-                    kernels.add_rows_at(g_a, dst[lo:cut], g_pre)
-                    kernels.add_rows_at(g_b, src[lo:cut], g_pre)
-            g_self = act[n_edges:]
-            g_a += g_self
+            g_alpha = g_logits = g_block = None  # spent: freed before the node sums
+            # the gradients of x_dst W3a and x_src W3b, summed over all edges
+            g_self = act[n_edges:n_rows]
+            if s3 or s_dst:
+                g_a = plan.node_sums(act, "dst")
+                g_a += g_self
+            if s3 or s_src:
+                g_b = plan.node_sums(act, "src")
             if s_attn:
                 _give(s_attn, (g_attn * head_of_column).sum(axis=1).reshape(1, heads, dh))
             if s_edge:
@@ -746,7 +856,7 @@ def _slot_table(keys, values, coeff, n_keys):
     is not exactly 1, keys strictly ascending. keys must be sorted, each
     key's entries in the order its slots take. D is at least 1; an empty
     slot holds 0 and is listed only as empty."""
-    rank = np.arange(keys.shape[0]) - np.searchsorted(keys, keys)
+    rank = _entry_ranks(keys)
     depth = int(rank.max()) + 1 if rank.size else 1
     table = np.zeros((depth, n_keys), dtype=np.int64)
     table[rank, keys] = values

@@ -124,9 +124,10 @@ def test_criterion_gradient_suite():
     att = [tg.Tensor(rng.normal(size=s), requires_grad=True)
            for s in ((4, 4), (3, 4), (5, 4), (4, 2, 2), (4, 2, 2), (12, 2, 2), (1, 2, 2))]
     a_src, a_dst = np.array([1, 3, 0, 2, 3]), np.array([0, 0, 1, 1, 1])
+    a_plan = tg.AttentionPlan(a_src, a_dst, 4, 3)
     wat = tg.Tensor(rng.normal(size=(3, 4)))
     track(checked(lambda: tg.sum_all(tg.mul(
-        tg.edge_attention(*att, a_src, a_dst, 0.2)[0], wat)), att, OP_TOL))
+        tg.edge_attention(*att, a_plan, 0.2)[0], wat)), att, OP_TOL))
 
     # graph conv through a plan, with its own generator so that the checks
     # below keep their inputs

@@ -320,6 +320,40 @@ def test_gcn_conv_is_one_record_and_never_scatters(monkeypatch):
     assert all(t.grad is not None for t in (h, e, weight, bias))
 
 
+def test_dense_attention_never_scatters_and_builds_its_tables_once(monkeypatch):
+    """On a 16/8 scene each call-site on the dense value path runs its taped
+    forward and backward without the add_rows_at kernel. make_cache builds
+    no gather tables; the first backward builds the plan's two (by
+    destination and by source), and a second backward reuses them."""
+    cfg, (sample,), params = _default_model_scenes(1, agents=16, lanes=8)
+    cfg = cfg.model
+    rng = np.random.default_rng(84)
+
+    def refuse(*args):
+        raise AssertionError("dense attention called add_rows_at")
+    monkeypatch.setattr(kernels, "add_rows_at", refuse)
+    built, build = [], tg._bucket_tables
+    monkeypatch.setattr(tg, "_bucket_tables", lambda *args: built.append(args) or build(*args))
+    dense = [rel for rel in sample.cache.relations.values()
+             if isinstance(rel.plan, tg.AttentionPlan)
+             and tg._dense_values(cfg.heads, rel.n_dst, rel.n_src, len(rel.src), cfg.f)]
+    assert len(dense) == 3
+    for rel in dense:
+        assert rel.plan._tables == {}
+        leaves = [tg.Tensor(rng.normal(size=(n, cfg.f)), requires_grad=True)
+                  for n in (rel.n_src, rel.n_dst, len(rel.src))]
+        tables = []
+        for _ in range(2):
+            with tg.Tape() as tape:
+                loss = tg.sum_all(gatv2_conv(*leaves[:2], rel, leaves[2], params, "merge", cfg))
+            tape.backward(loss)
+            assert all(t.grad is not None for t in leaves)
+            tables.append(dict(rel.plan._tables))
+        assert len(built) == 2 * (dense.index(rel) + 1)
+        assert sorted(tables[0]) == ["dst", "src"]
+        assert all(tables[1][side] is tables[0][side] for side in ("dst", "src"))
+
+
 def _non_unit_by_loop(keys, coeff, depth):
     """Per slot d, the ascending (key, coefficient) pairs of the entries that
     are their key's d-th in edge order and whose coefficient is not 1."""
@@ -380,7 +414,8 @@ def attention_weights(h_src, h_dst, rel, e, params, prefix, cfg):
     """The [in-edges + destinations, heads] weights of gatv2_conv's
     attention, from the op it runs."""
     weights = (params[f"{prefix}.{w}"] for w in ("w1", "w2", "w3", "attn"))
-    return tg.edge_attention(h_src, h_dst, e, *weights, rel.src, rel.dst, cfg.leaky_slope)[1]
+    plan = tg.AttentionPlan(rel.src, rel.dst, rel.n_src, rel.n_dst)
+    return tg.edge_attention(h_src, h_dst, e, *weights, plan, cfg.leaky_slope)[1]
 
 
 def test_gatv2_identical_sources_share_attention():

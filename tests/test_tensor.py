@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajgraph import kernels, tensor as tg
 from trajgraph.config import RunConfig
@@ -421,8 +422,13 @@ def _attention_inputs(rng, heads, shared=False, scale=1.0, n_dst=4, n_edges=7, n
     return [x_src, x_dst] + [tg.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
 
 
+def _attention_plan(inputs, src=_ATT_SRC, dst=_ATT_DST):
+    """The plan of src -> dst between the rows of inputs' x_src and x_dst."""
+    return tg.AttentionPlan(src, dst, inputs[0].shape[0], inputs[1].shape[0])
+
+
 def _attention(inputs, slope, src=_ATT_SRC, dst=_ATT_DST):
-    return tg.edge_attention(*inputs, src, dst, slope)
+    return tg.edge_attention(*inputs, _attention_plan(inputs, src, dst), slope)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1.0])
@@ -522,11 +528,12 @@ def test_edge_attention_holds_act_and_alpha_per_row():
     n_src, n_dst, n_edges, heads, dh = _N_SRC, _N_DST, _N_EDGES, _HEADS, _DH
     f = heads * dh
     inputs, src, dst = _large_attention_case(np.random.default_rng(73))
+    plan = _attention_plan(inputs, src, dst)
     tracemalloc.start()
     try:
         with tg.Tape():
             before, _ = tracemalloc.get_traced_memory()
-            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
+            out, alpha = tg.edge_attention(*inputs, plan, 0.2)
             held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -541,10 +548,11 @@ def test_untaped_edge_attention_keeps_no_per_row_activations():
     alone is that array."""
     f = _HEADS * _DH
     inputs, src, dst = _large_attention_case(np.random.default_rng(73))
+    plan = _attention_plan(inputs, src, dst)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
+        out, alpha = tg.edge_attention(*inputs, plan, 0.2)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -641,6 +649,7 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
     gradients within rounding."""
     rng = np.random.default_rng(103)
     inputs, src, dst = _large_attention_case(rng)
+    plan = _attention_plan(inputs, src, dst)
     w = tg.Tensor(rng.normal(size=(_N_DST, _HEADS * _DH)))
     want_out, want_alpha = gatv2_composite(inputs[0].data, inputs[1].data, src, dst,
                                            *(t.data for t in inputs[2:]), 0.2)
@@ -650,7 +659,7 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
         for t in inputs:
             t.zero_grad()
         with tg.Tape() as tape:
-            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
+            out, alpha = tg.edge_attention(*inputs, plan, 0.2)
             total = tg.sum_all(tg.mul(out, w))
         assert alpha.tobytes() == want_alpha.tobytes()
         assert np.abs(out.data - want_out).max() <= 1e-12 * np.abs(want_out).max()
@@ -660,17 +669,65 @@ def test_edge_attention_value_paths_agree_over_many_blocks(monkeypatch):
         assert np.abs(dense - blocked).max() <= 1e-12 * np.abs(blocked).max()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_bucket_sum_equals_a_loop_in_edge_order(data):
+    """The node sums of attention's backward: through the bucketed tables,
+    each key's rows sum to the bits of a loop from zero in ascending row
+    order, up to the sign of a zero. Keys come in any order, with no row,
+    one row, or most rows on one key, over several buckets (a bucket of
+    one key included) and over no rows at all."""
+    n_keys = data.draw(st.sampled_from([1, 2, 32, 33, 65]) | st.integers(1, 80))
+    keys = data.draw(st.lists(st.integers(0, n_keys - 1), max_size=300))
+    if data.draw(st.booleans()):
+        hot = data.draw(st.integers(0, n_keys - 1))
+        keys = [hot if i % 5 else k for i, k in enumerate(keys)]
+    keys = np.array(keys, dtype=np.int64)
+    f = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (keys.shape[0] + 1, f)
+    rows = rng.normal(size=shape) * np.exp(rng.uniform(-8.0, 8.0, size=shape))
+    rows[rng.uniform(size=rows.shape) < 0.1] = -0.0
+    rows[-1] = 0.0  # the zero row the tables pad with
+    got = tg._bucket_sum(rows, tg._bucket_tables(keys, n_keys, keys.shape[0]), n_keys)
+    want = np.zeros((n_keys, f))
+    for i, k in enumerate(keys):
+        want[k] += rows[i]
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("which", ["src", "dst"])
-@pytest.mark.parametrize("bad", ["negative", "too-large"])
+@pytest.mark.parametrize("bad", ["negative", "too-large", "non-integer", "wrong-length"])
 def test_edge_attention_refuses_out_of_range_indices(which, bad):
-    """The range check on entry is the only index guard: the gathers run in
-    np.take's clip mode, so an index out of range must raise, never clip."""
+    """The plan's check, when it is built, is the only index guard: the
+    gathers run in np.take's clip mode, so an index out of range must
+    raise, never clip, and so must a non-integer index or one side of
+    another length."""
     inputs = _attention_inputs(np.random.default_rng(79), heads=2)
     idx = {"src": _ATT_SRC.copy(), "dst": _ATT_DST.copy()}
     limit = {"src": inputs[0].shape[0], "dst": inputs[1].shape[0]}[which]
-    idx[which][-1] = -1 if bad == "negative" else limit
-    with tg.Tape(), pytest.raises(IndexError, match="out of range"):
-        tg.edge_attention(*inputs, idx["src"], idx["dst"], 0.2)
+    error, match = IndexError, "out of range"
+    if bad == "non-integer":
+        idx[which] = idx[which] + 0.5
+        match = "must be integers"
+    elif bad == "wrong-length":
+        idx[which] = idx[which][:-1]
+        error, match = DimensionError, "per edge"
+    else:
+        idx[which][-1] = -1 if bad == "negative" else limit
+    with pytest.raises(error, match=match):
+        _attention_plan(inputs, idx["src"], idx["dst"])
+
+
+@pytest.mark.parametrize("side", [0, 1, 2], ids=["sources", "destinations", "edges"])
+def test_edge_attention_refuses_a_plan_of_other_sizes(side):
+    """A plan checks its indices against its own sizes only, so inputs with
+    another number of source, destination or edge rows are refused."""
+    inputs = _attention_inputs(np.random.default_rng(81), heads=2)
+    plan = _attention_plan(inputs)
+    inputs[side] = tg.Tensor(np.ones((inputs[side].shape[0] + 1, 4)))
+    with pytest.raises(DimensionError, match="edge_attention over a plan"):
+        tg.edge_attention(*inputs, plan, 0.2)
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan"), float("inf")])
@@ -696,12 +753,13 @@ def test_edge_attention_peak_memory_not_above_parent():
     LeakyReLU derivative in place."""
     rng = np.random.default_rng(73)
     inputs, src, dst = _large_attention_case(rng)
+    plan = _attention_plan(inputs, src, dst)
     w = tg.Tensor(rng.normal(size=(_N_DST, _HEADS * _DH)))
     tracemalloc.start()
     try:
         with tg.Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            out, alpha = tg.edge_attention(*inputs, src, dst, 0.2)
+            out, alpha = tg.edge_attention(*inputs, plan, 0.2)
             total = tg.sum_all(tg.mul(out, w))
             del out, alpha
         tape.backward(total)
